@@ -11,6 +11,7 @@ Example:
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -67,6 +68,9 @@ def measure(args):
 def orchestrate(args):
     results = []
     for backend in ("numba", "python"):
+        if backend == "numba" and importlib.util.find_spec("numba") is None:
+            print("numba backend skipped: numba is not installed", file=sys.stderr)
+            continue
         env = dict(os.environ, STANCECAST_BACKEND=backend)
         cmd = [sys.executable, __file__, "--backend", backend,
                "--nodes", str(args.nodes), "--edges", str(args.edges),

@@ -63,8 +63,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_baseline_ic(args) -> int:
-    graph, symbols = io_formats.load_graph(args.graph, None)
+    graph, symbols = io_formats.load_graph(args.graph, None, args.seeds)
     seed_nodes = io_formats.load_seed_nodes(args.seeds, symbols)
+    isolated = sum(graph.indptr[v] == graph.indptr[v + 1]
+                   and graph.in_indptr[v] == graph.in_indptr[v + 1]
+                   for v in seed_nodes)
+    if isolated:
+        print(f"note: {isolated} seed node(s) lie on no edge; they count as "
+              f"active and spread nowhere", file=sys.stderr)
     params = ic.IcParams(edge_probability=args.p, rng_seed=args.seed).validate()
     mean, counts = ic.mean_final_active(graph, params, seed_nodes, args.runs)
     io_formats._atomic_write(

@@ -221,7 +221,7 @@ def _nadj_chunk(g: SocialGraph, state: SimState, j: int, receivers, senders):
     new = np.empty(cap, dtype=np.float64)
     prob = np.empty(cap, dtype=np.float64)
     n_ev = kernels.nadj_pass(
-        g.indptr, g.indices, state.profiles, state.avals, state.counts,
+        g.in_indptr, g.in_indices, state.profiles, state.avals, state.counts,
         receivers, senders, j,
         p.delta_adjacent, p.delta_nonadjacent, p.lambda_, p.mu, p.tie_epsilon,
         node, src, old, new, prob,

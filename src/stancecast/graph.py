@@ -4,13 +4,16 @@ Nodes and topics are dense integer ids. Stances are float codes drawn from
 the four-valued domain: -1 unknown, 0 oppose, 0.5 neutral, 1 support.
 Adjacency is stored CSR-style (``indptr``/``indices``) with each
 out-neighbor row sorted ascending so iteration order never depends on input
-file ordering. All arrays are frozen after construction; mutable per-run
-state lives in :class:`stancecast.dynamics.SimState`.
+file ordering; the in-adjacency (``in_indptr``/``in_indices``, CSC of the
+same edges) lists each node's in-neighbors ascending. All arrays are frozen
+after construction; mutable per-run state lives in
+:class:`stancecast.dynamics.SimState`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -104,8 +107,10 @@ class SocialGraph:
     """Directed graph G = (V, E, T) with a stance profile per node.
 
     ``indptr``/``indices`` hold the out-adjacency in CSR form; edge (u, v)
-    means information flows u -> v. ``profiles`` is a (n, z) float array of
-    stance codes. All arrays are read-only.
+    means information flows u -> v. ``in_indptr``/``in_indices`` hold the
+    same edges by target: the sources of edges into v are
+    ``in_indices[in_indptr[v]:in_indptr[v + 1]]``, ascending. ``profiles``
+    is a (n, z) float array of stance codes. All arrays are read-only.
     """
 
     n: int
@@ -113,6 +118,8 @@ class SocialGraph:
     z: int
     indptr: np.ndarray
     indices: np.ndarray
+    in_indptr: np.ndarray
+    in_indices: np.ndarray
     profiles: np.ndarray
 
     def check_node(self, v: int) -> None:
@@ -160,15 +167,15 @@ def build_graph(node_count, topic_count, edge_list, profiles) -> SocialGraph:
 
     pairs = [(int(u), int(v)) for u, v in edge_list]
     seen = set()
-    for u, v in pairs:
+    for edge in pairs:
+        u, v = edge
         if not (0 <= u < n and 0 <= v < n):
             raise IdOutOfRangeError(f"edge ({u}, {v}) references id outside [0, {n})")
         if u == v:
             raise SelfLoopError(f"self-loop at node {u}")
-        if (u, v) in seen:
+        if edge in seen:
             raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-    pairs.sort()
+        seen.add(edge)
 
     profile_rows = list(profiles)
     if len(profile_rows) != n:
@@ -190,15 +197,22 @@ def build_graph(node_count, topic_count, edge_list, profiles) -> SocialGraph:
                 )
             prof[node, j] = value
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(len(pairs), dtype=np.int64)
-    for k, (u, v) in enumerate(pairs):
-        indptr[u + 1] += 1
-        indices[k] = v
-    np.cumsum(indptr, out=indptr)
+    ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                       count=2 * len(pairs)).reshape(-1, 2)
+    indptr, indices = _compressed(ends[:, 0], ends[:, 1], n)
+    in_indptr, in_indices = _compressed(ends[:, 1], ends[:, 0], n)
 
-    for arr in (indptr, indices, prof):
+    for arr in (indptr, indices, in_indptr, in_indices, prof):
         arr.flags.writeable = False
     return SocialGraph(
-        n=n, m=len(pairs), z=z, indptr=indptr, indices=indices, profiles=prof
+        n=n, m=len(pairs), z=z, indptr=indptr, indices=indices,
+        in_indptr=in_indptr, in_indices=in_indices, profiles=prof
     )
+
+
+def _compressed(rows, cols, n):
+    """Compressed-row arrays (indptr, indices) of the distinct pairs
+    (rows[k], cols[k]), each row's columns ascending."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.argsort(rows * n + cols)]

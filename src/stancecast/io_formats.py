@@ -136,12 +136,14 @@ def _read_edge_lines(path):
         yield line_no, fields[0], fields[1]
 
 
-def load_graph(edges_path, profiles_path=None) -> tuple[SocialGraph, SymbolTable]:
+def load_graph(edges_path, profiles_path=None,
+               seeds_path=None) -> tuple[SocialGraph, SymbolTable]:
     """Parse an edge file and a profiles file into an immutable graph.
 
     Internal ids come from the lexicographically sorted union of node ids
-    seen in either file; topics from the profiles file. Without a profiles
-    file the graph has zero topics (enough for the IC baseline).
+    seen in any of the files; topics from the profiles file. Without a
+    profiles file the graph has zero topics (enough for the IC baseline).
+    A seeds file only adds its node ids, so a seed on no edge is a node.
     """
     edge_rows = list(_read_edge_lines(edges_path))
     profile_rows = [] if profiles_path is None else list(
@@ -150,6 +152,9 @@ def load_graph(edges_path, profiles_path=None) -> tuple[SocialGraph, SymbolTable
 
     node_names = {u for _, u, v in edge_rows} | {v for _, u, v in edge_rows}
     node_names.update(fields[0] for _, fields in profile_rows)
+    if seeds_path is not None:
+        node_names.update(fields[0] for _, fields in
+                          _read_csv_rows(seeds_path, "node_id,topic_id,stance"))
     topic_names = sorted({fields[1] for _, fields in profile_rows})
     symbols = SymbolTable(tuple(sorted(node_names)), tuple(topic_names))
 

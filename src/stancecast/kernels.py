@@ -7,6 +7,14 @@ or ``STANCECAST_BACKEND=numba`` to require numba. The default (``auto``)
 uses numba when importable. Both paths execute identical floating-point
 operations in identical order, so results are bit-for-bit equal.
 
+The non-adjacent sweep (:func:`nadj_pass`) is a segment scan: between two
+stance changes of a receiver, its messages are computed as whole arrays,
+and the persistence recursion runs as a prefix sum (``np.cumsum``). Each
+element goes through the same IEEE operations as the per-message
+:func:`deliver` (the similarity is summed topic by topic, ``a - y`` is
+``a + (-y)``, and ``add.accumulate`` adds strictly left to right), so the
+scan and the scalar loop agree bit for bit.
+
 These kernels are the arithmetic ground truth for the whole package: the
 public scalar operations in :mod:`stancecast.influence` and
 :mod:`stancecast.dynamics` delegate to them after validating inputs.
@@ -98,20 +106,6 @@ def transition(t_v, t_u, p, a, tie_eps):
 
 
 @_jit
-def edge_exists(indptr, indices, u, v):
-    """Binary search for v in the sorted out-neighbor row of u."""
-    lo = indptr[u]
-    hi = indptr[u + 1]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if indices[mid] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo < indptr[u + 1] and indices[lo] == v
-
-
-@_jit
 def deliver(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     """Deliver one message from sender v to receiver q on topic j.
 
@@ -160,34 +154,133 @@ def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
     return n_ev
 
 
+# A scan costs about as much as this many scalar steps; after a shorter
+# hold, q is moving often, so its next messages go one by one.
+_SHORT_HOLD = 16
+
+
 @_jit
-def nadj_pass(indptr, indices, profiles, avals, counts, receivers, senders,
+def _hold_scan(profiles, avals, counts, q, senders, delta, j, lam, mu,
+               ev_node, ev_src, ev_old, ev_new, ev_p, n_ev):
+    """Deliver messages from ``senders`` to q for as long as q's stance holds.
+
+    q's stance on topic j is known. With it fixed, the influence p of every
+    sender and the persistence step y of every message are whole arrays,
+    and a <- a - y is ``np.cumsum`` over ``[a, -y_1, -y_2, ...]``. A step
+    that takes a above 1 is clamped to 1 as the scalar step clamps it, and
+    the sum restarts from 1. The scan stops before the first message that
+    may move q (its sender holds another stance and p >= a) or takes a
+    below 0; stopping early is always exact, as :func:`deliver` then takes
+    that message. Writes the events and returns (messages delivered, new
+    event count).
+    """
+    z = profiles.shape[1]
+    sq = math.sqrt(z)
+    old = profiles[q, j]
+    t_u = profiles[senders, j]
+    acc = np.zeros(senders.shape[0])
+    for i in range(z):
+        d = profiles[senders, i] - profiles[q, i]
+        acc = acc + d * d
+    f = np.full(senders.shape[0], 1.0)
+    if old != 0.5:
+        f[:] = mu
+        f[np.abs(old - t_u) <= 0.5] = lam
+        f[t_u == old] = 1.0
+    p = (delta * (sq / (sq + np.sqrt(acc)))) * f
+    same = (t_u == old).astype(np.float64)
+    k = counts[q, j] + 1 + np.arange(senders.shape[0])
+    y = (np.abs(t_u - old) * p - same * p) / k
+    may_move = t_u != old
+
+    total = senders.shape[0]
+    a = avals[q, j]
+    done = 0
+    while done < total:
+        steps = np.empty(total - done + 1)
+        steps[0] = a
+        steps[1:] = -y[done:]
+        run = np.cumsum(steps)[1:]
+        hits = np.flatnonzero((may_move[done:] & (p[done:] >= run))
+                              | (run < 0.0) | (run > 1.0))
+        stop = done + hits[0] if hits.shape[0] > 0 else total
+        # a above 1 is clamped to 1 and the scan goes on; a stays exactly 1
+        # while the steps are <= 0, so the clamped run ends at the first
+        # step > 0 (or a message that may move q at a = 1)
+        clamped = (stop < total and run[stop - done] > 1.0
+                   and not (may_move[stop] and p[stop] >= 1.0))
+        end = stop
+        if clamped:
+            back = np.flatnonzero((y[stop:] > 0.0)
+                                  | (may_move[stop:] & (p[stop:] >= 1.0)))
+            end = stop + back[0] if back.shape[0] > 0 else total
+        if end > done:
+            n_end = n_ev + end - done
+            ev_node[n_ev:n_end] = q
+            ev_src[n_ev:n_end] = senders[done:end]
+            ev_old[n_ev:n_end] = old
+            ev_new[n_ev:n_end] = old
+            ev_p[n_ev:n_end] = p[done:end]
+            n_ev = n_end
+            a = 1.0 if clamped else run[end - 1 - done]
+        done = end
+        if not clamped:
+            break
+    avals[q, j] = a
+    counts[q, j] += done
+    return done, n_ev
+
+
+@_jit
+def nadj_pass(in_indptr, in_indices, profiles, avals, counts, receivers, senders,
               j, delta_adj, delta_nonadj, lam, mu, tie_eps,
               ev_node, ev_src, ev_old, ev_new, ev_p):
     """Non-adjacent sweep: every sampled receiver hears every sampled sender.
 
-    The edge-dependent delta still applies (a sampled pair may happen to be
-    connected). Self-pairs are skipped. Returns the event count.
+    Receivers are taken in the order given (ascending, from the engine),
+    each hearing the senders in order with self-pairs skipped, so a
+    receiver that is also a sender is heard with the stance its own scan
+    left. delta is delta_adj when the
+    pair is an edge v -> q (v in the in-row of q), delta_nonadj otherwise.
+
+    Segment scan: :func:`_hold_scan` delivers the messages that cannot
+    move q's stance as arrays; the message that may move it goes through
+    the scalar :func:`deliver`, and the scan restarts after it with q's
+    new stance. An unknown receiver moves on any message, so its first
+    message always goes through :func:`deliver`. After a hold shorter than
+    ``_SHORT_HOLD`` messages, the next ``_SHORT_HOLD`` messages go through
+    :func:`deliver` too. Returns the event count.
     """
     n_ev = 0
     for qi in range(receivers.shape[0]):
         q = receivers[qi]
-        for vi in range(senders.shape[0]):
-            v = senders[vi]
-            if v == q:
-                continue
-            if edge_exists(indptr, indices, v, q):
-                delta = delta_adj
-            else:
-                delta = delta_nonadj
-            old, new, p = deliver(profiles, avals, counts, q, v, j,
-                                  delta, lam, mu, tie_eps)
-            ev_node[n_ev] = q
-            ev_src[n_ev] = v
-            ev_old[n_ev] = old
-            ev_new[n_ev] = new
-            ev_p[n_ev] = p
-            n_ev += 1
+        sv = senders[senders != q]
+        delta = np.full(sv.shape[0], delta_nonadj)
+        row = in_indices[in_indptr[q]:in_indptr[q + 1]]
+        if row.shape[0] > 0:
+            pos = np.minimum(np.searchsorted(row, sv), row.shape[0] - 1)
+            delta[row[pos] == sv] = delta_adj
+        start = 0
+        scan_from = 0
+        while start < sv.shape[0]:
+            if start >= scan_from and profiles[q, j] != -1.0:
+                held, n_ev = _hold_scan(profiles, avals, counts, q, sv[start:],
+                                        delta[start:], j, lam, mu, ev_node,
+                                        ev_src, ev_old, ev_new, ev_p, n_ev)
+                start += held
+                if held < _SHORT_HOLD:
+                    scan_from = start + _SHORT_HOLD
+            if start < sv.shape[0]:
+                v = sv[start]
+                old, new, p = deliver(profiles, avals, counts, q, v, j,
+                                      delta[start], lam, mu, tie_eps)
+                ev_node[n_ev] = q
+                ev_src[n_ev] = v
+                ev_old[n_ev] = old
+                ev_new[n_ev] = new
+                ev_p[n_ev] = p
+                n_ev += 1
+                start += 1
     return n_ev
 
 
@@ -205,7 +298,8 @@ def warmup():
     adjacent_pass(indptr, indices, profiles, avals, counts, vadj, spread,
                   0, 0.8, 0.7, 0.2, 0.0,
                   buf_i, buf_i.copy(), buf_f, buf_f.copy(), buf_f.copy())
-    nadj_pass(indptr, indices, profiles, avals, counts, spread,
-              np.array([1], dtype=np.int64),
+    # receiver 0 holds a stance, so the message goes through _hold_scan
+    nadj_pass(np.array([0, 0, 1], dtype=np.int64), spread, profiles, avals,
+              counts, spread, np.array([1], dtype=np.int64),
               0, 0.8, 0.2, 0.7, 0.2, 0.0,
               buf_i, buf_i.copy(), buf_f, buf_f.copy(), buf_f.copy())

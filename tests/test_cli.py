@@ -183,6 +183,34 @@ class TestBaselineIc:
         mean = json.loads(out.read_text())["mean"]
         assert abs(mean - 1.75) < 3 * (0.6875 / 4000) ** 0.5
 
+    def test_generated_bundle_with_isolated_seeds(self, tmp_path, capsys):
+        # 10 edges on 40 nodes leave most seeds on no edge; the counts must
+        # equal those on the graph simulate loads (edges plus profiles)
+        data = tmp_path / "data"
+        assert main(["generate", "--nodes", "40", "--edges", "10",
+                     "--topics", "1", "--seed", "3",
+                     "--stance-mix", "[0.5, 0.2, 0.1, 0.2]",
+                     "--out-dir", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "ic.json"
+        rc = main(["baseline-ic", "--graph", str(data / "edges.tsv"),
+                   "--seeds", str(data / "seeds.csv"), "--p", "0.5",
+                   "--runs", "20", "--out", str(out), "--seed", "4"])
+        assert rc == 0
+        on_edges = set((data / "edges.tsv").read_text().split())
+        seed_names = {line.split(",")[0] for line in
+                      (data / "seeds.csv").read_text().splitlines()[1:]}
+        isolated = len(seed_names - on_edges)
+        assert 0 < isolated < len(seed_names)
+        assert f"note: {isolated} seed node(s) lie on no edge" in \
+            capsys.readouterr().err
+        graph, symbols = io_formats.load_graph(data / "edges.tsv",
+                                               data / "profiles.csv")
+        seed_nodes = io_formats.load_seed_nodes(data / "seeds.csv", symbols)
+        params = sc.IcParams(edge_probability=0.5, rng_seed=4)
+        _mean, counts = sc.mean_final_active(graph, params, seed_nodes, 20)
+        assert json.loads(out.read_text())["runs"] == counts
+
 
 def test_generate_infeasible_exit_1(tmp_path, capsys):
     rc = main(["generate", "--nodes", "3", "--edges", "100", "--topics", "1",

@@ -63,15 +63,112 @@ def test_deliver_matches_apply_att():
         assert np.array_equal(state_a.counts, state_b.counts)
 
 
-def test_edge_exists_matches_graph():
+def test_in_adjacency_matches_graph():
     rng = np.random.default_rng(29)
     case = make_random_case(rng, max_n=10)
     g = sc.build_graph(case["n"], case["z"], case["edges"], case["profiles"])
-    for u in range(g.n):
-        for v in range(g.n):
-            if u != v:
-                assert bool(kernels.edge_exists(g.indptr, g.indices, u, v)) \
-                    == g.has_edge(u, v)
+    assert g.in_indptr[-1] == g.m
+    for v in range(g.n):
+        sources = g.in_indices[g.in_indptr[v]:g.in_indptr[v + 1]]
+        assert list(sources) == sorted(sources)
+        assert set(sources.tolist()) == {u for u in range(g.n)
+                                         if u != v and g.has_edge(u, v)}
+
+
+def reference_nadj_pass(indptr, indices, profiles, avals, counts, receivers,
+                        senders, j, delta_adj, delta_nonadj, lam, mu, tie_eps,
+                        ev_node, ev_src, ev_old, ev_new, ev_p):
+    """The per-message loop that :func:`kernels.nadj_pass` must reproduce:
+    one :func:`kernels.deliver` per (receiver, sender) pair, with the edge
+    v -> q looked up in the out-adjacency."""
+    n_ev = 0
+    for q in receivers:
+        for v in senders:
+            if v == q:
+                continue
+            row = indices[indptr[v]:indptr[v + 1]]
+            i = np.searchsorted(row, q)
+            delta = delta_adj if i < row.shape[0] and row[i] == q else delta_nonadj
+            old, new, p = kernels.deliver(profiles, avals, counts, q, v, j,
+                                          delta, lam, mu, tie_eps)
+            ev_node[n_ev], ev_src[n_ev] = q, v
+            ev_old[n_ev], ev_new[n_ev], ev_p[n_ev] = old, new, p
+            n_ev += 1
+    return n_ev
+
+
+def run_both_nadj(g, profiles, avals, counts, receivers, senders, j,
+                  delta_adj, delta_nonadj, lam, mu, tie_eps):
+    """Run the scan and the reference loop on copies of the same state and
+    require identical event buffers and final state; returns the events."""
+    cap = receivers.shape[0] * senders.shape[0]
+    results = []
+    for fn, adjacency in ((reference_nadj_pass, (g.indptr, g.indices)),
+                          (kernels.nadj_pass, (g.in_indptr, g.in_indices))):
+        state = (profiles.copy(), avals.copy(), counts.copy())
+        buffers = (np.zeros(cap, dtype=np.int64), np.zeros(cap, dtype=np.int64),
+                   np.zeros(cap), np.zeros(cap), np.zeros(cap))
+        n_ev = fn(*adjacency, *state, receivers, senders, j,
+                  delta_adj, delta_nonadj, lam, mu, tie_eps, *buffers)
+        results.append((n_ev, state, [b[:n_ev] for b in buffers]))
+    (n_ref, state_ref, ev_ref), (n_ev, state, ev) = results
+    assert n_ev == n_ref
+    for a, b in zip(ev + list(state), ev_ref + list(state_ref)):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8),
+                                                     b.view(np.uint8))
+    return ev
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 4])
+@pytest.mark.parametrize("a0", [0.0, 0.5, 1.0])
+def test_nadj_pass_matches_scalar_loop(z, a0):
+    # hundreds of senders per receiver, so segments run far longer than
+    # the oracle's graphs (n <= 12) allow; A0 of 0 and 1 clamps at once
+    rng = np.random.default_rng(1000 * z + int(10 * a0))
+    n = 400
+    edges = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(16000, 2))
+             if u != v}
+    profiles = rng.choice(np.array([-1.0, 0.0, 0.5, 1.0]), size=(n, z),
+                          p=[0.4, 0.2, 0.2, 0.2])
+    g = sc.build_graph(n, z, sorted(edges), profiles)
+    j = int(rng.integers(0, z))
+    known = np.flatnonzero(profiles[:, j] != -1.0)
+    senders = np.sort(rng.choice(known, size=min(250, known.size),
+                                 replace=False))
+    receivers = np.sort(np.concatenate([
+        rng.choice(np.setdiff1d(np.arange(n), senders), size=20, replace=False),
+        rng.choice(senders, size=6, replace=False),
+    ]))
+    avals = np.full((n, z), a0)
+    counts = rng.integers(0, 3, size=(n, z))
+    for tie_eps in (0.0, 1.0):
+        node, src, old, new, p = run_both_nadj(
+            g, profiles, avals, counts, receivers, senders, j,
+            0.8, 0.2, 0.7, 0.2, tie_eps)
+        assert np.count_nonzero(old != new) > 0
+        edge_pairs = sum(g.has_edge(int(v), int(q)) for q, v in zip(node, src))
+        assert edge_pairs > 0
+
+
+@pytest.mark.parametrize("tie", ["zero", "one"])
+def test_nadj_pass_exact_tie(tie):
+    # receiver 0 holds stance 1, A0 = 0.15625; three non-adjacent senders
+    # at stance 0 with delta_nonadj = 0 leave a alone, then the sender on
+    # edge 4 -> 0 gives p = 1 * 0.5 * 0.25 = 0.125 and
+    # a = 0.15625 - 0.125 / 4 = 0.125: an exact tie p == a
+    n = 8
+    profiles = np.array([[1.0]] + [[0.0]] * (n - 1))
+    g = sc.build_graph(n, 1, [(4, 0)], profiles)
+    params = sc.SimParams(delta_adjacent=1.0, delta_nonadjacent=0.0, mu=0.25,
+                          initial_persistence_A0=0.15625, epsilon_tie=tie)
+    avals = np.full((n, 1), params.initial_persistence_A0)
+    node, src, old, new, p = run_both_nadj(
+        g, profiles, avals, np.zeros((n, 1), dtype=np.int64),
+        np.array([0]), np.arange(1, n), 0, params.delta_adjacent,
+        params.delta_nonadjacent, params.lambda_, params.mu,
+        params.tie_epsilon)
+    assert p[3] == 0.125
+    assert list(new) == [1.0] * 3 + ([0.5] * 4 if tie == "one" else [1.0] * 4)
 
 
 @pytest.mark.skipif(not kernels.USE_NUMBA,
@@ -81,7 +178,7 @@ def test_compiled_and_python_paths_identical():
     # simulation through both paths must give bit-identical traces
     rng = np.random.default_rng(37)
     names = ("similarity", "stance_factor", "persistence_update",
-             "transition", "edge_exists", "deliver", "adjacent_pass",
+             "transition", "deliver", "adjacent_pass", "_hold_scan",
              "nadj_pass")
     cases = []
     for _ in range(10):
