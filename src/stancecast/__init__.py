@@ -15,14 +15,7 @@ from .dynamics import (
     transition,
     update_persistence,
 )
-from .engine import (
-    RoundSummary,
-    SimTrace,
-    adjacent_step,
-    nadj_step,
-    run_simulation,
-    run_tsa,
-)
+from .engine import RoundSummary, SimTrace, run_simulation, run_tsa
 from .graph import (
     KNOWN_STANCES,
     STANCE_NEUTRAL,
@@ -31,27 +24,24 @@ from .graph import (
     STANCE_UNKNOWN,
     STANCE_VALUES,
     SocialGraph,
-    StanceIndex,
     build_graph,
     is_stance,
 )
 from .ic import IcParams, IcTrace, mean_final_active, run_ic
 from .influence import influence_probability, stance_factor, topic_similarity
 from .params import SimParams
-from .rng import Rng, sample_without_replacement
+from .rng import Rng
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ADJACENT", "NONADJACENT", "PersistenceEntry", "SimState", "StanceChange",
     "apply_att", "transition", "update_persistence",
-    "RoundSummary", "SimTrace", "adjacent_step", "nadj_step",
-    "run_simulation", "run_tsa",
+    "RoundSummary", "SimTrace", "run_simulation", "run_tsa",
     "KNOWN_STANCES", "STANCE_NEUTRAL", "STANCE_OPPOSE", "STANCE_SUPPORT",
-    "STANCE_UNKNOWN", "STANCE_VALUES", "SocialGraph", "StanceIndex",
-    "build_graph", "is_stance",
+    "STANCE_UNKNOWN", "STANCE_VALUES", "SocialGraph", "build_graph", "is_stance",
     "IcParams", "IcTrace", "mean_final_active", "run_ic",
     "influence_probability", "stance_factor", "topic_similarity",
-    "SimParams", "Rng", "sample_without_replacement",
+    "SimParams", "Rng",
     "__version__",
 ]

@@ -2,7 +2,7 @@
 
 ``apply_att`` is the single-message procedure used by both propagation
 channels: compute the influence probability, update the receiver's stance
-persistence, then its stance, keeping the stance-class index in sync.
+persistence, then its stance.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from .graph import (
     KNOWN_STANCES,
     STANCE_UNKNOWN,
     SocialGraph,
-    StanceIndex,
     is_stance,
 )
 from .params import SimParams
 
 ADJACENT = "adjacent"
 NONADJACENT = "nonadjacent"
+#: Channel names by code: a trace's ``channel`` column holds the index.
+CHANNELS = (ADJACENT, NONADJACENT)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class StanceChange:
 
 
 class SimState:
-    """Mutable per-run state: live profiles, persistence, index, memories.
+    """Mutable per-run state: live profiles, persistence and memories.
 
     ``profiles`` / ``avals`` / ``counts`` are (n, z) arrays; ``v_adj`` and
     ``v_new`` are (z, n) boolean masks holding, per topic, the nodes already
@@ -93,14 +94,8 @@ class SimState:
                     self.profiles[int(node), int(j)] = stance
         self.avals = np.full((g.n, g.z), params.initial_persistence_A0)
         self.counts = np.zeros((g.n, g.z), dtype=np.int64)
-        self.index = StanceIndex.from_profiles(self.profiles)
         self.v_adj = np.zeros((g.z, g.n), dtype=np.bool_)
         self.v_new = (self.profiles != STANCE_UNKNOWN).T.copy()
-        # per-topic spreader snapshot of the round in progress
-        self.round_spreaders: dict[int, np.ndarray] = {}
-
-    def stance(self, v: int, j: int) -> float:
-        return float(self.profiles[v, j])
 
     def persistence(self, v: int, j: int) -> PersistenceEntry:
         return PersistenceEntry(float(self.avals[v, j]), int(self.counts[v, j]))
@@ -108,13 +103,6 @@ class SimState:
     def active(self, j: int) -> set[int]:
         """Current spreader set V_new for topic j."""
         return set(np.flatnonzero(self.v_new[j]).tolist())
-
-    def adjacency_memory(self, j: int) -> set[int]:
-        """Nodes already reached through an edge for topic j."""
-        return set(np.flatnonzero(self.v_adj[j]).tolist())
-
-    def known_count(self, j: int) -> int:
-        return int(np.count_nonzero(self.profiles[:, j] != STANCE_UNKNOWN))
 
 
 def update_persistence(state: SimState, v: int, j: int, t_u, p: float) -> float:
@@ -161,8 +149,8 @@ def apply_att(g: SocialGraph, state: SimState, q: int, v: int, j: int,
     """Deliver one message from sender v to receiver q on topic j.
 
     Computes the influence probability from the live profiles (delta picked
-    by actual adjacency), updates persistence, applies the transition and
-    re-files q in the stance index if its stance changed.
+    by actual adjacency), updates persistence and applies the transition;
+    a receiver that turns known joins the spreader set.
     """
     g.check_node(q)
     g.check_node(v)
@@ -177,10 +165,8 @@ def apply_att(g: SocialGraph, state: SimState, q: int, v: int, j: int,
         state.profiles, state.avals, state.counts, q, v, j,
         delta, state.params.lambda_, state.params.mu, state.params.tie_epsilon,
     )
-    if old != new:
-        state.index.move(j, int(q), float(old), float(new))
-        if old == STANCE_UNKNOWN:
-            state.v_new[j, q] = True
+    if old == STANCE_UNKNOWN and new != STANCE_UNKNOWN:
+        state.v_new[j, q] = True
     return StanceChange(
         node=int(q), topic=int(j), old_stance=float(old), new_stance=float(new),
         source_node=int(v), probability=float(p), channel=channel, round=round_no,

@@ -35,14 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dynamics import ADJACENT, NONADJACENT, SimState, StanceChange
+from .dynamics import ADJACENT, CHANNELS, NONADJACENT, SimState, StanceChange
 from .errors import EmptySeedsWarning
 from .graph import STANCE_UNKNOWN, SocialGraph
 from .params import SimParams
 from .rng import Rng
 
-_EVENT_COLUMNS = ("round", "topic", "node", "old", "new", "source", "p", "channel")
-_CHANNEL_NAMES = (ADJACENT, NONADJACENT)
+_EVENT_DTYPES = {"round": np.int32, "topic": np.int32, "node": np.int64,
+                 "old": np.float64, "new": np.float64, "source": np.int64,
+                 "p": np.float64, "channel": np.int8}
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class _EventsView:
             node=int(t.ev_node[i]), topic=int(t.ev_topic[i]),
             old_stance=float(t.ev_old[i]), new_stance=float(t.ev_new[i]),
             source_node=int(t.ev_source[i]), probability=float(t.ev_p[i]),
-            channel=_CHANNEL_NAMES[t.ev_channel[i]], round=int(t.ev_round[i]),
+            channel=CHANNELS[t.ev_channel[i]], round=int(t.ev_round[i]),
         )
 
     def __iter__(self):
@@ -113,9 +114,6 @@ class SimTrace:
     def events(self) -> _EventsView:
         return _EventsView(self)
 
-    def summary_grid(self) -> dict[tuple[int, int], RoundSummary]:
-        return {(s.round, s.topic): s for s in self.round_summaries}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimTrace):
             return NotImplemented
@@ -126,7 +124,7 @@ class SimTrace:
             and self.round_summaries == other.round_summaries
             and all(
                 np.array_equal(getattr(self, f"ev_{c}"), getattr(other, f"ev_{c}"))
-                for c in _EVENT_COLUMNS
+                for c in _EVENT_DTYPES
             )
         )
 
@@ -136,7 +134,7 @@ class SimTrace:
 
 
 class _EventAccumulator:
-    """Collects per-step columnar chunks and assembles the final columns."""
+    """Collects per-pass columnar chunks and assembles the final columns."""
 
     def __init__(self):
         self.chunks = []
@@ -149,19 +147,16 @@ class _EventAccumulator:
             "round": np.full(count, rnd, dtype=np.int32),
             "topic": np.full(count, j, dtype=np.int32),
             "node": node, "source": src, "old": old, "new": new, "p": p,
-            "channel": np.full(count, channel, dtype=np.int8),
+            "channel": np.full(count, CHANNELS.index(channel), dtype=np.int8),
         })
 
     def columns(self) -> dict:
         out = {}
-        dtypes = {"round": np.int32, "topic": np.int32, "node": np.int64,
-                  "old": np.float64, "new": np.float64, "source": np.int64,
-                  "p": np.float64, "channel": np.int8}
-        for name in _EVENT_COLUMNS:
+        for name, dtype in _EVENT_DTYPES.items():
             if self.chunks:
                 out[name] = np.concatenate([c[name] for c in self.chunks])
             else:
-                out[name] = np.empty(0, dtype=dtypes[name])
+                out[name] = np.empty(0, dtype=dtype)
         return out
 
 
@@ -169,23 +164,13 @@ def _floor_count(fraction: float, size: int) -> int:
     return int(math.floor(fraction * size))
 
 
-def _adjacent_chunk(g: SocialGraph, state: SimState, j: int, spreaders):
-    """Run the adjacent sweep kernel; returns event column arrays."""
-    p = state.params
-    cap = int((g.indptr[spreaders + 1] - g.indptr[spreaders]).sum())
-    node = np.empty(cap, dtype=np.int64)
-    src = np.empty(cap, dtype=np.int64)
-    old = np.empty(cap, dtype=np.float64)
-    new = np.empty(cap, dtype=np.float64)
-    prob = np.empty(cap, dtype=np.float64)
-    n_ev = kernels.adjacent_pass(
-        g.indptr, g.indices, state.profiles, state.avals, state.counts,
-        state.v_adj[j], spreaders, j,
-        p.delta_adjacent, p.lambda_, p.mu, p.tie_epsilon,
-        node, src, old, new, prob,
-    )
-    return (node[:n_ev].copy(), src[:n_ev].copy(), old[:n_ev].copy(),
-            new[:n_ev].copy(), prob[:n_ev].copy())
+def _kernel_events(kernel, cap: int, *args):
+    """Call ``kernel(*args, node, src, old, new, p)`` on event buffers of
+    ``cap`` rows; returns the filled prefix of each buffer as a copy."""
+    buffers = (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
+               np.empty(cap), np.empty(cap), np.empty(cap))
+    n_ev = kernel(*args, *buffers)
+    return tuple(buf[:n_ev].copy() for buf in buffers)
 
 
 def _nadj_receivers(state: SimState, j: int, rng: Rng):
@@ -211,83 +196,13 @@ def _nadj_receivers(state: SimState, j: int, rng: Rng):
     return picked
 
 
-def _nadj_chunk(g: SocialGraph, state: SimState, j: int, receivers, senders):
-    """Run the non-adjacent sweep kernel; returns event column arrays."""
-    p = state.params
-    cap = receivers.shape[0] * senders.shape[0]
-    node = np.empty(cap, dtype=np.int64)
-    src = np.empty(cap, dtype=np.int64)
-    old = np.empty(cap, dtype=np.float64)
-    new = np.empty(cap, dtype=np.float64)
-    prob = np.empty(cap, dtype=np.float64)
-    n_ev = kernels.nadj_pass(
-        g.in_indptr, g.in_indices, state.profiles, state.avals, state.counts,
-        receivers, senders, j,
-        p.delta_adjacent, p.delta_nonadjacent, p.lambda_, p.mu, p.tie_epsilon,
-        node, src, old, new, prob,
-    )
-    return (node[:n_ev].copy(), src[:n_ev].copy(), old[:n_ev].copy(),
-            new[:n_ev].copy(), prob[:n_ev].copy())
-
-
 def _absorb(state: SimState, j: int, chunk) -> int:
-    """Fold a chunk's activations into v_new and the index; count them."""
+    """Fold a chunk's activations into v_new; count them."""
     node, _src, old, new, _p = chunk
     activated = node[(old == STANCE_UNKNOWN) & (new != STANCE_UNKNOWN)]
     if activated.shape[0]:
         state.v_new[j, activated] = True
-    state.index.refresh_topic(j, state.profiles[:, j])
     return int(activated.shape[0])
-
-
-def _spreader_snapshot(state: SimState, j: int):
-    if j in state.round_spreaders:
-        return state.round_spreaders[j]
-    return np.flatnonzero(state.v_new[j]).astype(np.int64)
-
-
-def adjacent_step(g: SocialGraph, state: SimState, j: int,
-                  round_no: int) -> list[StanceChange]:
-    """One adjacent sweep for topic ``j``; returns the delivered events.
-
-    Snapshots the spreader set at entry and leaves the snapshot on the
-    state for the paired :func:`nadj_step` of the same round.
-    """
-    g.check_topic(j)
-    spreaders = np.flatnonzero(state.v_new[j]).astype(np.int64)
-    state.round_spreaders[j] = spreaders
-    if state.params.adjacency_memory == "per_round":
-        state.v_adj[j, :] = False
-    chunk = _adjacent_chunk(g, state, j, spreaders)
-    _absorb(state, j, chunk)
-    return _chunk_to_changes(chunk, j, round_no, ADJACENT)
-
-
-def nadj_step(g: SocialGraph, state: SimState, j: int, round_no: int,
-              rng: Rng) -> list[StanceChange]:
-    """One non-adjacent sweep for topic ``j``; returns the delivered events.
-
-    Senders are sampled from the spreader snapshot taken by the adjacent
-    step of the same round (or the live spreader set when called alone).
-    """
-    g.check_topic(j)
-    spreaders = _spreader_snapshot(state, j)
-    senders = rng.sample(spreaders, _floor_count(state.params.r1,
-                                                 spreaders.shape[0]))
-    receivers = _nadj_receivers(state, j, rng)
-    chunk = _nadj_chunk(g, state, j, receivers, senders)
-    _absorb(state, j, chunk)
-    return _chunk_to_changes(chunk, j, round_no, NONADJACENT)
-
-
-def _chunk_to_changes(chunk, j, round_no, channel) -> list[StanceChange]:
-    node, src, old, new, p = chunk
-    return [
-        StanceChange(node=int(node[i]), topic=j, old_stance=float(old[i]),
-                     new_stance=float(new[i]), source_node=int(src[i]),
-                     probability=float(p[i]), channel=channel, round=round_no)
-        for i in range(node.shape[0])
-    ]
 
 
 def _summarize(state: SimState, rnd: int, j: int, activated: int) -> RoundSummary:
@@ -317,16 +232,29 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
             spreaders = np.flatnonzero(state.v_new[j]).astype(np.int64)
             if params.adjacency_memory == "per_round":
                 state.v_adj[j, :] = False
-            chunk = _adjacent_chunk(g, state, j, spreaders)
+            chunk = _kernel_events(
+                kernels.adjacent_pass,
+                int((g.indptr[spreaders + 1] - g.indptr[spreaders]).sum()),
+                g.indptr, g.indices, state.profiles, state.avals,
+                state.counts, state.v_adj[j], spreaders, j,
+                params.delta_adjacent, params.lambda_, params.mu,
+                params.tie_epsilon,
+            )
             activated = _absorb(state, j, chunk)
-            acc.add(rnd, j, 0, *chunk)
+            acc.add(rnd, j, ADJACENT, *chunk)
 
             senders = rng.sample(spreaders,
                                  _floor_count(params.r1, spreaders.shape[0]))
             receivers = _nadj_receivers(state, j, rng)
-            chunk = _nadj_chunk(g, state, j, receivers, senders)
+            chunk = _kernel_events(
+                kernels.nadj_pass, receivers.shape[0] * senders.shape[0],
+                g.in_indptr, g.in_indices, state.profiles, state.avals,
+                state.counts, receivers, senders, j,
+                params.delta_adjacent, params.delta_nonadjacent,
+                params.lambda_, params.mu, params.tie_epsilon,
+            )
             activated += _absorb(state, j, chunk)
-            acc.add(rnd, j, 1, *chunk)
+            acc.add(rnd, j, NONADJACENT, *chunk)
 
             summaries.append(_summarize(state, rnd, j, activated))
     trace = SimTrace(g.n, g.z, params, acc.columns(), summaries)

@@ -40,68 +40,6 @@ def is_stance(value) -> bool:
     return value in (-1.0, 0.0, 0.5, 1.0)
 
 
-class StanceIndex:
-    """Per-topic partition of nodes by current known stance.
-
-    For every topic ``j`` keeps the three disjoint sets of nodes holding
-    stance 0, 0.5 and 1. A node appears in no set iff its stance is -1
-    (unknown). ``known(j)`` is the union of the three sets.
-    """
-
-    def __init__(self, topic_count: int):
-        self._sets: list[dict[float, set[int]]] = [
-            {STANCE_OPPOSE: set(), STANCE_NEUTRAL: set(), STANCE_SUPPORT: set()}
-            for _ in range(topic_count)
-        ]
-
-    @classmethod
-    def from_profiles(cls, profiles: np.ndarray) -> "StanceIndex":
-        """Build the partition by scanning a (n, z) profile array."""
-        n, z = profiles.shape
-        index = cls(z)
-        for j in range(z):
-            column = profiles[:, j]
-            for value in KNOWN_STANCES:
-                index._sets[j][value].update(np.flatnonzero(column == value).tolist())
-        return index
-
-    @property
-    def topic_count(self) -> int:
-        return len(self._sets)
-
-    def stance_class(self, j: int, stance: float) -> set[int]:
-        """Nodes currently holding ``stance`` on topic ``j`` (a live set)."""
-        return self._sets[j][stance]
-
-    def known(self, j: int) -> set[int]:
-        sets = self._sets[j]
-        return sets[STANCE_OPPOSE] | sets[STANCE_NEUTRAL] | sets[STANCE_SUPPORT]
-
-    def move(self, j: int, node: int, old: float, new: float) -> None:
-        """Re-file ``node`` after a stance change from ``old`` to ``new``."""
-        if old == new:
-            return
-        if old != STANCE_UNKNOWN:
-            self._sets[j][old].discard(node)
-        if new != STANCE_UNKNOWN:
-            self._sets[j][new].add(node)
-
-    def refresh_topic(self, j: int, column: np.ndarray) -> None:
-        """Rebuild topic ``j`` from a stance column (bulk engine updates)."""
-        for value in KNOWN_STANCES:
-            self._sets[j][value] = set(np.flatnonzero(column == value).tolist())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StanceIndex) and self._sets == other._sets
-
-    def __repr__(self) -> str:
-        sizes = [
-            tuple(len(self._sets[j][v]) for v in KNOWN_STANCES)
-            for j in range(len(self._sets))
-        ]
-        return f"StanceIndex(sizes={sizes})"
-
-
 @dataclass(frozen=True)
 class SocialGraph:
     """Directed graph G = (V, E, T) with a stance profile per node.
@@ -146,10 +84,6 @@ class SocialGraph:
         row = self.indices[self.indptr[u] : self.indptr[u + 1]]
         i = int(np.searchsorted(row, v))
         return i < len(row) and int(row[i]) == v
-
-    def stance_index(self) -> StanceIndex:
-        """Stance partition of the graph's initial profiles."""
-        return StanceIndex.from_profiles(self.profiles)
 
 
 def build_graph(node_count, topic_count, edge_list, profiles) -> SocialGraph:

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ADJACENT, NONADJACENT
-from .engine import RoundSummary, SimTrace
+from .dynamics import CHANNELS
+from .engine import _EVENT_DTYPES, RoundSummary, SimTrace
 from .errors import (
     BadStanceValueError,
     EmptySeedsWarning,
@@ -42,8 +42,7 @@ from .params import SimParams
 
 TRACE_SCHEMA = "tsa-trace/1"
 
-_CHANNEL_CODES = {ADJACENT: 0, NONADJACENT: 1}
-_CHANNEL_NAMES = {0: ADJACENT, 1: NONADJACENT}
+_CHANNEL_CODES = {name: code for code, name in enumerate(CHANNELS)}
 
 
 @dataclass(frozen=True)
@@ -326,13 +325,78 @@ def write_trace(trace: SimTrace, path) -> None:
         parts.append(
             f'{{"round":{rounds[i]},"topic":{topics[i]},"node":{nodes[i]},'
             f'"old":{olds[i]!r},"new":{news[i]!r},"source":{sources[i]},'
-            f'"p":{ps[i]!r},"channel":"{_CHANNEL_NAMES[channels[i]]}"}}'
+            f'"p":{ps[i]!r},"channel":"{CHANNELS[channels[i]]}"}}'
         )
     _atomic_write(path, "\n".join(parts) + "\n")
 
 
+def _number_column(values, dtype):
+    """``values`` as a 1-d array, or None unless all are numbers that
+    ``dtype`` holds (integers for an integer dtype). Not yet cast to
+    ``dtype``, so range checks see the values as written."""
+    if not values:
+        return np.empty(0, dtype=dtype)
+    try:
+        column = np.asarray(values)
+    except ValueError:
+        return None
+    kinds = "biuf" if np.dtype(dtype).kind == "f" else "biu"
+    if column.ndim != 1 or column.dtype.kind not in kinds:
+        return None
+    return column
+
+
+def _is_stance_code(column):
+    return (column == -1.0) | (column == 0.0) | (column == 0.5) | (column == 1.0)
+
+
+def _bad_events(columns, n: int, z: int, rounds_k: int):
+    """Mask of the events with a field outside its range."""
+    rnd, topic, p = columns["round"], columns["topic"], columns["p"]
+    node, source = columns["node"], columns["source"]
+    return ((rnd < 1) | (rnd > rounds_k) | (topic < 0) | (topic >= z)
+            | (node < 0) | (node >= n) | (source < 0) | (source >= n)
+            | ~_is_stance_code(columns["old"]) | ~_is_stance_code(columns["new"])
+            | ~((p >= 0.0) & (p <= 1.0)) | (columns["channel"] < 0))
+
+
+def _event_problem(ev: dict, n: int, z: int, rounds_k: int) -> str | None:
+    """Why one parsed event breaks the checks of :func:`_bad_events`."""
+    for key, low, high in (("round", 1, rounds_k), ("topic", 0, z - 1),
+                           ("node", 0, n - 1), ("source", 0, n - 1)):
+        value = ev[key]
+        if not (isinstance(value, int) and low <= value <= high):
+            return f"event {key} {value!r} outside the integers [{low}, {high}]"
+    for key in ("old", "new"):
+        value = ev[key]
+        if not (isinstance(value, (int, float)) and is_stance(value)):
+            return f"event {key} {value!r} not in {{-1, 0, 0.5, 1}}"
+    value = ev["p"]
+    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+        return f"event p {value!r} outside [0, 1]"
+    if ev["channel"] not in _CHANNEL_CODES:
+        return f"unknown event channel {ev['channel']!r}"
+    return None
+
+
+def _raise_first_bad_event(path, lines, n: int, z: int, rounds_k: int):
+    """Raise a :class:`ParseError` at the first event line that is invalid."""
+    for line_no, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            problem = _event_problem(json.loads(line), n, z, rounds_k)
+            if problem is not None:
+                raise ParseError(path, line_no, 1, problem)
+    raise ParseError(path, 1, 1, "trace events do not fit the header")
+
+
 def load_trace(path) -> SimTrace:
-    """Parse a trace file back into a :class:`SimTrace` (lossless)."""
+    """Parse a trace file back into a :class:`SimTrace` (lossless).
+
+    Every event must name a node and source in ``[0, n)``, a topic in
+    ``[0, z)``, a round in ``[1, rounds_K]``, stance codes for ``old`` and
+    ``new``, a probability in ``[0, 1]`` and a known channel; the first event
+    that does not is reported as a :class:`ParseError` at its line.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -348,6 +412,7 @@ def load_trace(path) -> SimTrace:
         )
     params = SimParams.from_dict(header["params"])
     summaries = [RoundSummary(*row) for row in header["round_summaries"]]
+    n, z = int(header["n"]), int(header["z"])
     rounds, topics, nodes, olds = [], [], [], []
     news, sources, ps, channels = [], [], [], []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -365,21 +430,25 @@ def load_trace(path) -> SimTrace:
             news.append(ev["new"])
             sources.append(ev["source"])
             ps.append(ev["p"])
-            channels.append(_CHANNEL_CODES[ev["channel"]])
+            channels.append(_CHANNEL_CODES.get(ev["channel"], -1))
         except KeyError as exc:
             raise ParseError(path, line_no, 1, f"missing event key {exc}") from None
+        except TypeError:
+            raise ParseError(path, line_no, 1,
+                             "event is not an object with a string channel") from None
     columns = {
-        "round": np.asarray(rounds, dtype=np.int32),
-        "topic": np.asarray(topics, dtype=np.int32),
-        "node": np.asarray(nodes, dtype=np.int64),
-        "old": np.asarray(olds, dtype=np.float64),
-        "new": np.asarray(news, dtype=np.float64),
-        "source": np.asarray(sources, dtype=np.int64),
-        "p": np.asarray(ps, dtype=np.float64),
-        "channel": np.asarray(channels, dtype=np.int8),
+        name: _number_column(values, _EVENT_DTYPES[name])
+        for name, values in (("round", rounds), ("topic", topics),
+                             ("node", nodes), ("old", olds), ("new", news),
+                             ("source", sources), ("p", ps))
     }
-    return SimTrace(int(header["n"]), int(header["z"]), params, columns,
-                    summaries)
+    columns["channel"] = np.asarray(channels, dtype=np.int8)
+    if (any(col is None for col in columns.values())
+            or _bad_events(columns, n, z, params.rounds_K).any()):
+        _raise_first_bad_event(path, lines, n, z, params.rounds_K)
+    for name, dtype in _EVENT_DTYPES.items():
+        columns[name] = columns[name].astype(dtype, copy=False)
+    return SimTrace(n, z, params, columns, summaries)
 
 
 def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,

@@ -84,11 +84,6 @@ def _curves(initial_profiles: np.ndarray, trace: SimTrace) -> list[CurvePoint]:
     return points
 
 
-def activation_curve(trace: SimTrace, initial_state) -> list[CurvePoint]:
-    """Per-round cumulative known-stance counts per topic (round 0 = seeds)."""
-    return _curves(initial_state, trace)
-
-
 def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint]:
     """Per-round counts of unknown/oppose/neutral/support per topic."""
     return _curves(initial_state, trace)

@@ -44,8 +44,3 @@ class Rng:
         picked = self._gen.choice(arr, size=int(count), replace=False)
         picked.sort()
         return picked
-
-
-def sample_without_replacement(pool, count: int, rng: Rng) -> np.ndarray:
-    """Module-level alias for :meth:`Rng.sample`."""
-    return rng.sample(pool, count)

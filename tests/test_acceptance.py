@@ -166,7 +166,7 @@ def test_criterion_3_invariant_fuzz():
         change = sc.apply_att(g, state, int(q), int(v), int(j), 1, "adjacent")
         assert change.new_stance in (0.0, 0.5, 1.0)
         assert 0.0 <= state.persistence(int(q), int(j)).a_value <= 1.0
-        assert state.index == sc.StanceIndex.from_profiles(state.profiles)
+        assert np.array_equal(state.v_new, (state.profiles != -1.0).T)
         calls += 1
 
     assert calls >= 100_000

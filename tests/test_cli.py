@@ -139,6 +139,31 @@ def test_curves_malformed_trace_exit_1(bundle_dir, tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "curves"])
+@pytest.mark.parametrize("node", [9999, -1])
+def test_out_of_range_trace_node_exit_1(bundle_dir, tmp_path, capsys,
+                                        command, node):
+    trace_path = tmp_path / "t.jsonl"
+    assert main(simulate_args(bundle_dir, trace_path)) == 0
+    lines = trace_path.read_text().splitlines()
+    event = json.loads(lines[1])
+    event["node"] = node
+    lines[1] = json.dumps(event)
+    trace_path.write_text("\n".join(lines) + "\n")
+    _, symbols = io_formats.load_profiles(bundle_dir / "profiles.csv")
+    truth_path = tmp_path / "truth.csv"
+    io_formats.write_ground_truth(
+        truth_path, {(v, j): -1.0 for v in range(40) for j in range(2)}, symbols)
+    out = tmp_path / "out"
+    extra = (["--truth", str(truth_path), "--out-report", str(out)]
+             if command == "evaluate" else ["--out-csv", str(out)])
+    rc = main([command, "--trace", str(trace_path),
+               "--initial", str(bundle_dir / "profiles.csv"), *extra])
+    assert rc == 1
+    assert f"{trace_path}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBaselineIc:
     def write_path3(self, tmp_path):
         edges = tmp_path / "e.tsv"

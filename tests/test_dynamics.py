@@ -10,7 +10,6 @@ from stancecast.errors import (
     SameNodeError,
     UnknownSenderError,
 )
-from stancecast.graph import StanceIndex
 
 known = st.sampled_from([0.0, 0.5, 1.0])
 any_stance = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
@@ -118,16 +117,17 @@ class TestApplyAtt:
         change = sc.apply_att(g, state, 1, 0, 0, round_no=1, channel="adjacent")
         assert (change.old_stance, change.new_stance) == (-1.0, 1.0)
         assert change.probability == pytest.approx(1 / 3)
-        assert state.index.stance_class(0, 1.0) == {0, 1}
+        assert state.profiles[:, 0].tolist() == [1.0, 1.0]
+        assert state.v_new[0].tolist() == [True, True]
         assert 1 in state.active(0)
 
     def test_same_stance_no_index_mutation(self):
         g = sc.build_graph(2, 1, [(0, 1)], [[1.0], [1.0]])
         state = sc.SimState(g, sc.SimParams())
-        before = state.index.stance_class(0, 1.0).copy()
         change = sc.apply_att(g, state, 1, 0, 0, round_no=1, channel="adjacent")
         assert change.old_stance == change.new_stance == 1.0
-        assert state.index.stance_class(0, 1.0) == before
+        assert state.profiles[:, 0].tolist() == [1.0, 1.0]
+        assert state.v_new[0].tolist() == [True, True]
 
     def test_opposer_moves_toward_neutral(self):
         # sender supports, receiver opposes; with identical profiles apart
@@ -138,8 +138,8 @@ class TestApplyAtt:
         state = sc.SimState(g, params)
         change = sc.apply_att(g, state, 1, 0, 0, round_no=1, channel="adjacent")
         assert (change.old_stance, change.new_stance) == (0.0, 0.5)
-        assert state.index.stance_class(0, 0.0) == set()
-        assert state.index.stance_class(0, 0.5) == {1}
+        assert state.profiles[1, 0] == 0.5
+        assert state.v_new[0].tolist() == [True, True]
 
     def test_sender_must_be_known(self):
         g = sc.build_graph(2, 1, [(0, 1)], [[-1.0], [1.0]])
@@ -176,7 +176,7 @@ class TestApplyAtt:
                 continue
             sc.apply_att(g, state, int(q), int(v), j, round_no=1,
                          channel="adjacent")
-            assert state.index == StanceIndex.from_profiles(state.profiles)
+            assert np.array_equal(state.v_new, (state.profiles != -1.0).T)
 
 
 def test_seed_overlay_and_validation():

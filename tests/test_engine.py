@@ -172,22 +172,6 @@ def test_empty_seeds_warns_and_produces_no_events():
     assert len(trace.events) == 0
 
 
-def test_step_functions_compose_like_run():
-    rng = np.random.default_rng(12)
-    case = make_random_case(rng, max_k=3)
-    g = sc.build_graph(case["n"], case["z"], case["edges"], case["profiles"])
-    trace, _ = run_quiet(g, case["params"], case["seeds"])
-
-    state = sc.SimState(g, case["params"], case["seeds"])
-    run_rng = sc.Rng(case["params"].normalized_seed(), 0)
-    manual = []
-    for rnd in range(1, case["params"].rounds_K + 1):
-        for j in range(case["z"]):
-            manual.extend(sc.adjacent_step(g, state, j, rnd))
-            manual.extend(sc.nadj_step(g, state, j, rnd, run_rng))
-    assert manual == list(trace.events)
-
-
 def test_engine_matches_naive_reference_smoke():
     rng = np.random.default_rng(99)
     for _ in range(5):

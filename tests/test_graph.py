@@ -107,28 +107,3 @@ def test_graph_arrays_immutable():
     with pytest.raises(ValueError):
         g.indices[0] = 0
 
-
-def test_stance_index_partition():
-    g = sc.build_graph(3, 1, [], [[1.0], [0.0], [-1.0]])
-    index = g.stance_index()
-    assert index.stance_class(0, 1.0) == {0}
-    assert index.stance_class(0, 0.0) == {1}
-    assert index.stance_class(0, 0.5) == set()
-    assert index.known(0) == {0, 1}
-
-
-def test_stance_index_all_unknown_and_neutral():
-    g = sc.build_graph(2, 1, [], [[-1.0], [-1.0]])
-    index = g.stance_index()
-    assert index.known(0) == set()
-
-    g2 = sc.build_graph(2, 1, [], [[0.5], [0.5]])
-    assert g2.stance_index().stance_class(0, 0.5) == {0, 1}
-
-
-def test_stance_index_move_matches_rescan():
-    profiles = np.array([[1.0, -1.0], [0.0, 0.5], [-1.0, 1.0]])
-    index = sc.StanceIndex.from_profiles(profiles)
-    index.move(0, 2, -1.0, 0.5)
-    profiles[2, 0] = 0.5
-    assert index == sc.StanceIndex.from_profiles(profiles)

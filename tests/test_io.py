@@ -244,6 +244,35 @@ class TestTraceFiles:
         assert header["schema"] == "tsa-trace/1"
         assert set(header["params"]) == set(sc.SimParams().to_dict())
 
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("node", 5, "node 5 outside"),
+        ("node", -1, "node -1 outside"),
+        ("node", 1.5, "node 1.5 outside the integers"),
+        ("source", 7, "source 7 outside"),
+        ("topic", 2, "topic 2 outside"),
+        ("round", 0, "round 0 outside"),
+        ("round", 4, "round 4 outside"),
+        ("old", 0.25, "old 0.25 not in"),
+        ("new", "1", "new '1' not in"),
+        ("p", 1.5, "p 1.5 outside"),
+        ("channel", "sideways", "unknown event channel 'sideways'"),
+    ])
+    def test_out_of_range_event_rejected_at_its_line(self, tmp_path, key,
+                                                     value, fragment):
+        io_formats.write_trace(self.make_trace(rounds=3), tmp_path / "t.jsonl")
+        lines = (tmp_path / "t.jsonl").read_text().splitlines()
+        assert len(lines) >= 3
+        event = json.loads(lines[2])
+        event[key] = value
+        # a blank line before the bad event still counts in its line number
+        lines[2:3] = ["", json.dumps(event)]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            io_formats.load_trace(bad)
+        assert f"{bad}:4:" in str(err.value)
+        assert fragment in str(err.value)
+
 
 class TestGenerator:
     def test_shape_and_distinct_edges(self, tmp_path):

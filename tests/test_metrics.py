@@ -40,13 +40,13 @@ class TestCurves:
     def test_empty_trace_flat_at_seed_count(self):
         g = sc.build_graph(3, 1, [], [[1.0], [0.0], [-1.0]])
         trace = sc.run_tsa(g, sc.SimParams(rounds_K=2, r1=0.0, r2=0.0))
-        points = metrics.activation_curve(trace, g.profiles)
+        points = metrics.stance_distribution_curve(trace, g.profiles)
         assert [p.cumulative_known for p in points] == [2, 2, 2]
 
     def test_single_activation_increments_curve(self):
         g = sc.build_graph(2, 1, [(0, 1)], [[1.0], [-1.0]])
         trace = sc.run_tsa(g, sc.SimParams(rounds_K=1, r1=0.0, r2=0.0))
-        points = metrics.activation_curve(trace, g.profiles)
+        points = metrics.stance_distribution_curve(trace, g.profiles)
         assert [p.cumulative_known for p in points] == [1, 2]
 
     def test_oppose_only_seeds_stay_constant_without_events(self):
@@ -82,7 +82,7 @@ class TestCurves:
     def test_cumulative_known_non_decreasing(self):
         g, trace, _ = small_run()
         per_topic = {}
-        for point in metrics.activation_curve(trace, g.profiles):
+        for point in metrics.stance_distribution_curve(trace, g.profiles):
             prev = per_topic.get(point.topic, 0)
             assert point.cumulative_known >= prev
             per_topic[point.topic] = point.cumulative_known

@@ -51,9 +51,3 @@ def test_negative_seed_normalized():
     assert sc.Rng(-1).seed == 2**64 - 1
     assert sc.Rng(-1).random() == sc.Rng(2**64 - 1).random()
 
-
-def test_module_level_alias():
-    rng = sc.Rng(3)
-    ref = sc.Rng(3)
-    assert sc.sample_without_replacement(range(8), 2, rng).tolist() == \
-        ref.sample(range(8), 2).tolist()
