@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     RangeViolationError,
     SchemaVersionMismatchError,
+    StancecastError,
 )
 from .graph import STANCE_UNKNOWN, SocialGraph, build_graph, is_stance
 from .params import SimParams
@@ -330,6 +331,39 @@ def write_trace(trace: SimTrace, path) -> None:
     _atomic_write(path, "\n".join(parts) + "\n")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _trace_header(path, header: dict):
+    """Check the fields of a trace header; returns (n, z, params, round
+    summaries), or raises a :class:`ParseError` at line 1."""
+    for key in ("n", "z"):
+        if not _is_count(header.get(key)):
+            raise ParseError(path, 1, 1, f"trace header {key!r} must be a "
+                             f"non-negative integer, got {header.get(key)!r}")
+    if not isinstance(header.get("params"), dict):
+        raise ParseError(path, 1, 1, "trace header 'params' must be an object")
+    try:
+        params = SimParams.from_dict(header["params"])
+    except StancecastError as exc:
+        raise ParseError(path, 1, 1, f"trace header 'params': {exc}") from None
+    rows = header.get("round_summaries")
+    width = len(fields(RoundSummary))
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == width
+                    and all(_is_count(x) for x in row) for row in rows)):
+        raise ParseError(path, 1, 1, "trace header 'round_summaries' must be a "
+                         f"list of rows of {width} non-negative integers")
+    return header["n"], header["z"], params, [RoundSummary(*row) for row in rows]
+
+
+def _event_line_no(lines, index: int) -> int:
+    """Line number of the event at ``index`` (blank lines hold no event)."""
+    return [line_no for line_no, line in enumerate(lines[1:], start=2)
+            if line.strip()][index]
+
+
 def _number_column(values, dtype):
     """``values`` as a 1-d array, or None unless all are numbers that
     ``dtype`` holds (integers for an integer dtype). Not yet cast to
@@ -395,7 +429,10 @@ def load_trace(path) -> SimTrace:
     Every event must name a node and source in ``[0, n)``, a topic in
     ``[0, z)``, a round in ``[1, rounds_K]``, stance codes for ``old`` and
     ``new``, a probability in ``[0, 1]`` and a known channel; the first event
-    that does not is reported as a :class:`ParseError` at its line.
+    that does not is reported as a :class:`ParseError` at its line, as is
+    the first event whose round is lower than the one before it. A header
+    without ``n``, ``z``, ``params`` or ``round_summaries``, or with one of
+    the wrong type, is a :class:`ParseError` at line 1.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -410,9 +447,7 @@ def load_trace(path) -> SimTrace:
             f"{path}: expected schema {TRACE_SCHEMA!r}, "
             f"got {header.get('schema') if isinstance(header, dict) else header!r}"
         )
-    params = SimParams.from_dict(header["params"])
-    summaries = [RoundSummary(*row) for row in header["round_summaries"]]
-    n, z = int(header["n"]), int(header["z"])
+    n, z, params, summaries = _trace_header(path, header)
     rounds, topics, nodes, olds = [], [], [], []
     news, sources, ps, channels = [], [], [], []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -448,6 +483,12 @@ def load_trace(path) -> SimTrace:
         _raise_first_bad_event(path, lines, n, z, params.rounds_K)
     for name, dtype in _EVENT_DTYPES.items():
         columns[name] = columns[name].astype(dtype, copy=False)
+    back = np.flatnonzero(np.diff(columns["round"]) < 0)
+    if back.shape[0]:
+        i = int(back[0]) + 1
+        raise ParseError(path, _event_line_no(lines, i), 1,
+                         f"event round {columns['round'][i]} after round "
+                         f"{columns['round'][i - 1]}: events out of round order")
     return SimTrace(n, z, params, columns, summaries)
 
 

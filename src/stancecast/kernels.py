@@ -15,6 +15,18 @@ element goes through the same IEEE operations as the per-message
 ``a + (-y)``, and ``add.accumulate`` adds strictly left to right), so the
 scan and the scalar loop agree bit for bit.
 
+The adjacent sweep (:func:`adjacent_pass`) is array code too. The
+adjacency memory only grows during a sweep, so the receivers it reaches
+are the first out-edge slot of each receiver not in memory when it
+starts, found with ``np.repeat`` over the row lengths and a stable
+argsort. A message writes only its receiver's topic j, and each receiver
+gets one message, so a message depends on an earlier one only when its
+sender was that message's receiver. Messages go out level by level along
+these dependencies, a level at a time as whole arrays
+(:func:`_deliver_many`), with every input read before any write and the
+IEEE operations of :func:`deliver` in its order, so the sweep and the
+per-edge loop agree bit for bit.
+
 These kernels are the arithmetic ground truth for the whole package: the
 public scalar operations in :mod:`stancecast.influence` and
 :mod:`stancecast.dynamics` delegate to them after validating inputs.
@@ -126,31 +138,101 @@ def deliver(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
 
 
 @_jit
+def _deliver_many(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
+    """Deliver the messages ``v[i] -> q[i]`` on topic j as whole arrays.
+
+    The receivers are distinct. Every input is gathered before any write, so
+    a sender that is also a receiver here is read with its stance from
+    before the call. Each element goes through the IEEE operations of
+    :func:`deliver` in the same order. Returns (old, new, p).
+    """
+    z = profiles.shape[1]
+    sq = math.sqrt(z)
+    t_u = profiles[v, j]
+    old = profiles[q, j]
+    acc = np.zeros(q.shape[0])
+    for i in range(z):
+        d = profiles[v, i] - profiles[q, i]
+        acc = acc + d * d
+    f = np.full(q.shape[0], mu)
+    f[np.abs(old - t_u) <= 0.5] = lam
+    f[(old == -1.0) | (old == 0.5) | (old == t_u)] = 1.0
+    p = (delta * (sq / (sq + np.sqrt(acc)))) * f
+    # persistence_update, then transition
+    k = counts[q, j] + 1
+    same = (t_u == old).astype(np.float64)
+    a = avals[q, j] - (np.abs(t_u - old) * p - same * p) / k
+    a[a < 0.0] = 0.0
+    a[a > 1.0] = 1.0
+    eps = np.full(q.shape[0], tie_eps)
+    eps[p > a] = 1.0
+    eps[p < a] = 0.0
+    new = old - eps * 0.5
+    oppose = old == 0.0
+    new[oppose] = old[oppose] + eps[oppose] * 0.5
+    new[t_u == old] = old[t_u == old]
+    unset = (old == -1.0) | (old == 0.5)
+    new[unset] = 0.5
+    adopt = unset & (p >= a)
+    new[adopt] = t_u[adopt]
+    counts[q, j] = k
+    avals[q, j] = a
+    profiles[q, j] = new
+    return old, new, p
+
+
+@_jit
 def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
                   j, delta_adj, lam, mu, tie_eps,
                   ev_node, ev_src, ev_old, ev_new, ev_p):
     """Adjacent-channel sweep of one round for one topic.
 
-    Each spreader messages its out-neighbors not yet in the adjacency
-    memory; delivered receivers enter the memory. Event fields are written
-    into the preallocated buffers; returns the event count.
+    Each spreader (in the order given) messages its out-neighbors (in CSR
+    order) not yet in the adjacency memory; delivered receivers enter the
+    memory. Event fields are written into the preallocated buffers in that
+    order; returns the event count.
+
+    Messages are delivered by dependency level (see the module docstring)
+    through :func:`_deliver_many`: level 0 holds the messages whose sender
+    was not an earlier receiver, level L + 1 those whose sender was
+    received at level L.
     """
-    n_ev = 0
-    for si in range(spreaders.shape[0]):
-        v = spreaders[si]
-        for e in range(indptr[v], indptr[v + 1]):
-            q = indices[e]
-            if vadj_row[q]:
-                continue
-            old, new, p = deliver(profiles, avals, counts, q, v, j,
-                                  delta_adj, lam, mu, tie_eps)
-            vadj_row[q] = True
-            ev_node[n_ev] = q
-            ev_src[n_ev] = v
-            ev_old[n_ev] = old
-            ev_new[n_ev] = new
-            ev_p[n_ev] = p
-            n_ev += 1
+    starts = indptr[spreaders]
+    lens = indptr[spreaders + 1] - starts
+    # the out-edge slots of all spreaders, in spreader then edge order
+    slots = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - starts,
+                                              lens)
+    recv = indices[slots]
+    send = np.repeat(spreaders, lens)
+    fresh = ~vadj_row[recv]
+    recv = recv[fresh]
+    send = send[fresh]
+    order = np.argsort(recv, kind="mergesort")
+    first = np.ones(order.shape[0], dtype=np.bool_)
+    first[1:] = recv[order[1:]] != recv[order[:-1]]
+    msgs = np.sort(order[first])
+    q = recv[msgs]
+    v = send[msgs]
+    n_ev = q.shape[0]
+
+    # parent: the earlier message whose receiver sends this one
+    received_at = np.full(vadj_row.shape[0], -1)
+    received_at[q] = np.arange(n_ev)
+    parent = received_at[v]
+    chained = (parent >= 0) & (parent < np.arange(n_ev))
+    parent[~chained] = 0
+    level = ~chained
+    while level.any():
+        at = np.flatnonzero(level)
+        old, new, p = _deliver_many(profiles, avals, counts, q[at], v[at], j,
+                                    delta_adj, lam, mu, tie_eps)
+        ev_old[at] = old
+        ev_new[at] = new
+        ev_p[at] = p
+        level = chained & level[parent]
+    ev_node[:n_ev] = q
+    ev_src[:n_ev] = v
+    vadj_row[q] = True
     return n_ev
 
 
@@ -285,21 +367,22 @@ def nadj_pass(in_indptr, in_indices, profiles, avals, counts, receivers, senders
 
 
 def warmup():
-    """Trigger JIT compilation of all kernels on a two-node toy problem."""
-    indptr = np.array([0, 1, 1], dtype=np.int64)
-    indices = np.array([1], dtype=np.int64)
-    profiles = np.array([[1.0], [-1.0]])
-    avals = np.full((2, 1), 0.5)
-    counts = np.zeros((2, 1), dtype=np.int64)
-    vadj = np.zeros(2, dtype=np.bool_)
+    """Trigger JIT compilation of all kernels on a three-node toy problem."""
+    indptr = np.array([0, 1, 2, 2], dtype=np.int64)
+    indices = np.array([1, 2], dtype=np.int64)
+    profiles = np.array([[1.0], [0.0], [-1.0]])
+    avals = np.full((3, 1), 0.5)
+    counts = np.zeros((3, 1), dtype=np.int64)
+    vadj = np.zeros(3, dtype=np.bool_)
     buf_i = np.zeros(4, dtype=np.int64)
     buf_f = np.zeros(4, dtype=np.float64)
-    spread = np.array([0], dtype=np.int64)
-    adjacent_pass(indptr, indices, profiles, avals, counts, vadj, spread,
-                  0, 0.8, 0.7, 0.2, 0.0,
+    # 0 -> 1 -> 2 with both spreading: 1 -> 2 is a level-1 message
+    adjacent_pass(indptr, indices, profiles, avals, counts, vadj,
+                  np.array([0, 1], dtype=np.int64), 0, 0.8, 0.7, 0.2, 0.0,
                   buf_i, buf_i.copy(), buf_f, buf_f.copy(), buf_f.copy())
     # receiver 0 holds a stance, so the message goes through _hold_scan
-    nadj_pass(np.array([0, 0, 1], dtype=np.int64), spread, profiles, avals,
-              counts, spread, np.array([1], dtype=np.int64),
+    nadj_pass(np.array([0, 0, 1, 2], dtype=np.int64),
+              np.array([0, 1], dtype=np.int64), profiles, avals, counts,
+              np.array([0], dtype=np.int64), np.array([1], dtype=np.int64),
               0, 0.8, 0.2, 0.7, 0.2, 0.0,
               buf_i, buf_i.copy(), buf_f, buf_f.copy(), buf_f.copy())

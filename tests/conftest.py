@@ -1,7 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import stancecast as sc
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_on_child_path():
+    """Tests that start ``python -m stancecast.cli`` need the package on the
+    child's path; pytest's ``pythonpath`` setting covers only this process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def make_random_case(rng, max_n=12, max_z=3, max_k=5):

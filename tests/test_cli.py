@@ -139,18 +139,15 @@ def test_curves_malformed_trace_exit_1(bundle_dir, tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "curves"])
-@pytest.mark.parametrize("node", [9999, -1])
-def test_out_of_range_trace_node_exit_1(bundle_dir, tmp_path, capsys,
-                                        command, node):
-    trace_path = tmp_path / "t.jsonl"
-    assert main(simulate_args(bundle_dir, trace_path)) == 0
-    lines = trace_path.read_text().splitlines()
-    event = json.loads(lines[1])
-    event["node"] = node
-    lines[1] = json.dumps(event)
-    trace_path.write_text("\n".join(lines) + "\n")
-    _, symbols = io_formats.load_profiles(bundle_dir / "profiles.csv")
+def simulated_trace_lines(bundle, trace_path):
+    assert main(simulate_args(bundle, trace_path)) == 0
+    return trace_path.read_text().splitlines()
+
+
+def run_on_trace(command, bundle, trace_path, tmp_path):
+    """Run ``evaluate`` or ``curves`` on a trace; returns (exit code, whether
+    the output file was written)."""
+    _, symbols = io_formats.load_profiles(bundle / "profiles.csv")
     truth_path = tmp_path / "truth.csv"
     io_formats.write_ground_truth(
         truth_path, {(v, j): -1.0 for v in range(40) for j in range(2)}, symbols)
@@ -158,10 +155,55 @@ def test_out_of_range_trace_node_exit_1(bundle_dir, tmp_path, capsys,
     extra = (["--truth", str(truth_path), "--out-report", str(out)]
              if command == "evaluate" else ["--out-csv", str(out)])
     rc = main([command, "--trace", str(trace_path),
-               "--initial", str(bundle_dir / "profiles.csv"), *extra])
-    assert rc == 1
+               "--initial", str(bundle / "profiles.csv"), *extra])
+    return rc, out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "curves"])
+@pytest.mark.parametrize("node", [9999, -1])
+def test_out_of_range_trace_node_exit_1(bundle_dir, tmp_path, capsys,
+                                        command, node):
+    trace_path = tmp_path / "t.jsonl"
+    lines = simulated_trace_lines(bundle_dir, trace_path)
+    event = json.loads(lines[1])
+    event["node"] = node
+    lines[1] = json.dumps(event)
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert run_on_trace(command, bundle_dir, trace_path, tmp_path) == (1, False)
     assert f"{trace_path}:2:" in capsys.readouterr().err
-    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n", "z", "params", "round_summaries"])
+@pytest.mark.parametrize("broken", ["missing", "wrong type"])
+def test_bad_trace_header_exit_1(bundle_dir, tmp_path, capsys, key, broken):
+    trace_path = tmp_path / "t.jsonl"
+    lines = simulated_trace_lines(bundle_dir, trace_path)
+    header = json.loads(lines[0])
+    if broken == "missing":
+        del header[key]
+    else:
+        header[key] = "7"
+    lines[0] = json.dumps(header)
+    trace_path.write_text("\n".join(lines) + "\n")
+    for command in ("evaluate", "curves"):
+        assert run_on_trace(command, bundle_dir, trace_path, tmp_path) == \
+            (1, False)
+        err = capsys.readouterr().err
+        assert f"{trace_path}:1:" in err and key in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "curves"])
+def test_trace_events_out_of_round_order_exit_1(bundle_dir, tmp_path, capsys,
+                                                command):
+    trace_path = tmp_path / "t.jsonl"
+    lines = simulated_trace_lines(bundle_dir, trace_path)
+    first, last = json.loads(lines[1]), json.loads(lines[-1])
+    assert last["round"] > first["round"]
+    lines.insert(1, lines.pop())
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert run_on_trace(command, bundle_dir, trace_path, tmp_path) == (1, False)
+    err = capsys.readouterr().err
+    assert f"{trace_path}:3:" in err and "round order" in err
 
 
 class TestBaselineIc:

@@ -75,6 +75,135 @@ def test_in_adjacency_matches_graph():
                                          if u != v and g.has_edge(u, v)}
 
 
+def assert_same_bits(results):
+    """``results`` is [(n_ev, state, events)] of the reference, then of the
+    kernel; require the same count and bit-identical arrays; returns the
+    events."""
+    (n_ref, state_ref, ev_ref), (n_ev, state, ev) = results
+    assert n_ev == n_ref
+    for a, b in zip(ev + list(state), ev_ref + list(state_ref)):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8),
+                                                     b.view(np.uint8))
+    return ev
+
+
+def reference_adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row,
+                            spreaders, j, delta_adj, lam, mu, tie_eps,
+                            ev_node, ev_src, ev_old, ev_new, ev_p):
+    """The per-edge loop that :func:`kernels.adjacent_pass` must reproduce:
+    one :func:`kernels.deliver` per out-edge of each spreader whose
+    receiver is not yet in the adjacency memory."""
+    n_ev = 0
+    for v in spreaders:
+        for q in indices[indptr[v]:indptr[v + 1]]:
+            if vadj_row[q]:
+                continue
+            old, new, p = kernels.deliver(profiles, avals, counts, q, v, j,
+                                          delta_adj, lam, mu, tie_eps)
+            vadj_row[q] = True
+            ev_node[n_ev], ev_src[n_ev] = q, v
+            ev_old[n_ev], ev_new[n_ev], ev_p[n_ev] = old, new, p
+            n_ev += 1
+    return n_ev
+
+
+def run_both_adjacent(g, profiles, avals, counts, vadj_row, spreaders, j,
+                      delta_adj, lam, mu, tie_eps):
+    """Run the array pass and the reference loop on copies of the same
+    state (memory row included) and require identical event buffers and
+    final state; returns the events."""
+    cap = int((g.indptr[spreaders + 1] - g.indptr[spreaders]).sum())
+    results = []
+    for fn in (reference_adjacent_pass, kernels.adjacent_pass):
+        state = (profiles.copy(), avals.copy(), counts.copy(), vadj_row.copy())
+        buffers = (np.zeros(cap, dtype=np.int64), np.zeros(cap, dtype=np.int64),
+                   np.zeros(cap), np.zeros(cap), np.zeros(cap))
+        n_ev = fn(g.indptr, g.indices, *state, spreaders, j,
+                  delta_adj, lam, mu, tie_eps, *buffers)
+        results.append((n_ev, state, [b[:n_ev] for b in buffers]))
+    return assert_same_bits(results)
+
+
+def message_levels(node, src):
+    """Dependency level of each adjacent message, in order: 0 unless its
+    sender was an earlier receiver, else one more than that message's."""
+    level_of = {}
+    levels = []
+    for q, v in zip(node.tolist(), src.tolist()):
+        level = level_of[v] + 1 if v in level_of else 0
+        level_of[q] = level
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 4])
+@pytest.mark.parametrize("a0", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("memory", ["persistent", "per_round"])
+def test_adjacent_pass_matches_scalar_loop(z, a0, memory):
+    # out-degree 10 and 120 spreaders: most receivers are reached by several
+    # spreaders and many spreaders were reached earlier in the same pass;
+    # persistent memory keeps some receivers from earlier rounds
+    rng = np.random.default_rng(2000 * z + int(10 * a0) + len(memory))
+    n = 400
+    edges = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(4000, 2))
+             if u != v}
+    profiles = rng.choice(np.array([-1.0, 0.0, 0.5, 1.0]), size=(n, z),
+                          p=[0.4, 0.2, 0.2, 0.2])
+    g = sc.build_graph(n, z, sorted(edges), profiles)
+    j = int(rng.integers(0, z))
+    known = np.flatnonzero(profiles[:, j] != -1.0)
+    spreaders = np.sort(rng.choice(known, size=120, replace=False))
+    vadj_row = (rng.random(n) < 0.3 if memory == "persistent"
+                else np.zeros(n, dtype=np.bool_))
+    avals = np.full((n, z), a0)
+    counts = rng.integers(0, 3, size=(n, z))
+    for tie_eps in (0.0, 1.0):
+        node, src, old, new, p = run_both_adjacent(
+            g, profiles, avals, counts, vadj_row, spreaders, j,
+            0.8, 0.7, 0.2, tie_eps)
+        assert np.count_nonzero(old != new) > 0
+        fresh = ~vadj_row[g.indices[np.concatenate(
+            [np.arange(g.indptr[v], g.indptr[v + 1]) for v in spreaders])]]
+        assert np.count_nonzero(fresh) > node.shape[0]  # shared receivers
+        assert max(message_levels(node, src)) >= 2
+
+
+@pytest.mark.parametrize("case", ["no spreaders", "no out-edges",
+                                  "all in memory"])
+def test_adjacent_pass_delivers_nothing(case):
+    n = 6
+    profiles = np.array([[1.0], [0.0], [-1.0], [0.5], [-1.0], [1.0]])
+    g = sc.build_graph(n, 1, [(0, 2), (1, 2), (1, 4), (3, 0)], profiles)
+    spreaders = {"no spreaders": np.array([], dtype=np.int64),
+                 "no out-edges": np.array([2, 5], dtype=np.int64),
+                 "all in memory": np.array([0, 1, 3], dtype=np.int64)}[case]
+    vadj_row = np.full(n, case == "all in memory")
+    events = run_both_adjacent(
+        g, profiles, np.full((n, 1), 0.5), np.zeros((n, 1), dtype=np.int64),
+        vadj_row, spreaders, 0, 0.8, 0.7, 0.2, 0.0)
+    assert all(ev.shape[0] == 0 for ev in events)
+
+
+@pytest.mark.parametrize("tie", ["zero", "one"])
+def test_adjacent_pass_exact_tie(tie):
+    # 0 -> 1 -> 2, spreaders 0 and 1, so 1 -> 2 is a level-1 message sent
+    # with the stance that 0 -> 1 left (0, unmoved: same stance). Then
+    # p = 1 * 0.5 * 0.25 = 0.125 and, with three earlier messages,
+    # a = 0.15625 - 0.125 / 4 = 0.125: an exact tie p == a
+    profiles = np.array([[0.0], [0.0], [1.0]])
+    g = sc.build_graph(3, 1, [(0, 1), (1, 2)], profiles)
+    params = sc.SimParams(delta_adjacent=1.0, mu=0.25,
+                          initial_persistence_A0=0.15625, epsilon_tie=tie)
+    node, src, old, new, p = run_both_adjacent(
+        g, profiles, np.full((3, 1), params.initial_persistence_A0),
+        np.array([[0], [0], [3]]), np.zeros(3, dtype=np.bool_),
+        np.array([0, 1]), 0, params.delta_adjacent, params.lambda_,
+        params.mu, params.tie_epsilon)
+    assert message_levels(node, src) == [0, 1]
+    assert p[1] == 0.125
+    assert list(new) == [0.0, 0.5 if tie == "one" else 1.0]
+
+
 def reference_nadj_pass(indptr, indices, profiles, avals, counts, receivers,
                         senders, j, delta_adj, delta_nonadj, lam, mu, tie_eps,
                         ev_node, ev_src, ev_old, ev_new, ev_p):
@@ -111,12 +240,7 @@ def run_both_nadj(g, profiles, avals, counts, receivers, senders, j,
         n_ev = fn(*adjacency, *state, receivers, senders, j,
                   delta_adj, delta_nonadj, lam, mu, tie_eps, *buffers)
         results.append((n_ev, state, [b[:n_ev] for b in buffers]))
-    (n_ref, state_ref, ev_ref), (n_ev, state, ev) = results
-    assert n_ev == n_ref
-    for a, b in zip(ev + list(state), ev_ref + list(state_ref)):
-        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8),
-                                                     b.view(np.uint8))
-    return ev
+    return assert_same_bits(results)
 
 
 @pytest.mark.parametrize("z", [1, 2, 3, 4])
@@ -178,8 +302,8 @@ def test_compiled_and_python_paths_identical():
     # simulation through both paths must give bit-identical traces
     rng = np.random.default_rng(37)
     names = ("similarity", "stance_factor", "persistence_update",
-             "transition", "deliver", "adjacent_pass", "_hold_scan",
-             "nadj_pass")
+             "transition", "deliver", "_deliver_many", "adjacent_pass",
+             "_hold_scan", "nadj_pass")
     cases = []
     for _ in range(10):
         case = make_random_case(rng)
