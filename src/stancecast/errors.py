@@ -14,11 +14,21 @@ class IdOutOfRangeError(StancecastError):
     """A node or topic id lies outside the dense id range of the graph."""
 
 
-class SelfLoopError(StancecastError):
+class _EdgeListError(StancecastError):
+    """A bad pair in an edge list, raised as ``(message, index)``: ``index``
+    is the pair's position in the list (a repeated edge's second one)."""
+
+    index = property(lambda self: self.args[1])
+
+    def __str__(self):
+        return self.args[0]
+
+
+class SelfLoopError(_EdgeListError):
     """An edge (v, v) was supplied; self-loops are not allowed."""
 
 
-class DuplicateEdgeError(StancecastError):
+class DuplicateEdgeError(_EdgeListError):
     """The same directed edge appears more than once."""
 
 

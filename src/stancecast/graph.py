@@ -101,14 +101,14 @@ def build_graph(node_count, topic_count, edge_list, profiles) -> SocialGraph:
 
     pairs = [(int(u), int(v)) for u, v in edge_list]
     seen = set()
-    for edge in pairs:
+    for k, edge in enumerate(pairs):
         u, v = edge
         if not (0 <= u < n and 0 <= v < n):
             raise IdOutOfRangeError(f"edge ({u}, {v}) references id outside [0, {n})")
         if u == v:
-            raise SelfLoopError(f"self-loop at node {u}")
+            raise SelfLoopError(f"self-loop at node {u}", k)
         if edge in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", k)
         seen.add(edge)
 
     profile_rows = list(profiles)

@@ -30,12 +30,14 @@ from .dynamics import CHANNELS
 from .engine import _EVENT_DTYPES, RoundSummary, SimTrace
 from .errors import (
     BadStanceValueError,
+    DuplicateEdgeError,
     EmptySeedsWarning,
     InconsistentIdsError,
     InfeasibleEdgeCountError,
     ParseError,
     RangeViolationError,
     SchemaVersionMismatchError,
+    SelfLoopError,
     StancecastError,
 )
 from .graph import STANCE_UNKNOWN, SocialGraph, build_graph, is_stance
@@ -144,6 +146,7 @@ def load_graph(edges_path, profiles_path=None,
     seen in any of the files; topics from the profiles file. Without a
     profiles file the graph has zero topics (enough for the IC baseline).
     A seeds file only adds its node ids, so a seed on no edge is a node.
+    Self-loops, repeated edges and repeated profile rows fail at their line.
     """
     edge_rows = list(_read_edge_lines(edges_path))
     profile_rows = [] if profiles_path is None else list(
@@ -159,23 +162,33 @@ def load_graph(edges_path, profiles_path=None,
     symbols = SymbolTable(tuple(sorted(node_names)), tuple(topic_names))
 
     edges = [(symbols.node(u), symbols.node(v)) for _, u, v in edge_rows]
+    profiles = _profiles_table(profiles_path, profile_rows, symbols)
+    try:
+        graph = build_graph(len(symbols.node_ids), len(symbols.topic_ids),
+                            edges, profiles)
+    except (SelfLoopError, DuplicateEdgeError) as exc:
+        line_no, u, v = edge_rows[exc.index]
+        problem = (f"self-loop at node {u!r}" if isinstance(exc, SelfLoopError)
+                   else f"duplicate edge ({u!r}, {v!r})")
+        raise type(exc)(f"{edges_path}:{line_no}: {problem}", exc.index) from None
+    return graph, symbols
+
+
+def _profiles_table(path, rows, symbols: SymbolTable) -> np.ndarray:
+    """Stance array of a profiles file's rows; a repeated pair is an error."""
     profiles = np.full((len(symbols.node_ids), len(symbols.topic_ids)),
                        STANCE_UNKNOWN)
     seen = set()
-    for line_no, fields in profile_rows:
-        node = symbols.node(fields[0])
-        topic = symbols.topic(fields[1])
-        if (node, topic) in seen:
+    for line_no, fields in rows:
+        key = (symbols.node(fields[0]), symbols.topic(fields[1]))
+        if key in seen:
             raise InconsistentIdsError(
-                f"{profiles_path}:{line_no}: duplicate profile row for "
+                f"{path}:{line_no}: duplicate profile row for "
                 f"({fields[0]!r}, {fields[1]!r})"
             )
-        seen.add((node, topic))
-        profiles[node, topic] = _parse_stance(fields[2], profiles_path,
-                                              line_no, 3)
-    graph = build_graph(len(symbols.node_ids), len(symbols.topic_ids),
-                        edges, profiles)
-    return graph, symbols
+        seen.add(key)
+        profiles[key] = _parse_stance(fields[2], path, line_no, 3)
+    return profiles
 
 
 def write_graph(g: SocialGraph, symbols: SymbolTable,
@@ -205,17 +218,12 @@ def load_profiles(path) -> tuple[np.ndarray, SymbolTable]:
 
     The file must enumerate every node of the graph (the writers in this
     package always do); node and topic ids are assigned by sorting the ids
-    present in this file.
+    present in this file. A second row for one pair is an error at its line.
     """
     rows = list(_read_csv_rows(path, "node_id,topic_id,stance"))
-    node_names = sorted({fields[0] for _, fields in rows})
-    topic_names = sorted({fields[1] for _, fields in rows})
-    symbols = SymbolTable(tuple(node_names), tuple(topic_names))
-    profiles = np.full((len(node_names), len(topic_names)), STANCE_UNKNOWN)
-    for line_no, fields in rows:
-        profiles[symbols.node(fields[0]), symbols.topic(fields[1])] = \
-            _parse_stance(fields[2], path, line_no, 3)
-    return profiles, symbols
+    symbols = SymbolTable(tuple(sorted({fields[0] for _, fields in rows})),
+                          tuple(sorted({fields[1] for _, fields in rows})))
+    return _profiles_table(path, rows, symbols), symbols
 
 
 def load_seeds(path, symbols: SymbolTable) -> dict[int, dict[int, float]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,81 +23,96 @@ class CurvePoint:
     cumulative_known: int
 
 
+def _replay(initial_profiles, trace: SimTrace) -> np.ndarray:
+    """The checked replay: an event's old stance must equal the new stance
+    of its (node, topic) pair's previous event, found by a stable sort on
+    the pair, or the initial stance; the first that does not, in trace
+    order, raises :class:`InconsistentIdsError`."""
+    profiles = np.asarray(initial_profiles, dtype=np.float64)
+    if profiles.shape != (trace.n, trace.z):
+        raise InconsistentIdsError(
+            f"initial state shape {profiles.shape} does not match trace "
+            f"({trace.n} nodes, {trace.z} topics)"
+        )
+    start = profiles.reshape(-1)
+    key = trace.ev_node.astype(np.int64) * trace.z + trace.ev_topic
+    order = np.argsort(key, kind="stable")
+    key, new = key[order], trace.ev_new[order]
+    first = np.diff(key, prepend=-1) != 0
+    before = np.where(first, start[key], np.roll(new, 1))
+    bad = np.flatnonzero(before != trace.ev_old[order])
+    if bad.shape[0]:
+        at = bad[np.argmin(order[bad])]
+        i = int(order[at])
+        raise InconsistentIdsError(
+            f"event {i}: expected stance {trace.ev_old[i]} at node "
+            f"{trace.ev_node[i]}, topic {trace.ev_topic[i]}, found "
+            f"{before[at]}; trace does not replay over this initial state"
+        )
+    last = np.diff(key, append=-1) != 0
+    final = start.copy()
+    final[key[last]] = new[last]
+    return final.reshape(profiles.shape)
+
+
 def replay_trace(initial_profiles: np.ndarray, trace: SimTrace) -> np.ndarray:
     """Re-apply every event over the initial profiles; returns final state.
 
     Each event's recorded old stance is checked against the replayed state,
     so replaying a trace over the wrong initial file fails loudly.
     """
-    profiles = np.asarray(initial_profiles, dtype=np.float64).copy()
-    if profiles.shape != (trace.n, trace.z):
-        raise InconsistentIdsError(
-            f"initial state shape {profiles.shape} does not match trace "
-            f"({trace.n} nodes, {trace.z} topics)"
-        )
-    nodes = trace.ev_node
-    topics = trace.ev_topic
-    olds = trace.ev_old
-    news = trace.ev_new
-    for i in range(nodes.shape[0]):
-        node, topic = nodes[i], topics[i]
-        if profiles[node, topic] != olds[i]:
-            raise InconsistentIdsError(
-                f"event {i}: expected stance {olds[i]} at node {node}, topic "
-                f"{topic}, found {profiles[node, topic]}; trace does not "
-                "replay over this initial state"
-            )
-        profiles[node, topic] = news[i]
-    return profiles
-
-
-def _curves(initial_profiles: np.ndarray, trace: SimTrace) -> list[CurvePoint]:
-    profiles = np.asarray(initial_profiles, dtype=np.float64).copy()
-    if profiles.shape != (trace.n, trace.z):
-        raise InconsistentIdsError(
-            f"initial state shape {profiles.shape} does not match trace "
-            f"({trace.n} nodes, {trace.z} topics)"
-        )
-    tallies = [
-        {v: int(np.count_nonzero(profiles[:, j] == v)) for v in STANCE_VALUES}
-        for j in range(trace.z)
-    ]
-
-    def snapshot(rnd):
-        return [
-            CurvePoint(rnd, j, dict(tallies[j]),
-                       trace.n - tallies[j][STANCE_UNKNOWN])
-            for j in range(trace.z)
-        ]
-
-    points = snapshot(0)
-    i = 0
-    total = trace.ev_node.shape[0]
-    for rnd in range(1, trace.params.rounds_K + 1):
-        while i < total and trace.ev_round[i] == rnd:
-            j = int(trace.ev_topic[i])
-            old, new = float(trace.ev_old[i]), float(trace.ev_new[i])
-            if old != new:
-                tallies[j][old] -= 1
-                tallies[j][new] += 1
-            i += 1
-        points.extend(snapshot(rnd))
-    return points
+    return _replay(initial_profiles, trace)
 
 
 def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint]:
-    """Per-round counts of unknown/oppose/neutral/support per topic."""
-    return _curves(initial_state, trace)
+    """Per-round counts of unknown/oppose/neutral/support per topic; the
+    trace must replay over ``initial_state`` as in :func:`replay_trace`."""
+    initial = np.asarray(initial_state, dtype=np.float64)
+    _replay(initial, trace)
+    codes = STANCE_VALUES  # ascending, so searchsorted gives a code's slot
+    rounds = trace.params.rounds_K + 1
+    tallies = np.zeros((rounds, trace.z, len(codes)), dtype=np.int64)
+    tallies[0] = np.count_nonzero(initial[:, :, None] == codes, axis=0)
+    changed = trace.ev_old != trace.ev_new
+    where = (trace.ev_round[changed], trace.ev_topic[changed])
+    np.add.at(tallies, where + (np.searchsorted(codes, trace.ev_old[changed]),), -1)
+    np.add.at(tallies, where + (np.searchsorted(codes, trace.ev_new[changed]),), 1)
+    tallies = np.cumsum(tallies, axis=0).tolist()
+    return [
+        CurvePoint(rnd, j, dict(zip(STANCE_VALUES, tallies[rnd][j])),
+                   trace.n - tallies[rnd][j][0])
+        for rnd in range(rounds) for j in range(trace.z)
+    ]
 
 
-def _check_covered(final_profiles: np.ndarray, truth: dict) -> None:
-    n, z = final_profiles.shape
-    for node in range(n):
-        for topic in range(z):
-            if (node, topic) not in truth:
-                raise MissingTruthEntryError(
-                    f"ground truth missing entry for node {node}, topic {topic}"
-                )
+def _truth_table(truth: dict, n: int, z: int) -> np.ndarray:
+    """The truth as an (n, z) array, ignoring keys outside the shape; the
+    first uncovered pair in row-major order is an error."""
+    keys = np.fromiter(chain.from_iterable(truth), dtype=np.int64,
+                       count=2 * len(truth)).reshape(-1, 2)
+    values = np.fromiter(truth.values(), dtype=np.float64, count=len(truth))
+    inside = ((keys >= 0) & (keys < (n, z))).all(axis=1)
+    table = np.empty((n, z))
+    covered = np.zeros((n, z), dtype=bool)
+    table[keys[inside, 0], keys[inside, 1]] = values[inside]
+    covered[keys[inside, 0], keys[inside, 1]] = True
+    if not covered.all():
+        node, topic = divmod(int(np.argmin(covered.reshape(-1))), z)
+        raise MissingTruthEntryError(
+            f"ground truth missing entry for node {node}, topic {topic}"
+        )
+    return table
+
+
+def _topic_counts(final_state, truth: dict):
+    """(n, status, scored, exact), per topic: pairs whose known/unknown
+    status matches the truth, known-truth pairs, and their exact matches."""
+    final = np.asarray(final_state, dtype=np.float64)
+    n, z = final.shape
+    table = _truth_table(truth, n, z)
+    known = table != STANCE_UNKNOWN
+    masks = ((final != STANCE_UNKNOWN) == known, known, known & (final == table))
+    return (n, *(np.count_nonzero(mask, axis=0).tolist() for mask in masks))
 
 
 def activation_accuracy(final_state, truth: dict) -> float:
@@ -105,38 +121,18 @@ def activation_accuracy(final_state, truth: dict) -> float:
     Computed per topic and averaged over topics; truth must cover every
     (node, topic) pair of the final state.
     """
-    final = np.asarray(final_state, dtype=np.float64)
-    n, z = final.shape
-    if n == 0 or z == 0:
+    n, status, _, _ = _topic_counts(final_state, truth)
+    if n == 0 or not status:
         raise MissingTruthEntryError("nothing to score: empty final state")
-    _check_covered(final, truth)
-    per_topic = []
-    for topic in range(z):
-        matches = sum(
-            (final[node, topic] != STANCE_UNKNOWN)
-            == (truth[(node, topic)] != STANCE_UNKNOWN)
-            for node in range(n)
-        )
-        per_topic.append(matches / n)
-    return float(np.mean(per_topic))
+    return float(np.mean([matches / n for matches in status]))
 
 
 def stance_accuracy(final_state, truth: dict) -> float:
     """Fraction of known-truth pairs whose exact stance matches the truth."""
-    final = np.asarray(final_state, dtype=np.float64)
-    n, z = final.shape
-    _check_covered(final, truth)
-    scored = 0
-    matches = 0
-    for node in range(n):
-        for topic in range(z):
-            if truth[(node, topic)] == STANCE_UNKNOWN:
-                continue
-            scored += 1
-            matches += final[node, topic] == truth[(node, topic)]
-    if scored == 0:
+    _, _, scored, exact = _topic_counts(final_state, truth)
+    if sum(scored) == 0:
         raise MissingTruthEntryError("no known-stance truth pairs to score")
-    return matches / scored
+    return sum(exact) / sum(scored)
 
 
 def accuracy_report(final_state, truth: dict, topic_names=None) -> dict:
@@ -145,30 +141,15 @@ def accuracy_report(final_state, truth: dict, topic_names=None) -> dict:
     A topic with no known-stance truth pairs reports ``None`` for its
     stance accuracy.
     """
-    final = np.asarray(final_state, dtype=np.float64)
-    n, z = final.shape
-    _check_covered(final, truth)
-    names = topic_names or [str(j) for j in range(z)]
-    report = {}
-    for topic in range(z):
-        status = sum(
-            (final[node, topic] != STANCE_UNKNOWN)
-            == (truth[(node, topic)] != STANCE_UNKNOWN)
-            for node in range(n)
-        )
-        scored = [node for node in range(n)
-                  if truth[(node, topic)] != STANCE_UNKNOWN]
-        if scored:
-            exact = sum(final[node, topic] == truth[(node, topic)]
-                        for node in scored)
-            stance_acc = exact / len(scored)
-        else:
-            stance_acc = None
-        report[names[topic]] = {
-            "activation_accuracy": status / n if n else None,
-            "stance_accuracy": stance_acc,
+    n, status, scored, exact = _topic_counts(final_state, truth)
+    names = topic_names or [str(j) for j in range(len(status))]
+    return {
+        names[j]: {
+            "activation_accuracy": status[j] / n if n else None,
+            "stance_accuracy": exact[j] / scored[j] if scored[j] else None,
         }
-    return report
+        for j in range(len(status))
+    }
 
 
 def write_curves_csv(path, points: list[CurvePoint], topic_names=None) -> None:

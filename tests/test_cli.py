@@ -144,9 +144,10 @@ def simulated_trace_lines(bundle, trace_path):
     return trace_path.read_text().splitlines()
 
 
-def run_on_trace(command, bundle, trace_path, tmp_path):
-    """Run ``evaluate`` or ``curves`` on a trace; returns (exit code, whether
-    the output file was written)."""
+def run_on_trace(command, bundle, trace_path, tmp_path, initial=None):
+    """Run ``evaluate`` or ``curves`` on a trace, with the bundle's profiles
+    or ``initial`` as the initial file; returns (exit code, whether the
+    output file was written)."""
     _, symbols = io_formats.load_profiles(bundle / "profiles.csv")
     truth_path = tmp_path / "truth.csv"
     io_formats.write_ground_truth(
@@ -154,8 +155,9 @@ def run_on_trace(command, bundle, trace_path, tmp_path):
     out = tmp_path / "out"
     extra = (["--truth", str(truth_path), "--out-report", str(out)]
              if command == "evaluate" else ["--out-csv", str(out)])
+    initial = initial or bundle / "profiles.csv"
     rc = main([command, "--trace", str(trace_path),
-               "--initial", str(bundle / "profiles.csv"), *extra])
+               "--initial", str(initial), *extra])
     return rc, out.exists()
 
 
@@ -204,6 +206,64 @@ def test_trace_events_out_of_round_order_exit_1(bundle_dir, tmp_path, capsys,
     assert run_on_trace(command, bundle_dir, trace_path, tmp_path) == (1, False)
     err = capsys.readouterr().err
     assert f"{trace_path}:3:" in err and "round order" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "curves"])
+def test_other_datasets_initial_exit_1(bundle_dir, tmp_path, capsys, command):
+    # same shape and ids, other stances: the trace does not replay over it
+    other = tmp_path / "other"
+    assert main(["generate", "--nodes", "40", "--edges", "120", "--topics",
+                 "2", "--stance-mix", "[0.7, 0.12, 0.08, 0.1]", "--seed", "12",
+                 "--out-dir", str(other)]) == 0
+    trace_path = tmp_path / "t.jsonl"
+    simulated_trace_lines(bundle_dir, trace_path)
+    capsys.readouterr()
+    assert run_on_trace(command, bundle_dir, trace_path, tmp_path,
+                        initial=other / "profiles.csv") == (1, False)
+    assert "does not replay over this initial state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "curves"])
+def test_duplicate_initial_row_exit_1(bundle_dir, tmp_path, capsys, command):
+    trace_path = tmp_path / "t.jsonl"
+    simulated_trace_lines(bundle_dir, trace_path)
+    rows = (bundle_dir / "profiles.csv").read_text().splitlines()
+    node, topic, stance = rows[5].split(",")
+    rows.append(f"{node},{topic},{'1' if stance != '1' else '0'}")
+    initial = tmp_path / "initial.csv"
+    initial.write_text("\n".join(rows) + "\n")
+    assert run_on_trace(command, bundle_dir, trace_path, tmp_path,
+                        initial=initial) == (1, False)
+    err = capsys.readouterr().err
+    assert f"{initial}:{len(rows)}:" in err and "duplicate profile row" in err
+
+
+@pytest.mark.parametrize("bad_line, problem", [
+    ("n05\tn05", "self-loop at node 'n05'"),
+    ("repeat", "duplicate edge"),
+])
+@pytest.mark.parametrize("command", ["simulate", "simulate-workers",
+                                     "baseline-ic"])
+def test_bad_edge_line_exit_1(bundle_dir, tmp_path, capsys, command,
+                              bad_line, problem):
+    lines = (bundle_dir / "edges.tsv").read_text().splitlines()
+    lines.append(lines[3] if bad_line == "repeat" else bad_line)
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.jsonl"
+    if command == "baseline-ic":
+        args = ["baseline-ic", "--graph", str(edges), "--seeds",
+                str(bundle_dir / "seeds.csv"), "--p", "0.5", "--runs", "5",
+                "--out", str(out)]
+    else:
+        args = simulate_args(bundle_dir, out)
+        args[args.index("--graph") + 1] = str(edges)
+        if command == "simulate-workers":
+            args += ["--runs", "2", "--workers", "2"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{edges}:{len(lines)}: {problem}" in err
+    assert not list(tmp_path.glob("out*"))
 
 
 class TestBaselineIc:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,251 @@ class TestAccuracies:
         truth = {(0, 0): 1.0, (0, 1): -1.0}
         report = metrics.accuracy_report(final, truth)
         assert report["1"]["stance_accuracy"] is None
+
+
+def test_curves_rejects_wrong_initial():
+    g, trace, _ = small_run()
+    first = trace.events[0]
+    wrong = g.profiles.copy()
+    wrong[first.node, first.topic] = next(
+        s for s in (-1.0, 0.0, 0.5, 1.0) if s != first.old_stance)
+    with pytest.raises(InconsistentIdsError, match="does not replay"):
+        metrics.stance_distribution_curve(trace, wrong)
+
+
+# The per-event and per-pair loops that metrics.py ran before it became array
+# code; the array code must give the same bits, points, reports and messages.
+
+def reference_replay(initial_profiles, trace):
+    profiles = np.asarray(initial_profiles, dtype=np.float64).copy()
+    if profiles.shape != (trace.n, trace.z):
+        raise InconsistentIdsError(
+            f"initial state shape {profiles.shape} does not match trace "
+            f"({trace.n} nodes, {trace.z} topics)"
+        )
+    nodes = trace.ev_node
+    topics = trace.ev_topic
+    olds = trace.ev_old
+    news = trace.ev_new
+    for i in range(nodes.shape[0]):
+        node, topic = nodes[i], topics[i]
+        if profiles[node, topic] != olds[i]:
+            raise InconsistentIdsError(
+                f"event {i}: expected stance {olds[i]} at node {node}, topic "
+                f"{topic}, found {profiles[node, topic]}; trace does not "
+                "replay over this initial state"
+            )
+        profiles[node, topic] = news[i]
+    return profiles
+
+
+def reference_curves(initial_profiles, trace):
+    profiles = np.asarray(initial_profiles, dtype=np.float64).copy()
+    tallies = [
+        {v: int(np.count_nonzero(profiles[:, j] == v))
+         for v in sc.STANCE_VALUES}
+        for j in range(trace.z)
+    ]
+
+    def snapshot(rnd):
+        return [
+            metrics.CurvePoint(rnd, j, dict(tallies[j]),
+                               trace.n - tallies[j][sc.STANCE_UNKNOWN])
+            for j in range(trace.z)
+        ]
+
+    points = snapshot(0)
+    i = 0
+    total = trace.ev_node.shape[0]
+    for rnd in range(1, trace.params.rounds_K + 1):
+        while i < total and trace.ev_round[i] == rnd:
+            j = int(trace.ev_topic[i])
+            old, new = float(trace.ev_old[i]), float(trace.ev_new[i])
+            if old != new:
+                tallies[j][old] -= 1
+                tallies[j][new] += 1
+            i += 1
+        points.extend(snapshot(rnd))
+    return points
+
+
+def reference_check_covered(final_profiles, truth):
+    n, z = final_profiles.shape
+    for node in range(n):
+        for topic in range(z):
+            if (node, topic) not in truth:
+                raise MissingTruthEntryError(
+                    f"ground truth missing entry for node {node}, topic {topic}"
+                )
+
+
+def reference_accuracy_report(final_state, truth, topic_names=None):
+    final = np.asarray(final_state, dtype=np.float64)
+    n, z = final.shape
+    reference_check_covered(final, truth)
+    names = topic_names or [str(j) for j in range(z)]
+    report = {}
+    for topic in range(z):
+        status = sum(
+            (final[node, topic] != sc.STANCE_UNKNOWN)
+            == (truth[(node, topic)] != sc.STANCE_UNKNOWN)
+            for node in range(n)
+        )
+        scored = [node for node in range(n)
+                  if truth[(node, topic)] != sc.STANCE_UNKNOWN]
+        if scored:
+            exact = sum(final[node, topic] == truth[(node, topic)]
+                        for node in scored)
+            stance_acc = exact / len(scored)
+        else:
+            stance_acc = None
+        report[names[topic]] = {
+            "activation_accuracy": status / n if n else None,
+            "stance_accuracy": stance_acc,
+        }
+    return report
+
+
+def reference_stance_accuracy(final, truth):
+    reference_check_covered(final, truth)
+    n, z = final.shape
+    scored = matches = 0
+    for node in range(n):
+        for topic in range(z):
+            if truth[(node, topic)] != sc.STANCE_UNKNOWN:
+                scored += 1
+                matches += final[node, topic] == truth[(node, topic)]
+    return matches / scored if scored else None
+
+
+def simulated_case(seed):
+    """(initial profiles, trace, final state) of one random case; every
+    fifth case has no seeds, so its trace has no events."""
+    case = make_random_case(np.random.default_rng(seed))
+    g = sc.build_graph(case["n"], case["z"], case["edges"], case["profiles"])
+    seeds = {} if seed % 5 == 0 else case["seeds"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        initial = sc.SimState(g, case["params"], seeds).profiles.copy()
+        trace, state = sc.run_simulation(g, case["params"], seeds)
+    return initial, trace, state.profiles
+
+
+def truth_variants(final, rng):
+    """A full truth, one with unknown and perturbed entries, and one with
+    keys outside the shape (which scoring ignores)."""
+    n, z = final.shape
+    full = full_truth(final)
+    changed = dict(full)
+    for key in list(changed):
+        draw = rng.random()
+        if draw < 0.2:
+            changed[key] = -1.0
+        elif draw < 0.5:
+            changed[key] = float(rng.choice(
+                [s for s in sc.STANCE_VALUES if s != changed[key]]))
+    extra = dict(changed)
+    extra.update({(n, 0): 1.0, (0, z): 0.5, (-1, 0): 0.0})
+    return [full, changed, extra]
+
+
+def float_bits(report):
+    return {name: {k: None if v is None else float(v).hex()
+                   for k, v in scores.items()}
+            for name, scores in report.items()}
+
+
+def raised_message(fn, *args):
+    try:
+        fn(*args)
+    except (InconsistentIdsError, MissingTruthEntryError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_matches_reference_loops(seed, tmp_path):
+    initial, trace, final = simulated_case(seed)
+    replayed = metrics.replay_trace(initial, trace)
+    expected = reference_replay(initial, trace)
+    assert replayed.dtype == expected.dtype and replayed.shape == expected.shape
+    assert replayed.tobytes() == expected.tobytes() == final.tobytes()
+
+    points = metrics.stance_distribution_curve(trace, initial)
+    expected_points = reference_curves(initial, trace)
+    assert points == expected_points
+    metrics.write_curves_csv(tmp_path / "a.csv", points)
+    metrics.write_curves_csv(tmp_path / "b.csv", expected_points)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    rng = np.random.default_rng(1000 + seed)
+    for truth in truth_variants(final, rng):
+        report = metrics.accuracy_report(final, truth)
+        ref = reference_accuracy_report(final, truth)
+        assert report == ref and float_bits(report) == float_bits(ref)
+        activation = float(np.mean(
+            [scores["activation_accuracy"] for scores in ref.values()]))
+        assert metrics.activation_accuracy(final, truth).hex() == activation.hex()
+        stance = reference_stance_accuracy(final, truth)
+        if stance is None:
+            with pytest.raises(MissingTruthEntryError):
+                metrics.stance_accuracy(final, truth)
+        else:
+            assert float(metrics.stance_accuracy(final, truth)).hex() == \
+                float(stance).hex()
+
+
+def test_reference_cases_cover_shapes():
+    cases = [simulated_case(seed) for seed in range(60)]
+    assert {trace.z for _, trace, _ in cases} == {1, 2, 3}
+    assert any(len(trace.events) == 0 for _, trace, _ in cases)
+    assert sum(len(trace.events) > 0 for _, trace, _ in cases) >= 30
+
+
+def test_first_bad_event_message_matches_reference():
+    checked = 0
+    for seed in range(1, 40):
+        initial, trace, _ = simulated_case(seed)
+        total = len(trace.events)
+        if total == 0:
+            continue
+        rng = np.random.default_rng(seed)
+        # a wrong initial stance at the pair of one event
+        i = int(rng.integers(0, total))
+        node, topic = trace.ev_node[i], trace.ev_topic[i]
+        wrong = initial.copy()
+        wrong[node, topic] = float(rng.choice(
+            [s for s in sc.STANCE_VALUES if s != wrong[node, topic]]))
+        # wrong recorded old stances at up to three events: the first in
+        # trace order is reported, whatever the order of their pairs
+        columns = {name: getattr(trace, f"ev_{name}").copy()
+                   for name in ("round", "topic", "node", "old", "new",
+                                "source", "p", "channel")}
+        for k in rng.choice(total, size=min(3, total), replace=False):
+            columns["old"][k] = float(rng.choice(
+                [s for s in sc.STANCE_VALUES if s != columns["old"][k]]))
+        bad_olds = sc.SimTrace(trace.n, trace.z, trace.params, columns,
+                               trace.round_summaries)
+        for profiles, events in ((wrong, trace), (initial, bad_olds)):
+            expected = raised_message(reference_replay, profiles, events)
+            assert expected is not None
+            assert raised_message(metrics.replay_trace, profiles, events) == \
+                expected
+            assert raised_message(metrics.stance_distribution_curve,
+                                  events, profiles) == expected
+        checked += 1
+    assert checked >= 25
+
+
+@pytest.mark.parametrize("seed", range(1, 20))
+def test_missing_truth_message_matches_reference(seed):
+    _, _, final = simulated_case(seed)
+    rng = np.random.default_rng(seed)
+    truth = full_truth(final)
+    for key in rng.permutation(list(truth))[:int(rng.integers(1, 4))]:
+        del truth[tuple(int(x) for x in key)]
+    expected = raised_message(reference_accuracy_report, final, truth)
+    assert expected is not None
+    for fn in (metrics.accuracy_report, metrics.activation_accuracy,
+               metrics.stance_accuracy):
+        assert raised_message(fn, final, truth) == expected
