@@ -2,7 +2,10 @@
 
 All library errors derive from :class:`StancecastError` so callers can catch
 one base class at API boundaries. Input/validation problems and internal
-invariant violations are kept distinct for CLI exit-code mapping.
+invariant violations are kept distinct for CLI exit-code mapping. An error
+that carries fields keeps them all in ``args`` and formats its message in
+``__str__``, so it pickles: a worker process of ``simulate --workers`` can
+raise it and the parent still reports it.
 """
 
 
@@ -69,31 +72,37 @@ class CountExceedsPoolError(StancecastError):
 
 
 class MissingKeyError(StancecastError):
-    """A required configuration key is absent."""
+    """A required configuration key is absent; raised as ``(key)``."""
 
-    def __init__(self, key: str):
-        super().__init__(f"missing required config key {key!r}")
-        self.key = key
+    key = property(lambda self: self.args[0])
+
+    def __str__(self):
+        return f"missing required config key {self.key!r}"
 
 
 class RangeViolationError(StancecastError):
-    """A configuration value lies outside its allowed range."""
+    """A configuration value lies outside its allowed range; raised as
+    ``(key, value, allowed)``."""
 
-    def __init__(self, key: str, value, allowed: str):
-        super().__init__(f"config key {key!r} = {value!r} outside allowed {allowed}")
-        self.key = key
-        self.value = value
-        self.allowed = allowed
+    key = property(lambda self: self.args[0])
+    value = property(lambda self: self.args[1])
+    allowed = property(lambda self: self.args[2])
+
+    def __str__(self):
+        return (f"config key {self.key!r} = {self.value!r} outside allowed "
+                f"{self.allowed}")
 
 
 class ParseError(StancecastError):
-    """A data file could not be parsed; reports file, line and column."""
+    """A data file could not be parsed; raised as ``(path, line, column,
+    message)`` and reported as ``path:line:column: message``."""
 
-    def __init__(self, path, line: int, column: int, message: str):
-        super().__init__(f"{path}:{line}:{column}: {message}")
-        self.path = str(path)
-        self.line = line
-        self.column = column
+    path = property(lambda self: str(self.args[0]))
+    line = property(lambda self: self.args[1])
+    column = property(lambda self: self.args[2])
+
+    def __str__(self):
+        return f"{self.path}:{self.line}:{self.column}: {self.args[3]}"
 
 
 class InconsistentIdsError(StancecastError):

@@ -13,7 +13,6 @@ after construction; mutable per-run state lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -89,35 +88,87 @@ class SocialGraph:
 def build_graph(node_count, topic_count, edge_list, profiles) -> SocialGraph:
     """Validate and assemble an immutable :class:`SocialGraph`.
 
-    ``edge_list`` is any iterable of (source, target) pairs; ``profiles``
-    one stance sequence of length ``topic_count`` per node. Rejects
-    self-loops, duplicate edges, out-of-range ids, wrong profile lengths
-    and stance codes outside the domain.
+    ``edge_list`` is any iterable of (source, target) pairs, an (m, 2) array
+    among them; ``profiles`` one stance sequence of length ``topic_count``
+    per node, an (n, z) array among them. Rejects self-loops, duplicate
+    edges, out-of-range ids, wrong profile lengths and stance codes outside
+    the domain, reporting the first bad pair or profile in input order.
     """
     n = int(node_count)
     z = int(topic_count)
     if n < 0 or z < 0:
         raise IdOutOfRangeError("node and topic counts must be non-negative")
 
-    pairs = [(int(u), int(v)) for u, v in edge_list]
-    seen = set()
-    for k, edge in enumerate(pairs):
-        u, v = edge
-        if not (0 <= u < n and 0 <= v < n):
-            raise IdOutOfRangeError(f"edge ({u}, {v}) references id outside [0, {n})")
-        if u == v:
-            raise SelfLoopError(f"self-loop at node {u}", k)
-        if edge in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", k)
-        seen.add(edge)
+    ends = _edge_array(edge_list)
+    u, v = ends[:, 0], ends[:, 1]
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    loops = u == v
+    bad = outside | loops | _repeats(u * n + v)
+    if bad.any():
+        k = int(np.argmax(bad))
+        uk, vk = int(u[k]), int(v[k])
+        if outside[k]:
+            raise IdOutOfRangeError(f"edge ({uk}, {vk}) references id outside [0, {n})")
+        if loops[k]:
+            raise SelfLoopError(f"self-loop at node {uk}", k)
+        raise DuplicateEdgeError(f"duplicate edge ({uk}, {vk})", k)
 
-    profile_rows = list(profiles)
-    if len(profile_rows) != n:
-        raise ProfileLengthMismatchError(
-            f"got {len(profile_rows)} profiles for {n} nodes"
-        )
-    prof = np.full((n, z), STANCE_UNKNOWN, dtype=np.float64)
-    for node, row in enumerate(profile_rows):
+    prof = _profile_array(profiles, n, z)
+    indptr, indices = _compressed(u, v, n)
+    in_indptr, in_indices = _compressed(v, u, n)
+
+    for arr in (indptr, indices, in_indptr, in_indices, prof):
+        arr.flags.writeable = False
+    return SocialGraph(
+        n=n, m=ends.shape[0], z=z, indptr=indptr, indices=indices,
+        in_indptr=in_indptr, in_indices=in_indices, profiles=prof
+    )
+
+
+def _is_stance_code(values) -> np.ndarray:
+    """Element-wise :func:`is_stance` of an array."""
+    return (values == -1.0) | (values == 0.0) | (values == 0.5) | (values == 1.0)
+
+
+def _repeats(keys) -> np.ndarray:
+    """Mask of the entries of ``keys`` equal to an earlier entry."""
+    mask = np.ones(len(keys), dtype=bool)
+    mask[np.unique(keys, return_index=True)[1]] = False
+    return mask
+
+
+def _edge_array(edge_list) -> np.ndarray:
+    """The pairs of ``edge_list`` as an (m, 2) int64 array."""
+    ends = np.asarray(edge_list if isinstance(edge_list, np.ndarray)
+                      else list(edge_list))
+    if ends.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError("edge_list must hold (source, target) pairs")
+    return ends.astype(np.int64, copy=False)
+
+
+def _profile_array(profiles, n: int, z: int) -> np.ndarray:
+    """The (n, z) stance array of ``profiles``, validated."""
+    rows = profiles if isinstance(profiles, np.ndarray) else list(profiles)
+    if len(rows) != n:
+        raise ProfileLengthMismatchError(f"got {len(rows)} profiles for {n} nodes")
+    if n == 0:
+        return np.full((0, z), STANCE_UNKNOWN)
+    try:
+        prof = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        prof = None
+    if prof is None or prof.shape != (n, z) or not _is_stance_code(prof).all():
+        prof = _profile_rows(rows, z)
+    return prof
+
+
+def _profile_rows(rows, z: int) -> np.ndarray:
+    """:func:`_profile_array` one row at a time, for input that is not an
+    array of stance codes: raises at the first bad row, cell by cell."""
+    prof = np.full((len(rows), z), STANCE_UNKNOWN, dtype=np.float64)
+    for node, row in enumerate(rows):
         values = list(row)
         if len(values) != z:
             raise ProfileLengthMismatchError(
@@ -130,18 +181,7 @@ def build_graph(node_count, topic_count, edge_list, profiles) -> SocialGraph:
                     f"stance {value!r} of node {node}, topic {j} not in {{-1, 0, 0.5, 1}}"
                 )
             prof[node, j] = value
-
-    ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
-                       count=2 * len(pairs)).reshape(-1, 2)
-    indptr, indices = _compressed(ends[:, 0], ends[:, 1], n)
-    in_indptr, in_indices = _compressed(ends[:, 1], ends[:, 0], n)
-
-    for arr in (indptr, indices, in_indptr, in_indices, prof):
-        arr.flags.writeable = False
-    return SocialGraph(
-        n=n, m=len(pairs), z=z, indptr=indptr, indices=indices,
-        in_indptr=in_indptr, in_indices=in_indices, profiles=prof
-    )
+    return prof
 
 
 def _compressed(rows, cols, n):

@@ -12,19 +12,27 @@ Formats (all UTF-8, line oriented):
   channel).
 
 External ids are arbitrary strings; dense internal ids are assigned by
-lexicographic sort so loading never depends on file row order. Writers go
-through a temp file and rename, so failures leave no partial output.
+sorting them by Unicode code point (as ``sorted`` does), so loading never
+depends on file row order. The loaders tokenize each file once into numpy
+string arrays and check the rows as arrays; a malformed line, an unknown
+id, a repeated row or a bad stance is reported at its ``file:line``.
+Writers go through a temp file and rename, so failures leave no partial
+output.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .dynamics import CHANNELS
 from .engine import _EVENT_DTYPES, RoundSummary, SimTrace
@@ -40,7 +48,8 @@ from .errors import (
     SelfLoopError,
     StancecastError,
 )
-from .graph import STANCE_UNKNOWN, SocialGraph, build_graph, is_stance
+from .graph import (STANCE_UNKNOWN, SocialGraph, _is_stance_code, _repeats,
+                    build_graph, is_stance)
 from .params import SimParams
 
 TRACE_SCHEMA = "tsa-trace/1"
@@ -55,11 +64,13 @@ class SymbolTable:
     node_ids: tuple
     topic_ids: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_node_index",
-                           {s: i for i, s in enumerate(self.node_ids)})
-        object.__setattr__(self, "_topic_index",
-                           {s: i for i, s in enumerate(self.topic_ids)})
+    @cached_property
+    def _node_index(self) -> dict:
+        return dict(zip(self.node_ids, range(len(self.node_ids))))
+
+    @cached_property
+    def _topic_index(self) -> dict:
+        return dict(zip(self.topic_ids, range(len(self.topic_ids))))
 
     def node(self, external: str) -> int:
         try:
@@ -91,104 +102,269 @@ def _atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _parse_stance(token: str, path, line_no: int, column: int,
-                  allow_unknown: bool = True) -> float:
+class _Rows(NamedTuple):
+    """The data lines of a file up to its first malformed one: ``tokens``
+    holds a row of string fields per line, ``line_nos`` the line numbers,
+    ``error`` the :class:`ParseError` of the malformed line, or None."""
+
+    tokens: np.ndarray
+    line_nos: np.ndarray
+    error: ParseError | None
+
+    def where(self, i: int) -> tuple[int, list]:
+        """Line number and fields of row ``i``, as Python ints and strs."""
+        return int(self.line_nos[i]), self.tokens[i].tolist()
+
+    def complete(self) -> _Rows:
+        """These rows; raises the malformed line's error if there is one."""
+        if self.error is not None:
+            raise self.error
+        return self
+
+
+_NO_ROWS = _Rows(np.empty((0, 3), dtype="U1"), np.empty(0, dtype=np.int64), None)
+
+
+def _strings(items: list) -> np.ndarray:
+    """``items`` as a numpy string array. Fixed width (``U``) pads every item
+    to the longest one and drops trailing NULs, so it is used only when that
+    costs at most four times the characters and no item holds a NUL; else
+    variable width. Both compare and sort by code point, as ``sorted`` does.
+    """
+    joined = "".join(items)
+    width = max(map(len, items), default=0)
+    if "\x00" in joined or width * len(items) > 4 * len(joined) + 64:
+        return np.array(items, dtype=StringDType())
+    return np.array(items, dtype=f"U{max(width, 1)}")
+
+
+def _partition(a: np.ndarray, sep: str):
+    """``np.strings.partition`` with ``sep`` in ``a``'s dtype, which
+    variable-width strings need; it fails on an empty fixed-width array."""
+    if not a.size:
+        return a, a, a
+    return np.strings.partition(a, np.array(sep, dtype=a.dtype))
+
+
+def _edge_fields(path, line_no: int, line: str):
+    """The (source, target) of one edge line; None for a blank or comment
+    line."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    fields = stripped.split("\t")
+    if len(fields) != 2 or not fields[0] or not fields[1]:
+        raise ParseError(path, line_no, 1, "expected 'source<TAB>target'")
+    return fields
+
+
+def _csv_fields(path, line_no: int, line: str):
+    """The three stripped fields of one CSV line; None for a blank line."""
+    if not line.strip():
+        return None
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != 3:
+        raise ParseError(path, line_no, 1,
+                         f"expected 3 comma-separated fields, got {len(fields)}")
+    if not all(fields):
+        raise ParseError(path, line_no, fields.index("") + 1, "empty field")
+    return fields
+
+
+def _rows_by_line(path, lines, first_line: int, fields, width: int) -> _Rows:
+    """Tokenize one line at a time, up to the first malformed line. This is
+    how a malformed line is found, and how a file with a NUL character is
+    read: numpy's fixed-width strings drop a trailing NUL, and its string
+    functions treat NUL as the end of a string."""
+    rows, line_nos, error = [], [], None
+    for line_no, line in enumerate(lines, start=first_line):
+        try:
+            row = fields(path, line_no, line)
+        except ParseError as exc:
+            error = exc
+            break
+        if row is not None:
+            rows.append(row)
+            line_nos.append(line_no)
+    tokens = np.array(rows, dtype=StringDType()).reshape(-1, width)
+    return _Rows(tokens, np.array(line_nos, dtype=np.int64), error)
+
+
+def _edge_rows(path) -> _Rows:
+    """Tokenize an edge file: ``source<TAB>target`` per line once stripped of
+    whitespace; blank lines and lines starting with ``#`` are skipped."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if "\x00" not in text:
+        stripped = np.strings.strip(_strings(lines))
+        data = ((np.strings.str_len(stripped) > 0)
+                & ~np.strings.startswith(stripped, "#"))
+        source, tab, target = _partition(stripped[data], "\t")
+        # a stripped line neither starts nor ends with a tab, so one tab
+        # leaves two non-empty fields
+        if (tab == "\t").all() and (np.strings.find(target, "\t") < 0).all():
+            return _Rows(np.stack([source, target], axis=1),
+                         np.flatnonzero(data) + 1, None)
+    return _rows_by_line(path, lines, 1, _edge_fields, 2)
+
+
+def _csv_rows(path, header: str) -> _Rows:
+    """Tokenize a 3-column CSV with a fixed header row: blank lines are
+    skipped, every other line holds 3 comma-separated fields, each one
+    non-empty once stripped of whitespace. A wrong header raises."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(path, 1, 1, f"expected header {header!r}")
+    if "\x00" not in text:
+        body = _strings(lines[1:])
+        data = np.strings.str_len(np.strings.strip(body)) > 0
+        first, comma1, rest = _partition(body[data], ",")
+        second, comma2, third = _partition(rest, ",")
+        tokens = np.strings.strip(np.stack([first, second, third], axis=1))
+        if ((comma1 == ",") & (comma2 == ",")
+                & (np.strings.find(third, ",") < 0)).all() \
+                and (np.strings.str_len(tokens) > 0).all():
+            return _Rows(tokens, np.flatnonzero(data) + 2, None)
+    return _rows_by_line(path, lines[1:], 2, _csv_fields, 3)
+
+
+def _raise_first(checks, pending: StancecastError | None = None) -> None:
+    """Raise the error of the first row that fails a check, else ``pending``.
+
+    ``checks`` pairs a mask over the rows with a function from a row index
+    to its error, in the order in which one row is checked.
+    """
+    failing = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks)
+               if mask.any()]
+    if failing:
+        row, k = min(failing)
+        raise checks[k][1](row)
+    if pending is not None:
+        raise pending
+
+
+def _float_or_nan(token: str) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
-        raise ParseError(path, line_no, column, f"bad stance {token!r}") from None
-    if not is_stance(value) or (not allow_unknown and value == STANCE_UNKNOWN):
-        domain = "{-1, 0, 0.5, 1}" if allow_unknown else "{0, 0.5, 1}"
-        raise BadStanceValueError(
-            f"{path}:{line_no}:{column}: stance {token!r} not in {domain}"
-        )
-    return value
+        return math.nan
 
 
-def _read_csv_rows(path, expected_header: str):
-    """Yield (line_no, fields) for a 3-column CSV with a fixed header."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != expected_header:
-        raise ParseError(path, 1, 1, f"expected header {expected_header!r}")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 3:
-            raise ParseError(path, line_no, 1,
-                             f"expected 3 comma-separated fields, got {len(fields)}")
-        if any(not f for f in fields):
-            column = line.split(",").index("") + 1 if "" in fields else 1
-            raise ParseError(path, line_no, column, "empty field")
-        yield line_no, fields
+def _stance_values(tokens: np.ndarray, allow_unknown: bool = True):
+    """The stance of each token and the mask of the tokens that are no
+    stance code. ``float`` runs once per distinct token, so every spelling
+    it accepts ("1", "1.0", " +1e0") is accepted."""
+    distinct, inverse = np.unique(tokens, return_inverse=True)
+    values = np.array([_float_or_nan(t) for t in distinct.tolist()],
+                      dtype=np.float64)[inverse]
+    bad = ~_is_stance_code(values)
+    if not allow_unknown:
+        bad |= values == STANCE_UNKNOWN
+    return values, bad
 
 
-def _read_edge_lines(path):
-    path = Path(path)
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                   start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise ParseError(path, line_no, 1,
-                             "expected 'source<TAB>target'")
-        yield line_no, fields[0], fields[1]
+def _stance_error(path, rows: _Rows, i: int, allow_unknown: bool = True):
+    line_no, fields = rows.where(i)
+    token = fields[2]
+    try:
+        float(token)
+    except ValueError:
+        return ParseError(path, line_no, 3, f"bad stance {token!r}")
+    domain = "{-1, 0, 0.5, 1}" if allow_unknown else "{0, 0.5, 1}"
+    return BadStanceValueError(
+        f"{path}:{line_no}:3: stance {token!r} not in {domain}")
+
+
+def _repeat_error(path, rows: _Rows, i: int, what: str):
+    line_no, fields = rows.where(i)
+    return InconsistentIdsError(
+        f"{path}:{line_no}: duplicate {what} for ({fields[0]!r}, {fields[1]!r})")
+
+
+def _unknown_error(path, rows: _Rows, i: int, column: int):
+    line_no, fields = rows.where(i)
+    kind = "node" if column == 0 else "topic"
+    return InconsistentIdsError(
+        f"{path}:{line_no}: unknown {kind} id {fields[column]!r}")
+
+
+def _dense_ids(names: tuple, tokens: np.ndarray) -> np.ndarray:
+    """Index of each token in ``names`` (the last one if a name repeats, as
+    in :class:`SymbolTable`), or -1 for a token not in ``names``."""
+    if not names:
+        return np.full(len(tokens), -1, dtype=np.int64)
+    table = _strings(list(names))
+    if "T" in (table.dtype.kind, tokens.dtype.kind):
+        # searchsorted does not mix fixed and variable width
+        table, tokens = (a.astype(StringDType(), copy=False)
+                         for a in (table, tokens))
+    order = np.argsort(table, kind="stable")
+    pos = np.searchsorted(table, tokens, side="right", sorter=order) - 1
+    ids = order[np.maximum(pos, 0)]
+    return np.where((pos >= 0) & (table[ids] == tokens), ids, -1)
+
+
+def _row_ids(path, rows: _Rows, symbols: SymbolTable):
+    """Node and topic ids of each row, and the checks that they are known."""
+    node = _dense_ids(symbols.node_ids, rows.tokens[:, 0])
+    topic = _dense_ids(symbols.topic_ids, rows.tokens[:, 1])
+    checks = [(node < 0, lambda i: _unknown_error(path, rows, i, 0)),
+              (topic < 0, lambda i: _unknown_error(path, rows, i, 1))]
+    return node, topic, checks
+
+
+_PROFILE_HEADER = "node_id,topic_id,stance"
+_TRUTH_HEADER = "node_id,topic_id,final_stance"
 
 
 def load_graph(edges_path, profiles_path=None,
                seeds_path=None) -> tuple[SocialGraph, SymbolTable]:
     """Parse an edge file and a profiles file into an immutable graph.
 
-    Internal ids come from the lexicographically sorted union of node ids
-    seen in any of the files; topics from the profiles file. Without a
-    profiles file the graph has zero topics (enough for the IC baseline).
-    A seeds file only adds its node ids, so a seed on no edge is a node.
-    Self-loops, repeated edges and repeated profile rows fail at their line.
+    Internal ids come from the sorted union of node ids seen in any of the
+    files; topics from the profiles file. Without a profiles file the graph
+    has zero topics (enough for the IC baseline). A seeds file only adds
+    its node ids, so a seed on no edge is a node. Malformed lines, self-
+    loops, repeated edges and repeated profile rows fail at their line.
     """
-    edge_rows = list(_read_edge_lines(edges_path))
-    profile_rows = [] if profiles_path is None else list(
-        _read_csv_rows(profiles_path, "node_id,topic_id,stance")
-    )
-
-    node_names = {u for _, u, v in edge_rows} | {v for _, u, v in edge_rows}
-    node_names.update(fields[0] for _, fields in profile_rows)
+    edges = _edge_rows(edges_path).complete()
+    profiles = (_NO_ROWS if profiles_path is None
+                else _csv_rows(profiles_path, _PROFILE_HEADER).complete())
+    names = [edges.tokens.ravel(), profiles.tokens[:, 0]]
     if seeds_path is not None:
-        node_names.update(fields[0] for _, fields in
-                          _read_csv_rows(seeds_path, "node_id,topic_id,stance"))
-    topic_names = sorted({fields[1] for _, fields in profile_rows})
-    symbols = SymbolTable(tuple(sorted(node_names)), tuple(topic_names))
+        names.append(_csv_rows(seeds_path, _PROFILE_HEADER).complete().tokens[:, 0])
+    node_ids, node = np.unique(np.concatenate(names), return_inverse=True)
+    topic_ids, topic = np.unique(profiles.tokens[:, 1], return_inverse=True)
+    symbols = SymbolTable(tuple(node_ids.tolist()), tuple(topic_ids.tolist()))
 
-    edges = [(symbols.node(u), symbols.node(v)) for _, u, v in edge_rows]
-    profiles = _profiles_table(profiles_path, profile_rows, symbols)
+    m = len(edges.tokens)
+    table = _profiles_table(profiles_path, profiles,
+                            node[2 * m:2 * m + len(topic)], topic,
+                            len(node_ids), len(topic_ids))
     try:
-        graph = build_graph(len(symbols.node_ids), len(symbols.topic_ids),
-                            edges, profiles)
+        graph = build_graph(len(node_ids), len(topic_ids),
+                            node[:2 * m].reshape(m, 2), table)
     except (SelfLoopError, DuplicateEdgeError) as exc:
-        line_no, u, v = edge_rows[exc.index]
+        line_no, (u, v) = edges.where(exc.index)
         problem = (f"self-loop at node {u!r}" if isinstance(exc, SelfLoopError)
                    else f"duplicate edge ({u!r}, {v!r})")
         raise type(exc)(f"{edges_path}:{line_no}: {problem}", exc.index) from None
     return graph, symbols
 
 
-def _profiles_table(path, rows, symbols: SymbolTable) -> np.ndarray:
-    """Stance array of a profiles file's rows; a repeated pair is an error."""
-    profiles = np.full((len(symbols.node_ids), len(symbols.topic_ids)),
-                       STANCE_UNKNOWN)
-    seen = set()
-    for line_no, fields in rows:
-        key = (symbols.node(fields[0]), symbols.topic(fields[1]))
-        if key in seen:
-            raise InconsistentIdsError(
-                f"{path}:{line_no}: duplicate profile row for "
-                f"({fields[0]!r}, {fields[1]!r})"
-            )
-        seen.add(key)
-        profiles[key] = _parse_stance(fields[2], path, line_no, 3)
-    return profiles
+def _profiles_table(path, rows: _Rows, node, topic, n: int, z: int) -> np.ndarray:
+    """(n, z) stance array of a profiles file's rows, given their node and
+    topic ids; a repeated pair or a bad stance fails at its line."""
+    keys = node * z + topic
+    stances, bad = _stance_values(rows.tokens[:, 2])
+    _raise_first([
+        (_repeats(keys), lambda i: _repeat_error(path, rows, i, "profile row")),
+        (bad, lambda i: _stance_error(path, rows, i)),
+    ])
+    profiles = np.full(n * z, STANCE_UNKNOWN)
+    profiles[keys] = stances
+    return profiles.reshape(n, z)
 
 
 def write_graph(g: SocialGraph, symbols: SymbolTable,
@@ -220,29 +396,37 @@ def load_profiles(path) -> tuple[np.ndarray, SymbolTable]:
     package always do); node and topic ids are assigned by sorting the ids
     present in this file. A second row for one pair is an error at its line.
     """
-    rows = list(_read_csv_rows(path, "node_id,topic_id,stance"))
-    symbols = SymbolTable(tuple(sorted({fields[0] for _, fields in rows})),
-                          tuple(sorted({fields[1] for _, fields in rows})))
-    return _profiles_table(path, rows, symbols), symbols
+    rows = _csv_rows(path, _PROFILE_HEADER).complete()
+    node_ids, node = np.unique(rows.tokens[:, 0], return_inverse=True)
+    topic_ids, topic = np.unique(rows.tokens[:, 1], return_inverse=True)
+    symbols = SymbolTable(tuple(node_ids.tolist()), tuple(topic_ids.tolist()))
+    return _profiles_table(path, rows, node, topic, len(node_ids),
+                           len(topic_ids)), symbols
 
 
 def load_seeds(path, symbols: SymbolTable) -> dict[int, dict[int, float]]:
-    """Load seed stances as a per-topic map {topic: {node: stance}}."""
-    seeds: dict[int, dict[int, float]] = {}
-    count = 0
-    for line_no, fields in _read_csv_rows(path, "node_id,topic_id,stance"):
-        node = symbols.node(fields[0])
-        topic = symbols.topic(fields[1])
-        stance = _parse_stance(fields[2], path, line_no, 3, allow_unknown=False)
-        per_topic = seeds.setdefault(topic, {})
-        if node in per_topic:
-            raise InconsistentIdsError(
-                f"{path}:{line_no}: duplicate seed for ({fields[0]!r}, {fields[1]!r})"
-            )
-        per_topic[node] = stance
-        count += 1
-    if count == 0:
+    """Load seed stances as a per-topic map {topic: {node: stance}}, topics
+    in the order they first appear and nodes in file order.
+
+    Each row is checked in turn: its fields, a known node, a known topic, a
+    known stance (0, 0.5 or 1), and a (node, topic) pair not seen before.
+    The first row that fails is reported at its line.
+    """
+    rows = _csv_rows(path, _PROFILE_HEADER)
+    node, topic, checks = _row_ids(path, rows, symbols)
+    stances, bad = _stance_values(rows.tokens[:, 2], allow_unknown=False)
+    _raise_first(checks + [
+        (bad, lambda i: _stance_error(path, rows, i, allow_unknown=False)),
+        (_repeats(node * len(symbols.topic_ids) + topic),
+         lambda i: _repeat_error(path, rows, i, "seed")),
+    ], rows.error)
+    if not len(node):
         warnings.warn(f"{path}: no seed stances", EmptySeedsWarning, stacklevel=2)
+    seeds: dict[int, dict[int, float]] = {}
+    first_rows = np.sort(np.unique(topic, return_index=True)[1])
+    for j in topic[first_rows].tolist():
+        rows_j = topic == j
+        seeds[j] = dict(zip(node[rows_j].tolist(), stances[rows_j].tolist()))
     return seeds
 
 
@@ -251,12 +435,13 @@ def load_seed_nodes(path, symbols: SymbolTable) -> list[int]:
 
     Used by the IC baseline, which has no topic dimension.
     """
-    nodes = set()
-    for _line_no, fields in _read_csv_rows(path, "node_id,topic_id,stance"):
-        nodes.add(symbols.node(fields[0]))
-    if not nodes:
+    rows = _csv_rows(path, _PROFILE_HEADER)
+    node = _dense_ids(symbols.node_ids, rows.tokens[:, 0])
+    _raise_first([(node < 0, lambda i: _unknown_error(path, rows, i, 0))],
+                 rows.error)
+    if not len(node):
         warnings.warn(f"{path}: no seed stances", EmptySeedsWarning, stacklevel=2)
-    return sorted(nodes)
+    return np.unique(node).tolist()
 
 
 def write_seeds(path, seeds: dict[int, dict[int, float]],
@@ -270,17 +455,21 @@ def write_seeds(path, seeds: dict[int, dict[int, float]],
 
 
 def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float]:
-    """Load observed final stances keyed by (node, topic)."""
-    truth: dict[tuple[int, int], float] = {}
-    for line_no, fields in _read_csv_rows(path, "node_id,topic_id,final_stance"):
-        key = (symbols.node(fields[0]), symbols.topic(fields[1]))
-        if key in truth:
-            raise InconsistentIdsError(
-                f"{path}:{line_no}: duplicate truth row for "
-                f"({fields[0]!r}, {fields[1]!r})"
-            )
-        truth[key] = _parse_stance(fields[2], path, line_no, 3)
-    return truth
+    """Load observed final stances keyed by (node, topic), in file order.
+
+    Each row is checked in turn: its fields, a known node, a known topic, a
+    pair not seen before, and a stance code. The first row that fails is
+    reported at its line.
+    """
+    rows = _csv_rows(path, _TRUTH_HEADER)
+    node, topic, checks = _row_ids(path, rows, symbols)
+    stances, bad = _stance_values(rows.tokens[:, 2])
+    _raise_first(checks + [
+        (_repeats(node * len(symbols.topic_ids) + topic),
+         lambda i: _repeat_error(path, rows, i, "truth row")),
+        (bad, lambda i: _stance_error(path, rows, i)),
+    ], rows.error)
+    return dict(zip(zip(node.tolist(), topic.tolist()), stances.tolist()))
 
 
 def write_ground_truth(path, truth: dict[tuple[int, int], float],
@@ -386,10 +575,6 @@ def _number_column(values, dtype):
     if column.ndim != 1 or column.dtype.kind not in kinds:
         return None
     return column
-
-
-def _is_stance_code(column):
-    return (column == -1.0) | (column == 0.0) | (column == 0.5) | (column == 1.0)
 
 
 def _bad_events(columns, n: int, z: int, rounds_k: int):

@@ -361,3 +361,85 @@ def test_internal_error_exit_2(bundle_dir, tmp_path, monkeypatch, capsys):
     rc = main(simulate_args(bundle_dir, tmp_path / "t.jsonl"))
     assert rc == 2
     assert "induced internal failure" in capsys.readouterr().err
+
+
+def test_bad_edge_line_in_a_worker_exit_1(bundle_dir, tmp_path, capsys):
+    # the worker's ParseError must survive the trip back to the parent
+    lines = (bundle_dir / "edges.tsv").read_text().splitlines()
+    lines.append("bad line")
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("\n".join(lines) + "\n")
+    args = simulate_args(bundle_dir, tmp_path / "out.jsonl",
+                         ["--runs", "2", "--workers", "2"])
+    args[args.index("--graph") + 1] = str(edges)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{edges}:{len(lines)}:1: expected 'source<TAB>target'" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("name", ["profiles.csv", "seeds.csv", "truth.csv"])
+def test_blank_field_exit_1(bundle_dir, tmp_path, capsys, name):
+    """A field of only whitespace is an empty field at its column."""
+    _, symbols = io_formats.load_profiles(bundle_dir / "profiles.csv")
+    io_formats.write_ground_truth(
+        bundle_dir / "truth.csv",
+        {(v, j): -1.0 for v in range(40) for j in range(2)}, symbols)
+    trace = tmp_path / "t.jsonl"
+    assert main(simulate_args(bundle_dir, trace)) == 0
+    capsys.readouterr()
+    path = bundle_dir / name
+    rows = path.read_text().splitlines()
+    node, _topic, stance = rows[2].split(",")
+    rows[2] = f"{node}, ,{stance}"
+    path.write_text("\n".join(rows) + "\n")
+    if name == "truth.csv":
+        args = ["evaluate", "--trace", str(trace), "--initial",
+                str(bundle_dir / "profiles.csv"), "--truth", str(path),
+                "--out-report", str(tmp_path / "out.json")]
+    else:
+        args = simulate_args(bundle_dir, tmp_path / "out.jsonl")
+    assert main(args) == 1
+    assert f"{path}:3:2: empty field" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_non_ascii_ids_round_trip(tmp_path, capsys):
+    """Ids sort by code point, as ``sorted`` does, and every subcommand
+    works on them."""
+    ids = ["Émile", "zoë", "Zoe", "a", "ä"]
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "edges.tsv").write_text(
+        "".join(f"{u}\t{v}\n" for u in ids for v in ids if u != v),
+        encoding="utf-8")
+    stances = ["1", "-1", "0", "-1", "0.5"]
+    (data / "profiles.csv").write_text(
+        "node_id,topic_id,stance\n" + "".join(
+            f"{v},{t},{s}\n" for v, s in zip(ids, stances) for t in ("tö", "T")),
+        encoding="utf-8")
+    (data / "seeds.csv").write_text(
+        "node_id,topic_id,stance\nÉmile,tö,1\nZoe,T,0\n", encoding="utf-8")
+    (data / "truth.csv").write_text(
+        "node_id,topic_id,final_stance\n" + "".join(
+            f"{v},{t},1\n" for v in ids for t in ("tö", "T")), encoding="utf-8")
+    io_formats.write_config(data / "config.json",
+                            sc.SimParams(rng_seed=3, r1=1.0, r2=0.5))
+
+    _, symbols = io_formats.load_graph(data / "edges.tsv", data / "profiles.csv")
+    assert symbols.node_ids == tuple(sorted(ids))
+    assert symbols.topic_ids == ("T", "tö")
+    _, symbols = io_formats.load_profiles(data / "profiles.csv")
+    assert symbols.node_ids == tuple(sorted(ids))
+
+    trace = tmp_path / "t.jsonl"
+    assert main(simulate_args(data, trace)) == 0
+    assert main(["evaluate", "--trace", str(trace),
+                 "--initial", str(data / "profiles.csv"),
+                 "--truth", str(data / "truth.csv"),
+                 "--out-report", str(tmp_path / "report.json")]) == 0
+    assert main(["curves", "--trace", str(trace),
+                 "--initial", str(data / "profiles.csv"),
+                 "--out-csv", str(tmp_path / "curves.csv")]) == 0
+    assert set(json.loads((tmp_path / "report.json").read_text())) == {"T", "tö"}

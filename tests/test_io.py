@@ -313,3 +313,36 @@ class TestGenerator:
         g, _ = io_formats.load_graph(bundle.edges_path, bundle.profiles_path)
         assert (g.profiles[:, 0] == -1.0).all()
         assert (g.profiles[:, 1] == 0.0).all()
+
+
+class TestLoaderLocations:
+    SYMBOLS = io_formats.SymbolTable(("a", "b"), ("t0",))
+
+    @pytest.mark.parametrize("loader,header", [
+        ("load_seeds", "node_id,topic_id,stance"),
+        ("load_seed_nodes", "node_id,topic_id,stance"),
+        ("load_ground_truth", "node_id,topic_id,final_stance"),
+    ])
+    @pytest.mark.parametrize("row,problem", [
+        ("zz,t0,1", "unknown node id 'zz'"),
+        ("b,tx,1", "unknown topic id 'tx'"),
+    ])
+    def test_unknown_id_names_its_line(self, tmp_path, loader, header, row,
+                                       problem):
+        path = write(tmp_path / "f.csv", f"{header}\na,t0,1\n\n{row}\n")
+        if loader == "load_seed_nodes" and "topic" in problem:
+            assert io_formats.load_seed_nodes(path, self.SYMBOLS) == [0, 1]
+            return
+        with pytest.raises(InconsistentIdsError) as err:
+            getattr(io_formats, loader)(path, self.SYMBOLS)
+        assert str(err.value) == f"{path}:4: {problem}"
+
+    def test_first_bad_row_wins(self, tmp_path):
+        # an unknown id on line 3 is reported before a malformed line 4
+        path = write(tmp_path / "s.csv",
+                     "node_id,topic_id,stance\na,t0,1\nzz,t0,1\nb,t0\n")
+        with pytest.raises(InconsistentIdsError, match=":3: unknown node"):
+            io_formats.load_seeds(path, self.SYMBOLS)
+        path.write_text("node_id,topic_id,stance\na,t0,1\nb,t0\nzz,t0,1\n")
+        with pytest.raises(ParseError, match=":3:1: expected 3"):
+            io_formats.load_seeds(path, self.SYMBOLS)
