@@ -26,30 +26,33 @@ def _trace_path(base, run_index: int, runs: int) -> Path:
     return base.with_name(f"{base.stem}.run{run_index:03d}{base.suffix}")
 
 
+def _at_least_one(**counts) -> None:
+    """Reject a count option below 1 as an input error (argparse exits 2)."""
+    for name, value in counts.items():
+        if value < 1:
+            raise StancecastError(f"--{name} must be at least 1, got {value}")
+
+
 def _simulate_one(payload) -> list[tuple]:
-    """Run one seeded simulation and write its trace (worker-safe)."""
-    (graph_path, profiles_path, seeds_path, config_path,
-     out_path, base_seed, run_index) = payload
-    graph, symbols = io_formats.load_graph(graph_path, profiles_path)
-    seeds = io_formats.load_seeds(seeds_path, symbols)
-    params = io_formats.load_config(config_path)
-    if base_seed is not None:
-        params = params.with_seed(base_seed)
+    """Run one seeded simulation and write its trace (worker-safe); returns
+    the final round's (topic, unknown, oppose, neutral, support) rows."""
+    graph, params, seeds, out_path, run_index = payload
     trace = engine.run_tsa(graph, params, seeds, run_index=run_index)
     io_formats.write_trace(trace, out_path)
     last = [s for s in trace.round_summaries if s.round == params.rounds_K] \
         or [s for s in trace.round_summaries if s.round == 0]
-    return [(symbols.topic_ids[s.topic], s.unknown, s.oppose, s.neutral,
-             s.support) for s in last]
+    return [(s.topic, s.unknown, s.oppose, s.neutral, s.support) for s in last]
 
 
 def _cmd_simulate(args) -> int:
-    io_formats.load_config(args.config)  # validate before any output
-    payloads = [
-        (args.graph, args.profiles, args.seeds, args.config,
-         _trace_path(args.out_trace, i, args.runs), args.run_seed_base, i)
-        for i in range(args.runs)
-    ]
+    _at_least_one(runs=args.runs, workers=args.workers)
+    params = io_formats.load_config(args.config)
+    if args.run_seed_base is not None:
+        params = params.with_seed(args.run_seed_base)
+    graph, symbols = io_formats.load_graph(args.graph, args.profiles)
+    seeds = io_formats.load_seeds(args.seeds, symbols)
+    payloads = [(graph, params, seeds, _trace_path(args.out_trace, i, args.runs), i)
+                for i in range(args.runs)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_simulate_one, payloads))
@@ -57,12 +60,13 @@ def _cmd_simulate(args) -> int:
         results = [_simulate_one(p) for p in payloads]
     for i, rows in enumerate(results):
         for topic, unknown, oppose, neutral, support in rows:
-            print(f"run {i} topic {topic}: unknown={unknown} oppose={oppose} "
-                  f"neutral={neutral} support={support}")
+            print(f"run {i} topic {symbols.topic_ids[topic]}: unknown={unknown} "
+                  f"oppose={oppose} neutral={neutral} support={support}")
     return 0
 
 
 def _cmd_baseline_ic(args) -> int:
+    _at_least_one(runs=args.runs)
     graph, symbols = io_formats.load_graph(args.graph, None, args.seeds)
     seed_nodes = io_formats.load_seed_nodes(args.seeds, symbols)
     isolated = sum(graph.indptr[v] == graph.indptr[v + 1]

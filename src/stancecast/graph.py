@@ -59,6 +59,13 @@ class SocialGraph:
     in_indices: np.ndarray
     profiles: np.ndarray
 
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writeable, as in a simulate worker
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
     def check_node(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise IdOutOfRangeError(f"node id {v} outside [0, {self.n})")

@@ -102,6 +102,20 @@ def _atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, newlines translated as ``Path.read_text``
+    does. A byte that is not UTF-8 is a :class:`ParseError` at its line
+    (counted as ``str.splitlines`` counts lines) and byte column."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(path, len(lines), len(lines[-1].encode("utf-8")),
+                         f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 class _Rows(NamedTuple):
     """The data lines of a file up to its first malformed one: ``tokens``
     holds a row of string fields per line, ``line_nos`` the line numbers,
@@ -193,7 +207,7 @@ def _rows_by_line(path, lines, first_line: int, fields, width: int) -> _Rows:
 def _edge_rows(path) -> _Rows:
     """Tokenize an edge file: ``source<TAB>target`` per line once stripped of
     whitespace; blank lines and lines starting with ``#`` are skipped."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = text.splitlines()
     if "\x00" not in text:
         stripped = np.strings.strip(_strings(lines))
@@ -212,7 +226,7 @@ def _csv_rows(path, header: str) -> _Rows:
     """Tokenize a 3-column CSV with a fixed header row: blank lines are
     skipped, every other line holds 3 comma-separated fields, each one
     non-empty once stripped of whitespace. A wrong header raises."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(path, 1, 1, f"expected header {header!r}")
@@ -485,7 +499,7 @@ def load_config(path) -> SimParams:
     """Load and range-validate simulation parameters from JSON."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.colno, exc.msg) from None
     if not isinstance(data, dict):
@@ -628,7 +642,7 @@ def load_trace(path) -> SimTrace:
     the wrong type, is a :class:`ParseError` at line 1.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(path, 1, 1, "empty trace file")
     try:
@@ -701,12 +715,16 @@ def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,
             f"{m} edges requested but a simple digraph on {n} nodes "
             f"has at most {n * (n - 1)}"
         )
-    mix = np.asarray(stance_mix, dtype=np.float64)
+    shape_error = RangeViolationError("stance_mix", stance_mix,
+                                      f"shape (4,) or ({z}, 4)")
+    try:
+        mix = np.asarray(stance_mix, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or ragged
+        raise shape_error from None
     if mix.ndim == 1:
         mix = np.tile(mix, (z, 1))
     if mix.shape != (z, 4):
-        raise RangeViolationError("stance_mix", stance_mix,
-                                  f"shape (4,) or ({z}, 4)")
+        raise shape_error
     if (mix < 0).any() or not np.allclose(mix.sum(axis=1), 1.0, atol=1e-9):
         raise RangeViolationError("stance_mix", stance_mix,
                                   "non-negative entries summing to 1")

@@ -1,12 +1,5 @@
 """Hot inner-loop kernels over numpy arrays.
 
-Every function here is written as plain numpy-indexing Python and compiled
-with numba ``@njit`` when available. Set ``STANCECAST_BACKEND=python`` to
-skip compilation and run the same code uncompiled (the pure-numpy fallback),
-or ``STANCECAST_BACKEND=numba`` to require numba. The default (``auto``)
-uses numba when importable. Both paths execute identical floating-point
-operations in identical order, so results are bit-for-bit equal.
-
 The non-adjacent sweep (:func:`nadj_pass`) is a segment scan: between two
 stance changes of a receiver, its messages are computed as whole arrays,
 and the persistence recursion runs as a prefix sum (``np.cumsum``). Each
@@ -35,34 +28,13 @@ public scalar operations in :mod:`stancecast.influence` and
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "STANCECAST_BACKEND"
-_choice = os.environ.get(_ENV_FLAG, "auto").lower()
-if _choice not in ("auto", "numba", "python"):
-    raise ValueError(f"{_ENV_FLAG} must be auto, numba or python, got {_choice!r}")
-
-if _choice == "python":
-    USE_NUMBA = False
-else:
-    try:
-        from numba import njit
-        USE_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-        USE_NUMBA = False
-
-BACKEND = "numba" if USE_NUMBA else "python"
+# kernels have one implementation; perfbench records it as kernels_backend
+BACKEND = "python"
 
 
-def _jit(fn):
-    return njit(cache=True)(fn) if USE_NUMBA else fn
-
-
-@_jit
 def similarity(profiles, u, v):
     """Topic similarity sqrt(z) / (sqrt(z) + ||p_u - p_v||) of two nodes."""
     z = profiles.shape[1]
@@ -74,7 +46,6 @@ def similarity(profiles, u, v):
     return sq / (sq + math.sqrt(acc))
 
 
-@_jit
 def stance_factor(t_v, t_u, lam, mu):
     """Stance weight f(t_v, t_u): 1, lam or mu, first matching case wins."""
     if t_v == -1.0 or t_v == 0.5 or t_v == t_u:
@@ -84,7 +55,6 @@ def stance_factor(t_v, t_u, lam, mu):
     return mu
 
 
-@_jit
 def persistence_update(a, k, t_v, t_u, p):
     """One incremental persistence step: new a after the k-th message."""
     diff = abs(t_u - t_v)
@@ -97,7 +67,6 @@ def persistence_update(a, k, t_v, t_u, p):
     return a
 
 
-@_jit
 def transition(t_v, t_u, p, a, tie_eps):
     """Next stance of a receiver at t_v hit by a sender at t_u."""
     if t_v == -1.0 or t_v == 0.5:
@@ -117,7 +86,6 @@ def transition(t_v, t_u, p, a, tie_eps):
     return t_v - eps * 0.5
 
 
-@_jit
 def deliver(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     """Deliver one message from sender v to receiver q on topic j.
 
@@ -137,7 +105,6 @@ def deliver(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     return old, new, p
 
 
-@_jit
 def _deliver_many(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     """Deliver the messages ``v[i] -> q[i]`` on topic j as whole arrays.
 
@@ -181,7 +148,6 @@ def _deliver_many(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     return old, new, p
 
 
-@_jit
 def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
                   j, delta_adj, lam, mu, tie_eps,
                   ev_node, ev_src, ev_old, ev_new, ev_p):
@@ -241,7 +207,6 @@ def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
 _SHORT_HOLD = 16
 
 
-@_jit
 def _hold_scan(profiles, avals, counts, q, senders, delta, j, lam, mu,
                ev_node, ev_src, ev_old, ev_new, ev_p, n_ev):
     """Deliver messages from ``senders`` to q for as long as q's stance holds.
@@ -313,7 +278,6 @@ def _hold_scan(profiles, avals, counts, q, senders, delta, j, lam, mu,
     return done, n_ev
 
 
-@_jit
 def nadj_pass(in_indptr, in_indices, profiles, avals, counts, receivers, senders,
               j, delta_adj, delta_nonadj, lam, mu, tie_eps,
               ev_node, ev_src, ev_old, ev_new, ev_p):
@@ -364,25 +328,3 @@ def nadj_pass(in_indptr, in_indices, profiles, avals, counts, receivers, senders
                 n_ev += 1
                 start += 1
     return n_ev
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels on a three-node toy problem."""
-    indptr = np.array([0, 1, 2, 2], dtype=np.int64)
-    indices = np.array([1, 2], dtype=np.int64)
-    profiles = np.array([[1.0], [0.0], [-1.0]])
-    avals = np.full((3, 1), 0.5)
-    counts = np.zeros((3, 1), dtype=np.int64)
-    vadj = np.zeros(3, dtype=np.bool_)
-    buf_i = np.zeros(4, dtype=np.int64)
-    buf_f = np.zeros(4, dtype=np.float64)
-    # 0 -> 1 -> 2 with both spreading: 1 -> 2 is a level-1 message
-    adjacent_pass(indptr, indices, profiles, avals, counts, vadj,
-                  np.array([0, 1], dtype=np.int64), 0, 0.8, 0.7, 0.2, 0.0,
-                  buf_i, buf_i.copy(), buf_f, buf_f.copy(), buf_f.copy())
-    # receiver 0 holds a stance, so the message goes through _hold_scan
-    nadj_pass(np.array([0, 0, 1, 2], dtype=np.int64),
-              np.array([0, 1], dtype=np.int64), profiles, avals, counts,
-              np.array([0], dtype=np.int64), np.array([1], dtype=np.int64),
-              0, 0.8, 0.2, 0.7, 0.2, 0.0,
-              buf_i, buf_i.copy(), buf_f, buf_f.copy(), buf_f.copy())

@@ -11,10 +11,9 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import stancecast as sc
-from stancecast import io_formats, kernels, metrics
+from stancecast import io_formats, metrics
 from stancecast.cli import main as cli_main
 from stancecast.errors import EmptySeedsWarning
 from conftest import make_random_case, summary_tuples, trace_event_tuples
@@ -23,11 +22,6 @@ from reference_naive import NaiveTsa
 
 def _pass(number, message):
     print(f"ACCEPTANCE {number}: PASS — {message}")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    kernels.warmup()
 
 
 def run_quiet(g, params, seeds=None, run_index=0):

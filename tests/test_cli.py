@@ -364,7 +364,7 @@ def test_internal_error_exit_2(bundle_dir, tmp_path, monkeypatch, capsys):
 
 
 def test_bad_edge_line_in_a_worker_exit_1(bundle_dir, tmp_path, capsys):
-    # the worker's ParseError must survive the trip back to the parent
+    # the parent loads the inputs, so the error comes before any worker
     lines = (bundle_dir / "edges.tsv").read_text().splitlines()
     lines.append("bad line")
     edges = tmp_path / "edges.tsv"
@@ -443,3 +443,84 @@ def test_non_ascii_ids_round_trip(tmp_path, capsys):
                  "--initial", str(data / "profiles.csv"),
                  "--out-csv", str(tmp_path / "curves.csv")]) == 0
     assert set(json.loads((tmp_path / "report.json").read_text())) == {"T", "tö"}
+
+
+def test_simulate_loads_inputs_once(bundle_dir, tmp_path, monkeypatch):
+    calls = []
+    load_graph = io_formats.load_graph
+
+    def counting_load_graph(*args, **kwargs):
+        calls.append(args)
+        return load_graph(*args, **kwargs)
+
+    monkeypatch.setattr(io_formats, "load_graph", counting_load_graph)
+    assert main(simulate_args(bundle_dir, tmp_path / "t.jsonl",
+                              ["--runs", "3"])) == 0
+    assert len(calls) == 1
+    assert len(list(tmp_path.glob("t.run*.jsonl"))) == 3
+
+
+@pytest.mark.parametrize("name", ["edges.tsv", "profiles.csv", "seeds.csv",
+                                  "config.json", "truth.csv", "trace.jsonl"])
+def test_non_utf8_input_exit_1(bundle_dir, tmp_path, capsys, name):
+    """A byte that is not UTF-8 fails at its line and byte column."""
+    trace = bundle_dir / "trace.jsonl"
+    assert main(simulate_args(bundle_dir, trace)) == 0
+    _, symbols = io_formats.load_profiles(bundle_dir / "profiles.csv")
+    io_formats.write_ground_truth(
+        bundle_dir / "truth.csv",
+        {(v, j): -1.0 for v in range(40) for j in range(2)}, symbols)
+    capsys.readouterr()
+    path = bundle_dir / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    # two ASCII bytes and a two-byte character: the bad byte is the fifth
+    lines[2] = lines[2][:2] + "é".encode() + b"\xff" + lines[2][2:]
+    path.write_bytes(b"".join(lines))
+    if name in ("truth.csv", "trace.jsonl"):
+        args = ["evaluate", "--trace", str(trace), "--initial",
+                str(bundle_dir / "profiles.csv"), "--truth",
+                str(bundle_dir / "truth.csv"),
+                "--out-report", str(tmp_path / "out.json")]
+    else:
+        args = simulate_args(bundle_dir, tmp_path / "out.jsonl")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:3:5: byte 0xff is not UTF-8" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("simulate", "--runs", "0"),
+    ("simulate", "--runs", "-1"),
+    ("simulate", "--workers", "0"),
+    ("simulate", "--workers", "-2"),
+    ("baseline-ic", "--runs", "0"),
+])
+def test_count_below_one_exit_1(bundle_dir, tmp_path, capsys, command, option,
+                                value):
+    out = tmp_path / "out.json"
+    if command == "baseline-ic":
+        args = ["baseline-ic", "--graph", str(bundle_dir / "edges.tsv"),
+                "--seeds", str(bundle_dir / "seeds.csv"), "--p", "0.5",
+                "--out", str(out)]
+    else:
+        args = simulate_args(bundle_dir, out)
+    assert main(args + [option, value]) == 1
+    err = capsys.readouterr().err
+    assert f"{option} must be at least 1, got {value}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("mix", ['"abc"', "[[1, 0, 0, 0], [1, 0]]", '{"a": 1}',
+                                 "[1" + "0" * 400 + ", 0, 0, 0]"],
+                         ids=["string", "ragged", "object", "overflow"])
+def test_non_numeric_stance_mix_exit_1(tmp_path, capsys, mix):
+    rc = main(["generate", "--nodes", "5", "--edges", "4", "--topics", "2",
+               "--stance-mix", mix, "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'stance_mix'" in err and "shape (4,) or (2, 4)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()

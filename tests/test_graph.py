@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,17 @@ def test_graph_arrays_immutable():
     with pytest.raises(ValueError):
         g.indices[0] = 0
 
+
+
+def test_pickled_graph_stays_immutable():
+    # simulate --workers sends the graph to its workers pickled
+    g = sc.build_graph(3, 2, [(0, 1), (2, 1), (1, 0)],
+                       [[1.0, -1.0], [0.5, 0.0], [-1.0, 1.0]])
+    back = pickle.loads(pickle.dumps(g))
+    for name in ("indptr", "indices", "in_indptr", "in_indices", "profiles"):
+        array = getattr(back, name)
+        assert np.array_equal(array, getattr(g, name))
+        assert array.dtype == getattr(g, name).dtype
+        assert not array.flags.writeable
+    assert (back.n, back.m, back.z) == (g.n, g.m, g.z)
+    assert list(back.out_neighbors(1)) == [0]
