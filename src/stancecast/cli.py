@@ -53,8 +53,11 @@ def _cmd_simulate(args) -> int:
     seeds = io_formats.load_seeds(args.seeds, symbols)
     payloads = [(graph, params, seeds, _trace_path(args.out_trace, i, args.runs), i)
                 for i in range(args.runs)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a fork pool starts all its workers at once, so it gets no more than
+    # there are runs
+    workers = min(args.workers, args.runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_one, payloads))
     else:
         results = [_simulate_one(p) for p in payloads]

@@ -9,7 +9,10 @@ Formats (all UTF-8, line oriented):
 * trace: JSON Lines — one header object carrying the schema version,
   graph shape, resolved parameters and round summaries, then one event
   object per line with keys (round, topic, node, old, new, source, p,
-  channel).
+  channel). ``write_trace`` writes a canonical form: compact separators,
+  that key order, ``repr`` floats and ``\\n`` line endings. A file in that
+  form loads on an array path; any other valid JSON Lines trace loads one
+  line at a time, with identical results.
 
 External ids are arbitrary strings; dense internal ids are assigned by
 sorting them by Unicode code point (as ``sorted`` does), so loading never
@@ -22,6 +25,7 @@ output.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -511,8 +515,38 @@ def write_config(path, params: SimParams) -> None:
     _atomic_write(path, json.dumps(params.to_dict(), indent=2) + "\n")
 
 
+# Events per rendered slice: bounds the memory of writing and of checking a
+# trace, whatever its length.
+_SLICE_EVENTS = 65536
+_NUMBER_FIELDS = ("round", "topic", "node", "old", "new", "source", "p")
+_CHANNEL_TEXTS = np.array(CHANNELS, dtype=object)
+
+
+def _value_texts(values: np.ndarray) -> list:
+    """``repr`` of each value, computed once per distinct value. Floats are
+    told apart by their bits, so 0.0 and -0.0 keep their own text."""
+    keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = [repr(v) for v in distinct.view(values.dtype).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _render_events(columns: dict, start: int, stop: int) -> bytes:
+    """The event lines ``start:stop`` of a trace file, as :func:`write_trace`
+    writes them: compact separators, fixed key order, ``repr`` numbers and
+    ``\\n`` endings."""
+    texts = [_value_texts(columns[name][start:stop]) for name in _NUMBER_FIELDS]
+    channels = _CHANNEL_TEXTS[columns["channel"][start:stop]].tolist()
+    return "".join([
+        f'{{"round":{r},"topic":{t},"node":{v},"old":{o},"new":{w},'
+        f'"source":{s},"p":{p},"channel":"{c}"}}\n'
+        for r, t, v, o, w, s, p, c in zip(*texts, channels)
+    ]).encode("utf-8")
+
+
 def write_trace(trace: SimTrace, path) -> None:
-    """Serialize a trace: one header line, then one event object per line."""
+    """Serialize a trace: one header line, then one event object per line,
+    rendered and written one slice of events at a time."""
     header = {
         "schema": TRACE_SCHEMA,
         "n": trace.n,
@@ -524,22 +558,18 @@ def write_trace(trace: SimTrace, path) -> None:
             for s in trace.round_summaries
         ],
     }
-    parts = [json.dumps(header, separators=(",", ":"))]
-    rounds = trace.ev_round.tolist()
-    topics = trace.ev_topic.tolist()
-    nodes = trace.ev_node.tolist()
-    olds = trace.ev_old.tolist()
-    news = trace.ev_new.tolist()
-    sources = trace.ev_source.tolist()
-    ps = trace.ev_p.tolist()
-    channels = trace.ev_channel.tolist()
-    for i in range(len(nodes)):
-        parts.append(
-            f'{{"round":{rounds[i]},"topic":{topics[i]},"node":{nodes[i]},'
-            f'"old":{olds[i]!r},"new":{news[i]!r},"source":{sources[i]},'
-            f'"p":{ps[i]!r},"channel":"{CHANNELS[channels[i]]}"}}'
-        )
-    _atomic_write(path, "\n".join(parts) + "\n")
+    columns = {name: getattr(trace, f"ev_{name}") for name in _EVENT_DTYPES}
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as out:
+            out.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+            for start in range(0, len(trace.ev_node), _SLICE_EVENTS):
+                out.write(_render_events(columns, start, start + _SLICE_EVENTS))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def _is_count(value) -> bool:
@@ -630,6 +660,87 @@ def _raise_first_bad_event(path, lines, n: int, z: int, rounds_k: int):
     raise ParseError(path, 1, 1, "trace events do not fit the header")
 
 
+_COLON_TO_COMMA = bytes.maketrans(b":", b",")
+_NUMBERS_DTYPE = np.dtype([(name, _EVENT_DTYPES[name]) for name in _NUMBER_FIELDS])
+
+
+def _channel_byte_table():
+    """(k, table): the byte ``k`` places before the end of an event line
+    tells its channel, and ``table`` maps that byte to the channel code
+    (-1 for any other byte)."""
+    tails = [f'"{name}"}}'.encode() for name in CHANNELS]
+    k = next(k for k in range(1, min(map(len, tails)) + 1)
+             if len({tail[-k] for tail in tails}) == len(tails))
+    table = np.full(256, -1, dtype=np.int8)
+    for code, tail in enumerate(tails):
+        table[tail[-k]] = code
+    return k, table
+
+
+_CHANNEL_BYTE_OFFSET, _CHANNEL_BY_BYTE = _channel_byte_table()
+
+
+def _canonical_trace(path, data: bytes) -> SimTrace | None:
+    """The trace in ``data`` if it is valid and in the canonical form that
+    :func:`write_trace` writes; else None.
+
+    The event fields are parsed as one numpy table and checked as arrays.
+    The parsed columns are then rendered again, one slice at a time, and
+    must give back the file's bytes. So a file is accepted only when
+    ``write_trace`` would write exactly those bytes, and as ``repr`` round-
+    trips, ``json.loads`` reads the same values from them: the result
+    equals that of the per-line loop in :func:`load_trace`.
+    """
+    if not (data.isascii() and data.endswith(b"\n")):
+        return None
+    head_end = data.index(b"\n")
+    try:
+        header = json.loads(data[:head_end])
+    except ValueError:
+        return None
+    if not (isinstance(header, dict) and header.get("schema") == TRACE_SCHEMA
+            and json.dumps(header, separators=(",", ":")).encode()
+            == data[:head_end]):
+        return None
+    try:
+        n, z, params, summaries = _trace_header(path, header)
+    except ParseError:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=head_end + 1)
+    ends = np.flatnonzero(body == ord("\n"))
+    if ends.shape[0]:
+        # '"round":1,"topic":0,...' becomes 'round,1,topic,0,...': the keys
+        # are the even fields and the numbers the odd ones
+        text = data[head_end + 1:].translate(_COLON_TO_COMMA, b'{}"')
+        try:
+            with warnings.catch_warnings():
+                # older numpy reads '1.0' into an integer column, with a
+                # DeprecationWarning; such a file is not canonical
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(io.BytesIO(text), dtype=_NUMBERS_DTYPE,
+                                   delimiter=",", comments=None, ndmin=1,
+                                   usecols=range(1, 2 * len(_NUMBER_FIELDS), 2),
+                                   encoding="ascii")
+        except (ValueError, DeprecationWarning):
+            return None
+    else:
+        table = np.empty(0, dtype=_NUMBERS_DTYPE)
+    if table.shape[0] != ends.shape[0]:
+        return None
+    columns = {name: table[name].copy() for name in _NUMBER_FIELDS}
+    columns["channel"] = _CHANNEL_BY_BYTE[
+        body[np.maximum(ends - _CHANNEL_BYTE_OFFSET, 0)]]
+    if (_bad_events(columns, n, z, params.rounds_K).any()
+            or (np.diff(columns["round"]) < 0).any()):
+        return None
+    offsets = (head_end + 1 + np.concatenate([[0], ends + 1])).tolist()
+    for start in range(0, len(ends), _SLICE_EVENTS):
+        stop = min(start + _SLICE_EVENTS, len(ends))
+        if _render_events(columns, start, stop) != data[offsets[start]:offsets[stop]]:
+            return None
+    return SimTrace(n, z, params, columns, summaries)
+
+
 def load_trace(path) -> SimTrace:
     """Parse a trace file back into a :class:`SimTrace` (lossless).
 
@@ -640,8 +751,15 @@ def load_trace(path) -> SimTrace:
     the first event whose round is lower than the one before it. A header
     without ``n``, ``z``, ``params`` or ``round_summaries``, or with one of
     the wrong type, is a :class:`ParseError` at line 1.
+
+    A file in the form :func:`write_trace` writes is read as arrays
+    (:func:`_canonical_trace`); any other file is read one JSON line at a
+    time, with the same result for a valid trace.
     """
     path = Path(path)
+    trace = _canonical_trace(path, path.read_bytes())
+    if trace is not None:
+        return trace
     lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(path, 1, 1, "empty trace file")

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -458,6 +459,30 @@ def test_simulate_loads_inputs_once(bundle_dir, tmp_path, monkeypatch):
                               ["--runs", "3"])) == 0
     assert len(calls) == 1
     assert len(list(tmp_path.glob("t.run*.jsonl"))) == 3
+
+
+@pytest.mark.parametrize("runs,started", [(1, 0), (2, 2)])
+def test_simulate_starts_no_more_workers_than_runs(bundle_dir, tmp_path,
+                                                   monkeypatch, runs, started):
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        starts.append(self)
+        return start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        counting_start)
+    extra = ["--runs", str(runs)]
+    assert main(simulate_args(bundle_dir, tmp_path / "w3.jsonl",
+                              extra + ["--workers", "3"])) == 0
+    assert len(starts) == started
+    assert main(simulate_args(bundle_dir, tmp_path / "w1.jsonl", extra)) == 0
+    names = sorted(p.name for p in tmp_path.glob("w3*.jsonl"))
+    assert len(names) == runs
+    for name in names:
+        assert (tmp_path / name).read_bytes() == \
+            (tmp_path / name.replace("w3", "w1")).read_bytes()
 
 
 @pytest.mark.parametrize("name", ["edges.tsv", "profiles.csv", "seeds.csv",

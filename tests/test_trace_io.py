@@ -1,0 +1,229 @@
+"""The streamed trace writer and the array trace loader against the per-line
+code they replaced.
+
+``reference_trace`` keeps ``write_trace`` and ``load_trace`` as they were.
+The new writer must give the same bytes. On every file, written or mutated
+by hand, the new loader must give the same :class:`SimTrace` (column dtypes
+included), or raise the same exception class with the same message. A
+file in the form ``write_trace`` writes must load on the array path, which
+parses no event line as JSON.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+import reference_trace as ref
+import stancecast as sc
+from stancecast import io_formats
+from stancecast.dynamics import CHANNELS
+from stancecast.engine import _EVENT_DTYPES
+from test_metrics import simulated_case
+
+# Probabilities whose text is easy to get wrong: the smallest subnormal,
+# a sum with a 17-digit repr, an exponent form, and a negative zero.
+PS = [0.0, 1.0, 1e-05, 5e-324, 0.1 + 0.2, -0.0]
+STANCES = [-1.0, 0.0, 0.5, 1.0, -0.0]
+
+
+def exact(trace):
+    """A comparable form of a trace: columns by dtype and bytes."""
+    return (trace.n, trace.z, trace.params, trace.round_summaries,
+            [(name, getattr(trace, f"ev_{name}").dtype.str,
+              getattr(trace, f"ev_{name}").tobytes()) for name in _EVENT_DTYPES])
+
+
+def outcome(module, path):
+    """("ok", exact trace, warning classes) or ("error", class, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            trace = module.load_trace(path)
+        except Exception as exc:  # the class is part of what is compared
+            return "error", type(exc), str(exc)
+    return "ok", exact(trace), [w.category for w in caught]
+
+
+def assert_same_load(path):
+    new, old = outcome(io_formats, path), outcome(ref, path)
+    assert new == old, (new[:2], old[:2])
+    return new
+
+
+def hand_built(count, seed=0, n=50, z=3, rounds=4):
+    """A trace of ``count`` random valid events over both channels."""
+    rng = np.random.default_rng(seed)
+    columns = {
+        "round": np.sort(rng.integers(1, rounds + 1, count)).astype(np.int32),
+        "topic": rng.integers(0, z, count).astype(np.int32),
+        "node": rng.integers(0, n, count),
+        "old": rng.choice(STANCES, count),
+        "new": rng.choice(STANCES, count),
+        "source": rng.integers(0, n, count),
+        "p": rng.choice(PS, count),
+        "channel": rng.integers(0, 2, count).astype(np.int8),
+    }
+    summaries = [sc.RoundSummary(0, j, n, 0, 0, 0, 0) for j in range(z)]
+    return sc.SimTrace(n, z, sc.SimParams(rounds_K=rounds), columns, summaries)
+
+
+def assert_same_write(trace, tmp_path):
+    io_formats.write_trace(trace, tmp_path / "new.jsonl")
+    ref.write_trace(trace, tmp_path / "ref.jsonl")
+    data = (tmp_path / "new.jsonl").read_bytes()
+    assert data == (tmp_path / "ref.jsonl").read_bytes()
+    assert not (tmp_path / "new.jsonl.tmp").exists()
+    assert assert_same_load(tmp_path / "new.jsonl") == ("ok", exact(trace), [])
+    return data
+
+
+def test_writer_matches_reference_on_simulated_cases(tmp_path):
+    for seed in range(60):
+        _, trace, _ = simulated_case(seed)
+        assert_same_write(trace, tmp_path)
+
+
+@pytest.mark.parametrize("count", [0, 1, 500, 2 * io_formats._SLICE_EVENTS + 3])
+def test_writer_matches_reference_on_hand_built_columns(tmp_path, count):
+    data = assert_same_write(hand_built(count, seed=count), tmp_path)
+    if count >= 500:
+        for p in PS:
+            assert f'"p":{p!r},'.encode() in data
+        for channel in CHANNELS:
+            assert f'"channel":"{channel}"'.encode() in data
+
+
+def generated_trace_lines(tmp_path):
+    """The lines of a written trace with events of both channels in several
+    rounds."""
+    bundle = io_formats.generate_synthetic(60, 180, 2, [0.6, 0.15, 0.1, 0.15],
+                                           3, tmp_path / "data")
+    graph, symbols = io_formats.load_graph(bundle.edges_path,
+                                           bundle.profiles_path)
+    seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trace = sc.run_tsa(graph, sc.SimParams(rounds_K=4, rng_seed=3, r2=0.3),
+                           seeds)
+    assert set(trace.ev_channel.tolist()) == {0, 1}
+    assert len(set(trace.ev_round.tolist())) > 1
+    io_formats.write_trace(trace, tmp_path / "trace.jsonl")
+    return trace, (tmp_path / "trace.jsonl").read_text().splitlines()
+
+
+def set_field(line, key, text):
+    """``line`` with the value of ``key`` spelled as ``text``."""
+    event = json.loads(line)
+    event[key] = None
+    return json.dumps(event, separators=(",", ":")).replace(
+        f'"{key}":null', f'"{key}":{text}')
+
+
+# mutation -> whether the mutated trace is still valid. Swapped keys, a
+# quoted number and a renamed key parse as numbers in the right places, and
+# JSON reads a header with a CR in it; only the byte checks keep them off
+# the array path.
+MUTATIONS = {
+    "none": True, "redump": True, "reorder": True, "swap keys": True,
+    "blank": True, "crlf": True, "no final newline": True, "old int": True,
+    "p exponent": True, "duplicate": True, "node float": False,
+    "non-utf8": False, "truncate": False, "node range": False,
+    "round order": False, "quoted number": False, "renamed key": False,
+    "cr in header": False,
+}
+
+
+def mutate(trace, lines, mutation, rng) -> bytes:
+    lines = list(lines)
+    i = int(rng.integers(1, len(lines)))
+    end = "\n"
+    if mutation == "redump":
+        lines[i] = json.dumps(json.loads(lines[i]))
+    elif mutation == "reorder":
+        event = json.loads(lines[i])
+        lines[i] = json.dumps(dict(reversed(event.items())),
+                              separators=(",", ":"))
+    elif mutation == "swap keys":
+        event = json.loads(lines[i])
+        order = ["round", "topic", "source", "old", "new", "node", "p", "channel"]
+        lines[i] = json.dumps({key: event[key] for key in order},
+                              separators=(",", ":"))
+    elif mutation == "quoted number":
+        event = json.loads(lines[i])
+        lines[i] = set_field(lines[i], "node", f'"{event["node"]}"')
+    elif mutation == "renamed key":
+        lines[i] = lines[i].replace('"round":', '"rounds":')
+    elif mutation == "cr in header":
+        lines[0] = lines[0].replace(",", ",\r", 1)
+    elif mutation == "blank":
+        lines.insert(i, "")
+    elif mutation == "crlf":
+        end = "\r\n"
+    elif mutation == "old int":
+        lines[i] = set_field(lines[i], "old", "-1")
+    elif mutation == "p exponent":
+        lines[i] = set_field(lines[i], "p", "5e-1")
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "node float":
+        lines[i] = set_field(lines[i], "node", "1.0")
+    elif mutation == "truncate":
+        lines[i] = lines[i][:int(rng.integers(1, len(lines[i])))]
+    elif mutation == "node range":
+        lines[i] = set_field(lines[i], "node", str(trace.n))
+    elif mutation == "round order":
+        later = np.flatnonzero(trace.ev_round > trace.ev_round[0])
+        lines.insert(1, lines.pop(int(rng.choice(later)) + 1))
+    data = end.join(lines).encode()
+    if mutation == "non-utf8":
+        k = len(end.join(lines[:i])) + int(rng.integers(1, len(lines[i]) + 1))
+        data = data[:k] + b"\xff" + data[k:]
+    if mutation != "no final newline":
+        data += end.encode()
+    return data
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutated_traces_match_reference(tmp_path, mutation):
+    trace, lines = generated_trace_lines(tmp_path)
+    rng = np.random.default_rng(list(MUTATIONS).index(mutation))
+    for case in range(8):
+        path = tmp_path / f"{case}.jsonl"
+        path.write_bytes(mutate(trace, lines, mutation, rng))
+        result = assert_same_load(path)
+        assert (result[0] == "ok") == MUTATIONS[mutation], (case, result)
+        if mutation == "none":
+            assert result == ("ok", exact(trace), [])
+
+
+@pytest.fixture
+def json_loads_calls(monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(io_formats.json, "loads", counting_loads)
+    return calls
+
+
+@pytest.mark.parametrize("count", [0, 500, 2 * io_formats._SLICE_EVENTS + 3])
+def test_written_traces_load_on_the_array_path(tmp_path, json_loads_calls,
+                                               count):
+    trace = hand_built(count, seed=count)
+    io_formats.write_trace(trace, tmp_path / "t.jsonl")
+    assert io_formats.load_trace(tmp_path / "t.jsonl") == trace
+    assert len(json_loads_calls) == 1  # the header
+
+
+def test_other_traces_load_line_by_line(tmp_path, json_loads_calls):
+    trace = hand_built(500)
+    io_formats.write_trace(trace, tmp_path / "t.jsonl")
+    lines = (tmp_path / "t.jsonl").read_text().splitlines()
+    (tmp_path / "t.jsonl").write_text("\r\n".join(lines) + "\r\n")
+    assert io_formats.load_trace(tmp_path / "t.jsonl") == trace
+    assert len(json_loads_calls) > 500
