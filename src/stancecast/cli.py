@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import engine, ic, io_formats, metrics
-from .errors import StancecastError
+from .errors import ParseError, StancecastError, SummaryMismatchError
 
 
 def _trace_path(base, run_index: int, runs: int) -> Path:
@@ -123,7 +123,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_curves(args) -> int:
     initial, symbols = io_formats.load_profiles(args.initial)
     trace = io_formats.load_trace(args.trace)
-    points = metrics.stance_distribution_curve(trace, initial)
+    try:
+        points = metrics.stance_distribution_curve(trace, initial)
+    except SummaryMismatchError as exc:
+        raise ParseError(args.trace, 1, 1, f"trace header {exc}") from None
     metrics.write_curves_csv(args.out_csv, points,
                              topic_names=list(symbols.topic_ids))
     print(f"wrote {args.out_csv}")

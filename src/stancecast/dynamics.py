@@ -67,6 +67,43 @@ class StanceChange:
         return self.old_stance != self.new_stance
 
 
+def _overlay_seeds_one_by_one(g: SocialGraph, profiles, j, stances) -> None:
+    """Write the seed stances of topic j one at a time, checking each; the
+    first bad seed raises."""
+    for node, stance in stances.items():
+        g.check_node(int(node))
+        stance = float(stance)
+        if stance not in KNOWN_STANCES:
+            raise InvalidSeedStanceError(
+                f"seed stance {stance!r} for node {node}, topic {j} "
+                "must be 0, 0.5 or 1"
+            )
+        profiles[int(node), int(j)] = stance
+
+
+def _overlay_topic(g: SocialGraph, profiles, j, stances) -> None:
+    """Write the seed stances ``{node: stance}`` of topic j as arrays.
+
+    Seeds that are not all distinct in-range nodes with known stances, or
+    that numpy does not read as such, go through
+    :func:`_overlay_seeds_one_by_one`, which raises the first bad seed's
+    error in dict order.
+    """
+    try:
+        nodes = np.fromiter(stances.keys(), dtype=np.int64, count=len(stances))
+        values = np.fromiter(stances.values(), dtype=np.float64,
+                             count=len(stances))
+    except (TypeError, ValueError, OverflowError):
+        nodes = values = None
+    if (nodes is None
+            or not ((nodes >= 0) & (nodes < g.n)).all()
+            or not np.isin(values, KNOWN_STANCES).all()
+            or np.unique(nodes).shape[0] != nodes.shape[0]):
+        _overlay_seeds_one_by_one(g, profiles, j, stances)
+        return
+    profiles[nodes, int(j)] = values
+
+
 class SimState:
     """Mutable per-run state: live profiles, persistence and memories.
 
@@ -80,18 +117,9 @@ class SimState:
         self.n = g.n
         self.z = g.z
         self.profiles = g.profiles.copy()
-        if seeds:
-            for j, stances in seeds.items():
-                g.check_topic(int(j))
-                for node, stance in stances.items():
-                    g.check_node(int(node))
-                    stance = float(stance)
-                    if stance not in KNOWN_STANCES:
-                        raise InvalidSeedStanceError(
-                            f"seed stance {stance!r} for node {node}, topic {j} "
-                            "must be 0, 0.5 or 1"
-                        )
-                    self.profiles[int(node), int(j)] = stance
+        for j, stances in (seeds or {}).items():
+            g.check_topic(int(j))
+            _overlay_topic(g, self.profiles, j, stances)
         self.avals = np.full((g.n, g.z), params.initial_persistence_A0)
         self.counts = np.zeros((g.n, g.z), dtype=np.int64)
         self.v_adj = np.zeros((g.z, g.n), dtype=np.bool_)

@@ -24,6 +24,25 @@ acceptance suite):
 Randomness enters only through the sampling; message delivery itself is
 deterministic. A run is fully determined by (graph, params, seeds,
 run_index).
+
+Per (round, topic), the adjacent sweep scans only the frontier's
+out-edges, and the spreader set and summaries cost what changed, not n
+(finding the non-adjacent receiver pool still takes one pass over the
+adjacency memory):
+
+* Frontier sweeps. With ``adjacency_memory == "persistent"`` the adjacent
+  sweep is handed only the frontier: the spreaders activated since the
+  topic's previous sweep (in round one, every initial spreader). This is
+  exact. When a sweep ends, every receiver on a swept spreader's out-edges
+  is in the adjacency memory, and a persistent memory never shrinks, so a
+  spreader that was swept before can never deliver again. Dropping it
+  leaves the messages, their order and their dependency levels as they
+  are. ``per_round`` clears the memory, so there every spreader is swept
+  every round.
+* The spreader set of each topic is a sorted array into which each
+  round's activations are merged; the frontier is what was merged last.
+* Each :class:`RoundSummary` comes from running per-topic tallies, moved
+  by the (old, new) stance of every event that changes one.
 """
 
 from __future__ import annotations
@@ -37,13 +56,14 @@ import numpy as np
 from . import kernels
 from .dynamics import ADJACENT, CHANNELS, NONADJACENT, SimState, StanceChange
 from .errors import EmptySeedsWarning
-from .graph import STANCE_UNKNOWN, SocialGraph
+from .graph import STANCE_UNKNOWN, STANCE_VALUES, SocialGraph
 from .params import SimParams
 from .rng import Rng
 
 _EVENT_DTYPES = {"round": np.int32, "topic": np.int32, "node": np.int64,
                  "old": np.float64, "new": np.float64, "source": np.int64,
                  "p": np.float64, "channel": np.int8}
+_STANCE_CODES = np.asarray(STANCE_VALUES)  # ascending: searchsorted gives the code
 
 
 @dataclass(frozen=True)
@@ -196,25 +216,22 @@ def _nadj_receivers(state: SimState, j: int, rng: Rng):
     return picked
 
 
-def _absorb(state: SimState, j: int, chunk) -> int:
-    """Fold a chunk's activations into v_new; count them."""
+def _stance_counts(stances: np.ndarray) -> np.ndarray:
+    """How many of ``stances`` hold each stance code, in code order."""
+    return np.bincount(np.searchsorted(_STANCE_CODES, stances),
+                       minlength=_STANCE_CODES.shape[0])
+
+
+def _absorb(state: SimState, j: int, tally: np.ndarray, chunk) -> np.ndarray:
+    """Fold a chunk into the bookkeeping of topic j: each stance change moves
+    ``tally`` (counts by stance code) and each activation enters v_new.
+    Returns the activated nodes."""
     node, _src, old, new, _p = chunk
-    activated = node[(old == STANCE_UNKNOWN) & (new != STANCE_UNKNOWN)]
-    if activated.shape[0]:
-        state.v_new[j, activated] = True
-    return int(activated.shape[0])
-
-
-def _summarize(state: SimState, rnd: int, j: int, activated: int) -> RoundSummary:
-    column = state.profiles[:, j]
-    return RoundSummary(
-        round=rnd, topic=j,
-        unknown=int(np.count_nonzero(column == -1.0)),
-        oppose=int(np.count_nonzero(column == 0.0)),
-        neutral=int(np.count_nonzero(column == 0.5)),
-        support=int(np.count_nonzero(column == 1.0)),
-        newly_activated=activated,
-    )
+    moved = old != new
+    tally += _stance_counts(new[moved]) - _stance_counts(old[moved])
+    activated = node[moved & (old == STANCE_UNKNOWN)]
+    state.v_new[j, activated] = True
+    return activated
 
 
 def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
@@ -223,28 +240,38 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
     state = SimState(g, params, seeds)
     rng = Rng(params.normalized_seed(), run_index)
     acc = _EventAccumulator()
-    summaries = [_summarize(state, 0, j, 0) for j in range(g.z)]
+    # per topic: the sorted spreader set, the nodes activated since the
+    # topic's last sweep (sorted; at first, the initial spreaders) and the
+    # tallies by stance code
+    spreaders = [np.empty(0, dtype=np.int64)] * g.z
+    frontier = [np.flatnonzero(row) for row in state.v_new]
+    tallies = [_stance_counts(state.profiles[:, j]) for j in range(g.z)]
+    summaries = [RoundSummary(0, j, *tallies[j].tolist(), 0) for j in range(g.z)]
     if g.z and not state.v_new.any():
         warnings.warn("no seed stances: the run will produce no events",
                       EmptySeedsWarning, stacklevel=2)
+    persistent = params.adjacency_memory == "persistent"
     for rnd in range(1, params.rounds_K + 1):
         for j in range(g.z):
-            spreaders = np.flatnonzero(state.v_new[j]).astype(np.int64)
-            if params.adjacency_memory == "per_round":
+            if frontier[j].shape[0]:
+                spreaders[j] = np.sort(np.concatenate([spreaders[j], frontier[j]]))
+            if not persistent:
                 state.v_adj[j, :] = False
+            # exact in persistent memory: see the module docstring
+            swept = frontier[j] if persistent else spreaders[j]
             chunk = _kernel_events(
                 kernels.adjacent_pass,
-                int((g.indptr[spreaders + 1] - g.indptr[spreaders]).sum()),
+                int((g.indptr[swept + 1] - g.indptr[swept]).sum()),
                 g.indptr, g.indices, state.profiles, state.avals,
-                state.counts, state.v_adj[j], spreaders, j,
+                state.counts, state.v_adj[j], swept, j,
                 params.delta_adjacent, params.lambda_, params.mu,
                 params.tie_epsilon,
             )
-            activated = _absorb(state, j, chunk)
+            activated = [_absorb(state, j, tallies[j], chunk)]
             acc.add(rnd, j, ADJACENT, *chunk)
 
-            senders = rng.sample(spreaders,
-                                 _floor_count(params.r1, spreaders.shape[0]))
+            senders = rng.sample(spreaders[j],
+                                 _floor_count(params.r1, spreaders[j].shape[0]))
             receivers = _nadj_receivers(state, j, rng)
             chunk = _kernel_events(
                 kernels.nadj_pass, receivers.shape[0] * senders.shape[0],
@@ -253,10 +280,12 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
                 params.delta_adjacent, params.delta_nonadjacent,
                 params.lambda_, params.mu, params.tie_epsilon,
             )
-            activated += _absorb(state, j, chunk)
+            activated.append(_absorb(state, j, tallies[j], chunk))
             acc.add(rnd, j, NONADJACENT, *chunk)
 
-            summaries.append(_summarize(state, rnd, j, activated))
+            frontier[j] = np.sort(np.concatenate(activated))
+            summaries.append(RoundSummary(rnd, j, *tallies[j].tolist(),
+                                          frontier[j].shape[0]))
     trace = SimTrace(g.n, g.z, params, acc.columns(), summaries)
     return trace, state
 

@@ -109,6 +109,10 @@ class InconsistentIdsError(StancecastError):
     """Ids referenced across dataset files do not line up."""
 
 
+class SummaryMismatchError(StancecastError):
+    """A trace's round summaries disagree with its replayed events."""
+
+
 class InfeasibleEdgeCountError(StancecastError):
     """Requested more simple directed edges than n*(n-1)."""
 

@@ -107,10 +107,15 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _read_text(path) -> str:
-    """The text of a UTF-8 file, newlines translated as ``Path.read_text``
-    does. A byte that is not UTF-8 is a :class:`ParseError` at its line
-    (counted as ``str.splitlines`` counts lines) and byte column."""
-    data = Path(path).read_bytes()
+    """The text of a UTF-8 file, as :func:`_decode_text` gives it."""
+    return _decode_text(path, Path(path).read_bytes())
+
+
+def _decode_text(path, data: bytes) -> str:
+    """The text of the UTF-8 bytes ``data`` read from ``path``, newlines
+    translated as ``Path.read_text`` does. A byte that is not UTF-8 is a
+    :class:`ParseError` at its line (counted as ``str.splitlines`` counts
+    lines) and byte column."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -757,10 +762,11 @@ def load_trace(path) -> SimTrace:
     time, with the same result for a valid trace.
     """
     path = Path(path)
-    trace = _canonical_trace(path, path.read_bytes())
+    data = path.read_bytes()
+    trace = _canonical_trace(path, data)
     if trace is not None:
         return trace
-    lines = _read_text(path).splitlines()
+    lines = _decode_text(path, data).splitlines()
     if not lines:
         raise ParseError(path, 1, 1, "empty trace file")
     try:

@@ -20,6 +20,14 @@ these dependencies, a level at a time as whole arrays
 IEEE operations of :func:`deliver` in its order, so the sweep and the
 per-edge loop agree bit for bit.
 
+With a persistent adjacency memory, the engine hands the adjacent sweep
+only the spreaders activated since the topic's previous sweep. That is
+exact: after a sweep, every out-neighbor of every swept spreader is in the
+memory, and the memory never shrinks, so an earlier spreader's edges all
+lead to receivers that are skipped. Its slots would be dropped as not
+fresh, and the first slot of every other receiver stays the same, so the
+messages, their order and their levels are the same too.
+
 These kernels are the arithmetic ground truth for the whole package: the
 public scalar operations in :mod:`stancecast.influence` and
 :mod:`stancecast.dynamics` delegate to them after validating inputs.
@@ -156,7 +164,9 @@ def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
     Each spreader (in the order given) messages its out-neighbors (in CSR
     order) not yet in the adjacency memory; delivered receivers enter the
     memory. Event fields are written into the preallocated buffers in that
-    order; returns the event count.
+    order; returns the event count. A spreader whose out-neighbors are all
+    in the memory sends nothing, so leaving it out changes nothing (the
+    engine's frontier sweeps rest on this).
 
     Messages are delivered by dependency level (see the module docstring)
     through :func:`_deliver_many`: level 0 holds the messages whose sender

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain
 
 import numpy as np
 
-from .engine import SimTrace
-from .errors import InconsistentIdsError, MissingTruthEntryError
+from .engine import RoundSummary, SimTrace
+from .errors import (InconsistentIdsError, MissingTruthEntryError,
+                     SummaryMismatchError)
 from .graph import STANCE_UNKNOWN, STANCE_VALUES
 from .io_formats import _atomic_write
 
@@ -66,7 +67,9 @@ def replay_trace(initial_profiles: np.ndarray, trace: SimTrace) -> np.ndarray:
 
 def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint]:
     """Per-round counts of unknown/oppose/neutral/support per topic; the
-    trace must replay over ``initial_state`` as in :func:`replay_trace`."""
+    trace must replay over ``initial_state`` as in :func:`replay_trace`, and
+    its ``round_summaries`` must equal the tallies of that replay, or
+    :class:`SummaryMismatchError` names the first row that does not."""
     initial = np.asarray(initial_state, dtype=np.float64)
     _replay(initial, trace)
     codes = STANCE_VALUES  # ascending, so searchsorted gives a code's slot
@@ -78,11 +81,34 @@ def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint
     np.add.at(tallies, where + (np.searchsorted(codes, trace.ev_old[changed]),), -1)
     np.add.at(tallies, where + (np.searchsorted(codes, trace.ev_new[changed]),), 1)
     tallies = np.cumsum(tallies, axis=0).tolist()
+    activated = np.zeros((rounds, trace.z), dtype=np.int64)
+    woke = changed & (trace.ev_old == STANCE_UNKNOWN)
+    np.add.at(activated, (trace.ev_round[woke], trace.ev_topic[woke]), 1)
+    _check_summaries(trace.round_summaries, [
+        RoundSummary(rnd, j, *tallies[rnd][j], activated[rnd, j].item())
+        for rnd in range(rounds) for j in range(trace.z)
+    ])
     return [
         CurvePoint(rnd, j, dict(zip(STANCE_VALUES, tallies[rnd][j])),
                    trace.n - tallies[rnd][j][0])
         for rnd in range(rounds) for j in range(trace.z)
     ]
+
+
+def _check_summaries(recorded: list, replayed: list) -> None:
+    """Raise :class:`SummaryMismatchError` at the first recorded round
+    summary that differs from the replayed one."""
+    if recorded == replayed:
+        return
+    for i, (mine, theirs) in enumerate(zip(recorded, replayed)):
+        if mine != theirs:
+            raise SummaryMismatchError(
+                f"round_summaries row {i} is {list(astuple(mine))}, but the "
+                f"events replayed over the initial state give "
+                f"{list(astuple(theirs))}")
+    raise SummaryMismatchError(
+        f"round_summaries has {len(recorded)} rows, but the events replayed "
+        f"over the initial state give {len(replayed)}")
 
 
 def _truth_table(truth: dict, n: int, z: int) -> np.ndarray:

@@ -195,6 +195,40 @@ def test_bad_trace_header_exit_1(bundle_dir, tmp_path, capsys, key, broken):
         assert f"{trace_path}:1:" in err and key in err
 
 
+def with_round_summaries(trace_path, lines, edit):
+    header = json.loads(lines[0])
+    edit(header["round_summaries"])
+    trace_path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+
+
+@pytest.mark.parametrize("column", range(7))
+def test_curves_header_summary_mismatch_exit_1(bundle_dir, tmp_path, capsys,
+                                               column):
+    trace_path = tmp_path / "t.jsonl"
+    lines = simulated_trace_lines(bundle_dir, trace_path)
+    row = 2 * column + 1
+
+    def bump(rows):
+        rows[row][column] += 1
+
+    with_round_summaries(trace_path, lines, bump)
+    capsys.readouterr()
+    assert run_on_trace("curves", bundle_dir, trace_path, tmp_path) == (1, False)
+    err = capsys.readouterr().err
+    assert f"{trace_path}:1:1: trace header round_summaries row {row} is" in err
+
+
+def test_curves_header_summary_rows_missing_exit_1(bundle_dir, tmp_path,
+                                                   capsys):
+    trace_path = tmp_path / "t.jsonl"
+    lines = simulated_trace_lines(bundle_dir, trace_path)
+    with_round_summaries(trace_path, lines, list.pop)
+    capsys.readouterr()
+    assert run_on_trace("curves", bundle_dir, trace_path, tmp_path) == (1, False)
+    err = capsys.readouterr().err
+    assert f"{trace_path}:1:1: trace header round_summaries has" in err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "curves"])
 def test_trace_events_out_of_round_order_exit_1(bundle_dir, tmp_path, capsys,
                                                 command):

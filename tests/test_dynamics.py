@@ -185,3 +185,73 @@ def test_seed_overlay_and_validation():
     assert state.profiles[:, 0].tolist() == [1.0, 0.0, -1.0]
     with pytest.raises(InvalidSeedStanceError):
         sc.SimState(g, sc.SimParams(), seeds={0: {1: -1.0}})
+
+
+def reference_overlay(g, seeds):
+    """The seed overlay as a loop over the seeds, checking each in turn."""
+    profiles = g.profiles.copy()
+    for j, stances in seeds.items():
+        g.check_topic(int(j))
+        for node, stance in stances.items():
+            g.check_node(int(node))
+            stance = float(stance)
+            if stance not in sc.KNOWN_STANCES:
+                raise InvalidSeedStanceError(
+                    f"seed stance {stance!r} for node {node}, topic {j} "
+                    "must be 0, 0.5 or 1"
+                )
+            profiles[int(node), int(j)] = stance
+    return profiles
+
+
+def overlay_outcome(overlay, g, seeds):
+    try:
+        return "ok", overlay(g, seeds).tolist()
+    except Exception as exc:  # the class is part of what is compared
+        return "error", type(exc), str(exc)
+
+
+def state_overlay(g, seeds):
+    return sc.SimState(g, sc.SimParams(), seeds).profiles
+
+
+SEED_GRAPH = sc.build_graph(5, 2, [(0, 1)], [[1.0, -1.0]] + [[-1.0, 0.0]] * 4)
+BAD_SEEDS = {
+    "topic above": {2: {0: 1.0}},
+    "topic below": {-1: {0: 1.0}},
+    "node above": {1: {5: 1.0}},
+    "node below": {1: {-1: 0.5}},
+    "stance between": {1: {1: 0.25}},
+    "stance unknown": {1: {1: -1.0}},
+    "stance nan": {1: {1: float("nan")}},
+    "stance integer": {1: {1: 2}},
+    "stance first": {1: {1: 0.75, 7: 1.0}},
+    "node first": {1: {7: 1.0, 1: 0.75}},
+}
+
+
+@pytest.mark.parametrize("after", ["alone", "valid seed", "valid topic"])
+@pytest.mark.parametrize("case", list(BAD_SEEDS))
+def test_bad_seed_raises_as_the_loop_did(case, after):
+    (j, stances), = BAD_SEEDS[case].items()
+    if after == "valid seed":
+        seeds = {j: {3: 0.5, **stances}}
+    elif after == "valid topic":
+        seeds = {0: {3: 0.5, 4: 0.0}, j: stances}
+    else:
+        seeds = {j: stances}
+    outcome = overlay_outcome(state_overlay, SEED_GRAPH, seeds)
+    assert outcome[0] == "error"
+    assert outcome == overlay_outcome(reference_overlay, SEED_GRAPH, seeds)
+
+
+@pytest.mark.parametrize("seeds", [
+    {},
+    {0: {}},
+    {1: {np.int64(2): 1, 4: np.float64(0.5)}, 0: {0: 0.0, 3: -0.0}},
+    {0: {True: 1.0, 2.0: 0.5}},
+])
+def test_valid_seeds_overlay_as_the_loop_did(seeds):
+    outcome = overlay_outcome(state_overlay, SEED_GRAPH, seeds)
+    assert outcome[0] == "ok"
+    assert outcome == overlay_outcome(reference_overlay, SEED_GRAPH, seeds)

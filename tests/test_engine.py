@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,107 @@ def test_engine_matches_naive_reference_smoke():
         assert trace_event_tuples(trace) == ref.events
         assert state.profiles.tolist() == ref.final_profiles()
         assert summary_tuples(trace) == ref.summaries
+
+
+# -- frontier sweeps --------------------------------------------------------
+
+@pytest.fixture
+def handed(monkeypatch):
+    """Records (topic, spreaders) of every ``kernels.adjacent_pass`` call."""
+    calls = []
+    inner = sc.kernels.adjacent_pass
+
+    def recording(*args):
+        calls.append((args[7], args[6].tolist()))
+        return inner(*args)
+
+    monkeypatch.setattr(sc.kernels, "adjacent_pass", recording)
+    return calls
+
+
+def seeded_profiles(case):
+    profiles = case["profiles"].copy()
+    for j, stances in case["seeds"].items():
+        for v, stance in stances.items():
+            profiles[v, j] = stance
+    return profiles
+
+
+def activated_before(trace, rnd, j):
+    """Nodes that topic j's events activate in rounds before ``rnd``."""
+    woke = ((trace.ev_round < rnd) & (trace.ev_topic == j)
+            & (trace.ev_old == -1.0) & (trace.ev_new != -1.0))
+    return set(trace.ev_node[woke].tolist())
+
+
+def test_persistent_memory_sweeps_each_spreader_once(handed):
+    rng = np.random.default_rng(31)
+    handed_again = 0
+    for _ in range(30):
+        case = make_random_case(rng, max_k=8)
+        params = replace(case["params"], adjacency_memory="persistent")
+        g = sc.build_graph(case["n"], case["z"], case["edges"],
+                           case["profiles"])
+        handed.clear()
+        trace, _ = run_quiet(g, params, case["seeds"])
+        initial = seeded_profiles(case)
+        for j in range(case["z"]):
+            swept = [v for topic, nodes in handed if topic == j for v in nodes]
+            assert len(swept) == len(set(swept))
+            # every spreader known before the last round was swept
+            known = set(np.flatnonzero(initial[:, j] != -1.0).tolist())
+            assert set(swept) == known | activated_before(
+                trace, params.rounds_K, j)
+            handed_again += params.rounds_K > 1 and len(swept) > 0
+    assert handed_again  # cases where the full set would be handed again
+
+
+def test_per_round_memory_sweeps_every_spreader_every_round(handed):
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        case = make_random_case(rng, max_k=6)
+        params = replace(case["params"], adjacency_memory="per_round")
+        g = sc.build_graph(case["n"], case["z"], case["edges"],
+                           case["profiles"])
+        handed.clear()
+        trace, _ = run_quiet(g, params, case["seeds"])
+        initial = seeded_profiles(case)
+        expected = []
+        for rnd in range(1, params.rounds_K + 1):
+            for j in range(case["z"]):
+                known = set(np.flatnonzero(initial[:, j] != -1.0).tolist())
+                expected.append(
+                    (j, sorted(known | activated_before(trace, rnd, j))))
+        assert handed == expected
+
+
+def dense_case(rng):
+    """A graph with most of its possible edges, so the adjacent channel
+    reaches every node in a few rounds and the frontier empties."""
+    case = make_random_case(rng, max_n=10, max_k=1)
+    n = case["n"]
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = rng.random(len(pairs)) < rng.uniform(0.5, 1.0)
+    case["edges"] = [pair for pair, kept in zip(pairs, keep) if kept]
+    case["params"] = replace(case["params"], adjacency_memory="persistent",
+                             rounds_K=int(rng.integers(10, 21)))
+    return case
+
+
+def test_persistent_long_runs_on_dense_graphs_match_naive(handed):
+    rng = np.random.default_rng(33)
+    emptied = 0
+    for run_index in range(40):
+        case = dense_case(rng)
+        g = sc.build_graph(case["n"], case["z"], case["edges"],
+                           case["profiles"])
+        handed.clear()
+        trace, state = run_quiet(g, case["params"], case["seeds"], run_index)
+        ref = NaiveTsa(case["n"], case["z"], case["edges"],
+                       case["profiles"].tolist(), case["params"],
+                       case["seeds"], run_index=run_index).run()
+        assert trace_event_tuples(trace) == ref.events
+        assert state.profiles.tolist() == ref.final_profiles()
+        assert summary_tuples(trace) == ref.summaries
+        emptied += any(nodes == [] for _, nodes in handed[case["z"]:])
+    assert emptied >= 30

@@ -10,6 +10,7 @@ parses no event line as JSON.
 """
 
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -227,3 +228,30 @@ def test_other_traces_load_line_by_line(tmp_path, json_loads_calls):
     (tmp_path / "t.jsonl").write_text("\r\n".join(lines) + "\r\n")
     assert io_formats.load_trace(tmp_path / "t.jsonl") == trace
     assert len(json_loads_calls) > 500
+
+
+@pytest.fixture
+def file_reads(monkeypatch):
+    """The paths of every ``Path.read_bytes`` call."""
+    reads = []
+    read_bytes = pathlib.Path.read_bytes
+
+    def counting_read_bytes(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counting_read_bytes)
+    return reads
+
+
+@pytest.mark.parametrize("mutation", ["none", "crlf", "blank", "redump",
+                                      "non-utf8", "node range"])
+def test_load_trace_reads_the_file_once(tmp_path, file_reads, mutation):
+    # the per-line path decodes the bytes the array path already read
+    trace, lines = generated_trace_lines(tmp_path)
+    path = tmp_path / "mutated.jsonl"
+    path.write_bytes(mutate(trace, lines, mutation, np.random.default_rng(5)))
+    file_reads.clear()
+    result = outcome(io_formats, path)
+    assert result[0] == ("ok" if MUTATIONS[mutation] else "error")
+    assert file_reads == [path]
