@@ -15,6 +15,8 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import engine, ic, io_formats, metrics
 from .errors import ParseError, StancecastError, SummaryMismatchError
 
@@ -72,9 +74,8 @@ def _cmd_baseline_ic(args) -> int:
     _at_least_one(runs=args.runs)
     graph, symbols = io_formats.load_graph(args.graph, None, args.seeds)
     seed_nodes = io_formats.load_seed_nodes(args.seeds, symbols)
-    isolated = sum(graph.indptr[v] == graph.indptr[v + 1]
-                   and graph.in_indptr[v] == graph.in_indptr[v + 1]
-                   for v in seed_nodes)
+    degree = np.diff(graph.indptr) + np.diff(graph.in_indptr)
+    isolated = np.count_nonzero(degree[seed_nodes] == 0)
     if isolated:
         print(f"note: {isolated} seed node(s) lie on no edge; they count as "
               f"active and spread nowhere", file=sys.stderr)
@@ -106,10 +107,19 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _checked_replay(trace_path, replay, *args):
+    """Call ``replay`` on a loaded trace; header round summaries that
+    disagree with its events are an input error at ``trace_path:1:1``."""
+    try:
+        return replay(*args)
+    except SummaryMismatchError as exc:
+        raise ParseError(trace_path, 1, 1, f"trace header {exc}") from None
+
+
 def _cmd_evaluate(args) -> int:
     initial, symbols = io_formats.load_profiles(args.initial)
     trace = io_formats.load_trace(args.trace)
-    final = metrics.replay_trace(initial, trace)
+    final = _checked_replay(args.trace, metrics.replay_trace, initial, trace)
     truth = io_formats.load_ground_truth(args.truth, symbols)
     report = metrics.accuracy_report(final, truth,
                                      topic_names=list(symbols.topic_ids))
@@ -123,10 +133,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_curves(args) -> int:
     initial, symbols = io_formats.load_profiles(args.initial)
     trace = io_formats.load_trace(args.trace)
-    try:
-        points = metrics.stance_distribution_curve(trace, initial)
-    except SummaryMismatchError as exc:
-        raise ParseError(args.trace, 1, 1, f"trace header {exc}") from None
+    points = _checked_replay(args.trace, metrics.stance_distribution_curve,
+                             trace, initial)
     metrics.write_curves_csv(args.out_csv, points,
                              topic_names=list(symbols.topic_ids))
     print(f"wrote {args.out_csv}")

@@ -27,8 +27,8 @@ run_index).
 
 Per (round, topic), the adjacent sweep scans only the frontier's
 out-edges, and the spreader set and summaries cost what changed, not n
-(finding the non-adjacent receiver pool still takes one pass over the
-adjacency memory):
+(the non-adjacent receiver sample still counts the adjacency memory, and
+builds its pools only when it samples anyone):
 
 * Frontier sweeps. With ``adjacency_memory == "persistent"`` the adjacent
   sweep is handed only the frontier: the spreaders activated since the
@@ -196,11 +196,15 @@ def _kernel_events(kernel, cap: int, *args):
 def _nadj_receivers(state: SimState, j: int, rng: Rng):
     """Sample the non-adjacent receiver set per the documented quotas."""
     p = state.params
-    non_adj = np.flatnonzero(~state.v_adj[j]).astype(np.int64)
-    s = _floor_count(p.r2, non_adj.shape[0])
-    column = state.profiles[non_adj, j]
-    aware = non_adj[column != STANCE_UNKNOWN]
-    unaware = non_adj[column == STANCE_UNKNOWN]
+    row = state.v_adj[j]
+    s = _floor_count(p.r2, row.shape[0] - np.count_nonzero(row))
+    if s:
+        non_adj = np.flatnonzero(~row).astype(np.int64)
+        column = state.profiles[non_adj, j]
+        aware = non_adj[column != STANCE_UNKNOWN]
+        unaware = non_adj[column == STANCE_UNKNOWN]
+    else:  # floor(r2 * pool) is 0, so no pool is needed
+        aware = unaware = np.empty(0, dtype=np.int64)
     quota_aware = _floor_count(p.mix_r, s)
     quota_unaware = s - quota_aware
     if quota_aware > aware.shape[0]:

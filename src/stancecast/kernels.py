@@ -156,6 +156,20 @@ def _deliver_many(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     return old, new, p
 
 
+def out_slots(indptr, nodes):
+    """The CSR slots of the out-edges of ``nodes``, in node order and then
+    edge order, and each node's out-degree."""
+    ends = indptr[1:][nodes]
+    lens = ends - indptr[nodes]
+    if lens.shape[0] == 1:
+        # one row is one range; IC cascades on sparse graphs often have a
+        # one-node frontier, where the general form took half of the round
+        return np.arange(ends[0] - lens[0], ends[0]), lens
+    offsets = lens.cumsum()
+    total = int(offsets[-1]) if offsets.shape[0] else 0
+    return (ends - offsets).repeat(lens) + np.arange(total), lens
+
+
 def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
                   j, delta_adj, lam, mu, tie_eps,
                   ev_node, ev_src, ev_old, ev_new, ev_p):
@@ -173,11 +187,7 @@ def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
     was not an earlier receiver, level L + 1 those whose sender was
     received at level L.
     """
-    starts = indptr[spreaders]
-    lens = indptr[spreaders + 1] - starts
-    # the out-edge slots of all spreaders, in spreader then edge order
-    slots = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - starts,
-                                              lens)
+    slots, lens = out_slots(indptr, spreaders)
     recv = indices[slots]
     send = np.repeat(spreaders, lens)
     fresh = ~vadj_row[recv]

@@ -24,11 +24,14 @@ class CurvePoint:
     cumulative_known: int
 
 
-def _replay(initial_profiles, trace: SimTrace) -> np.ndarray:
+def _replay(initial_profiles, trace: SimTrace):
     """The checked replay: an event's old stance must equal the new stance
     of its (node, topic) pair's previous event, found by a stable sort on
     the pair, or the initial stance; the first that does not, in trace
-    order, raises :class:`InconsistentIdsError`."""
+    order, raises :class:`InconsistentIdsError`. Then the header's
+    ``round_summaries`` must equal the tallies of the replay, or
+    :class:`SummaryMismatchError` names the first row that does not.
+    Returns the final state and the tallies, ``[round][topic][code]``."""
     profiles = np.asarray(initial_profiles, dtype=np.float64)
     if profiles.shape != (trace.n, trace.z):
         raise InconsistentIdsError(
@@ -53,29 +56,11 @@ def _replay(initial_profiles, trace: SimTrace) -> np.ndarray:
     last = np.diff(key, append=-1) != 0
     final = start.copy()
     final[key[last]] = new[last]
-    return final.reshape(profiles.shape)
 
-
-def replay_trace(initial_profiles: np.ndarray, trace: SimTrace) -> np.ndarray:
-    """Re-apply every event over the initial profiles; returns final state.
-
-    Each event's recorded old stance is checked against the replayed state,
-    so replaying a trace over the wrong initial file fails loudly.
-    """
-    return _replay(initial_profiles, trace)
-
-
-def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint]:
-    """Per-round counts of unknown/oppose/neutral/support per topic; the
-    trace must replay over ``initial_state`` as in :func:`replay_trace`, and
-    its ``round_summaries`` must equal the tallies of that replay, or
-    :class:`SummaryMismatchError` names the first row that does not."""
-    initial = np.asarray(initial_state, dtype=np.float64)
-    _replay(initial, trace)
     codes = STANCE_VALUES  # ascending, so searchsorted gives a code's slot
     rounds = trace.params.rounds_K + 1
     tallies = np.zeros((rounds, trace.z, len(codes)), dtype=np.int64)
-    tallies[0] = np.count_nonzero(initial[:, :, None] == codes, axis=0)
+    tallies[0] = np.count_nonzero(profiles[:, :, None] == codes, axis=0)
     changed = trace.ev_old != trace.ev_new
     where = (trace.ev_round[changed], trace.ev_topic[changed])
     np.add.at(tallies, where + (np.searchsorted(codes, trace.ev_old[changed]),), -1)
@@ -88,10 +73,29 @@ def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint
         RoundSummary(rnd, j, *tallies[rnd][j], activated[rnd, j].item())
         for rnd in range(rounds) for j in range(trace.z)
     ])
+    return final.reshape(profiles.shape), tallies
+
+
+def replay_trace(initial_profiles: np.ndarray, trace: SimTrace) -> np.ndarray:
+    """Re-apply every event over the initial profiles; returns final state.
+
+    Each event's recorded old stance is checked against the replayed state,
+    so replaying a trace over the wrong initial file fails loudly, and the
+    header's ``round_summaries`` must equal the tallies of the replay
+    (:class:`SummaryMismatchError` otherwise).
+    """
+    return _replay(initial_profiles, trace)[0]
+
+
+def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint]:
+    """Per-round counts of unknown/oppose/neutral/support per topic; the
+    trace must replay over ``initial_state`` as in :func:`replay_trace`,
+    header summaries included."""
+    _, tallies = _replay(initial_state, trace)
     return [
         CurvePoint(rnd, j, dict(zip(STANCE_VALUES, tallies[rnd][j])),
                    trace.n - tallies[rnd][j][0])
-        for rnd in range(rounds) for j in range(trace.z)
+        for rnd in range(len(tallies)) for j in range(trace.z)
     ]
 
 

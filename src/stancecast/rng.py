@@ -25,9 +25,15 @@ class Rng:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def random(self) -> float:
-        """One uniform draw in [0, 1)."""
-        return float(self._gen.random())
+    def random(self, size: int | None = None):
+        """One uniform draw in [0, 1), or with ``size`` an array of that many.
+
+        ``random(k)`` gives the values of ``k`` calls to ``random()`` and
+        leaves the stream where they would.
+        """
+        if size is None:
+            return float(self._gen.random())
+        return self._gen.random(size)
 
     def sample(self, pool, count: int) -> np.ndarray:
         """Uniform sample without replacement, returned in ascending order.

@@ -229,6 +229,23 @@ def test_curves_header_summary_rows_missing_exit_1(bundle_dir, tmp_path,
     assert f"{trace_path}:1:1: trace header round_summaries has" in err
 
 
+@pytest.mark.parametrize("edit", ["bump", "pop"])
+def test_evaluate_header_summary_mismatch_exit_1(bundle_dir, tmp_path, capsys,
+                                                 edit):
+    trace_path = tmp_path / "t.jsonl"
+    lines = simulated_trace_lines(bundle_dir, trace_path)
+
+    def bump(rows):
+        rows[3][2] += 1
+
+    with_round_summaries(trace_path, lines, bump if edit == "bump" else list.pop)
+    capsys.readouterr()
+    assert run_on_trace("evaluate", bundle_dir, trace_path, tmp_path) == \
+        (1, False)
+    err = capsys.readouterr().err
+    assert f"{trace_path}:1:1: trace header round_summaries " in err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "curves"])
 def test_trace_events_out_of_round_order_exit_1(bundle_dir, tmp_path, capsys,
                                                 command):

@@ -1,8 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import stancecast as sc
+from reference_ic import run_ic as reference_run_ic
+from stancecast.cli import main
 from stancecast.errors import IdOutOfRangeError, RangeViolationError
 
 
@@ -89,3 +92,98 @@ def test_monte_carlo_converges_to_enumeration(path3_plain):
     stderr = (0.6875 / runs) ** 0.5
     assert abs(mean - expected) <= 3 * stderr
     assert len(counts) == runs
+
+
+# -- exactness: the array rounds against the per-edge loop it replaced -----
+
+def random_graph(rng, n, density, sinks=0):
+    """n nodes with each ordered pair an edge with probability ``density``;
+    the last ``sinks`` nodes have no out-edges."""
+    pairs = [(u, v) for u in range(n - sinks) for v in range(n)
+             if u != v and rng.random() < density]
+    return sc.build_graph(n, 0, pairs, [[]] * n), pairs
+
+
+def messy_seeds(rng, n):
+    """Unsorted seeds with repeats; numpy ints among them."""
+    seeds = [int(v) for v in rng.integers(0, n, int(rng.integers(1, 7)))]
+    return seeds + seeds[:2] + [np.int64(seeds[0])]
+
+
+def repeats_in_first_round(g, seeds):
+    """Whether some target is a candidate of two seeds in round 1."""
+    seeds = {int(v) for v in seeds}
+    targets = [int(q) for v in seeds for q in g.out_neighbors(v)
+               if int(q) not in seeds]
+    return len(set(targets)) < len(targets)
+
+
+@pytest.mark.parametrize("max_rounds", [None, 1, 2, 3])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+def test_rounds_match_reference(p, max_rounds):
+    rng = np.random.default_rng(int(p * 10) * 10 + (max_rounds or 0))
+    dense_with_repeats = 0
+    for density in (0.05, 0.3, 0.9):
+        for _ in range(4):
+            n = int(rng.integers(2 if density < 0.9 else 8, 40))
+            g, _ = random_graph(rng, n, density, sinks=int(rng.integers(0, 3)))
+            seeds = messy_seeds(rng, n)
+            if density == 0.9:
+                dense_with_repeats += repeats_in_first_round(g, seeds)
+            params = sc.IcParams(edge_probability=p, max_rounds=max_rounds,
+                                 rng_seed=int(rng.integers(0, 2**32)))
+            for run_index in range(3):
+                assert sc.run_ic(g, params, seeds, run_index).rounds == \
+                    reference_run_ic(g, params, seeds, run_index).rounds
+    assert dense_with_repeats >= 2
+
+
+def test_edge_overrides_match_reference():
+    rng = np.random.default_rng(5)
+    for density in (0.1, 0.5, 0.9):
+        for _ in range(8):
+            n = int(rng.integers(3, 30))
+            g, pairs = random_graph(rng, n, density)
+            chosen = rng.choice(len(pairs), size=min(len(pairs), 12),
+                                replace=False) if pairs else []
+            overrides = {pairs[k]: float(rng.choice([0.0, 1.0, rng.random()]))
+                         for k in chosen}
+            # pairs that are not edges are never used
+            overrides.update({(0, 0): 1.0, (n + 4, 1): 1.0, (1, n + 4): 1.0,
+                              (-1, 0): 1.0})
+            params = sc.IcParams(edge_probability=float(rng.random()),
+                                 edge_probabilities=overrides,
+                                 rng_seed=int(rng.integers(0, 2**32)))
+            seeds = messy_seeds(rng, n)
+            for run_index in range(3):
+                assert sc.run_ic(g, params, seeds, run_index).rounds == \
+                    reference_run_ic(g, params, seeds, run_index).rounds
+
+
+def test_seeds_on_no_edge_and_a_frontier_without_out_edges():
+    # 0 -> {1, 2, 3} -> 4 with sinks 4 and 5; 6 and 7 lie on no edge
+    g = sc.build_graph(8, 0, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4),
+                              (1, 5)], [[]] * 8)
+    for p in (0.3, 0.7, 1.0):
+        params = sc.IcParams(edge_probability=p, rng_seed=11)
+        for seeds in ([7, 0, 6, 0], [6], [], [4, 5], [3, 1, 2]):
+            for run_index in range(20):
+                assert sc.run_ic(g, params, seeds, run_index).rounds == \
+                    reference_run_ic(g, params, seeds, run_index).rounds
+    trace = sc.run_ic(g, sc.IcParams(edge_probability=1.0), [7, 0, 6])
+    assert trace.rounds == [[0, 6, 7], [1, 2, 3], [4, 5]]
+
+
+def test_baseline_ic_counts_are_pinned(tmp_path):
+    # the output of the per-edge loop, so a change of draw order shows here
+    # even if the reference above were edited
+    data = tmp_path / "data"
+    assert main(["generate", "--nodes", "200", "--edges", "1600",
+                 "--topics", "1", "--seed", "11", "--out-dir", str(data)]) == 0
+    out = tmp_path / "ic.json"
+    assert main(["baseline-ic", "--graph", str(data / "edges.tsv"),
+                 "--seeds", str(data / "seeds.csv"), "--p", "0.1",
+                 "--runs", "20", "--out", str(out), "--seed", "5"]) == 0
+    assert out.read_text() == (
+        '{"runs":[48,44,50,41,61,38,44,66,57,51,61,48,56,49,51,49,59,49,'
+        '44,98],"mean":53.2}\n')

@@ -51,3 +51,11 @@ def test_negative_seed_normalized():
     assert sc.Rng(-1).seed == 2**64 - 1
     assert sc.Rng(-1).random() == sc.Rng(2**64 - 1).random()
 
+
+def test_bulk_draws_equal_single_draws():
+    a = sc.Rng(7, stream=3)
+    b = sc.Rng(7, stream=3)
+    singles = [a.random() for _ in range(50)]
+    bulk = [x for k in (0, 1, 7, 42) for x in b.random(k).tolist()]
+    assert bulk == singles
+    assert a.random() == b.random()
