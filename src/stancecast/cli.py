@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -202,17 +203,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (StancecastError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception:
-        traceback.print_exc()
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (StancecastError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except Exception:
+            traceback.print_exc()
+            return 2
 
 
 if __name__ == "__main__":

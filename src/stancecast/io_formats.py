@@ -11,14 +11,19 @@ Formats (all UTF-8, line oriented):
   object per line with keys (round, topic, node, old, new, source, p,
   channel). ``write_trace`` writes a canonical form: compact separators,
   that key order, ``repr`` floats and ``\\n`` line endings. A file in that
-  form loads on an array path; any other valid JSON Lines trace loads one
-  line at a time, with identical results.
+  form loads on an array path; any other valid JSON Lines trace is parsed
+  one line at a time into the same columns, checked by the same rules
+  (:func:`_event_rules`), with identical results.
 
 External ids are arbitrary strings; dense internal ids are assigned by
 sorting them by Unicode code point (as ``sorted`` does), so loading never
 depends on file row order. The loaders tokenize each file once into numpy
 string arrays and check the rows as arrays; a malformed line, an unknown
-id, a repeated row or a bad stance is reported at its ``file:line``.
+id, a repeated row or a bad stance is reported at its ``file:line``, the
+first malformed line found by the masks that accept good lines. In a file
+that holds a NUL, which numpy's string functions take for the end of a
+string, each NUL is swapped for a code point the file lacks while the
+lines are split, and back in the tokens.
 Writers go through a temp file and rename, so failures leave no partial
 output.
 """
@@ -53,7 +58,7 @@ from .errors import (
     StancecastError,
 )
 from .graph import (STANCE_UNKNOWN, SocialGraph, _is_stance_code, _repeats,
-                    build_graph, is_stance)
+                    build_graph)
 from .params import SimParams
 
 TRACE_SCHEMA = "tsa-trace/1"
@@ -169,87 +174,75 @@ def _partition(a: np.ndarray, sep: str):
     return np.strings.partition(a, np.array(sep, dtype=a.dtype))
 
 
-def _edge_fields(path, line_no: int, line: str):
-    """The (source, target) of one edge line; None for a blank or comment
-    line."""
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    fields = stripped.split("\t")
-    if len(fields) != 2 or not fields[0] or not fields[1]:
-        raise ParseError(path, line_no, 1, "expected 'source<TAB>target'")
-    return fields
+def _nul_free(text: str):
+    """``text`` with each NUL swapped for a code point it lacks, and that
+    code point (None when ``text`` holds no NUL). numpy's string functions
+    take NUL for the end of a string, so they get the swapped text, and
+    :func:`_first_bad_row` swaps the NULs back into the tokens."""
+    if "\x00" not in text:
+        return text, None
+    stand_in = next(c for c in map(chr, range(0xE000, 0x110000))
+                    if c not in text)
+    return text.replace("\x00", stand_in), stand_in
 
 
-def _csv_fields(path, line_no: int, line: str):
-    """The three stripped fields of one CSV line; None for a blank line."""
-    if not line.strip():
-        return None
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != 3:
-        raise ParseError(path, line_no, 1,
-                         f"expected 3 comma-separated fields, got {len(fields)}")
-    if not all(fields):
-        raise ParseError(path, line_no, fields.index("") + 1, "empty field")
-    return fields
-
-
-def _rows_by_line(path, lines, first_line: int, fields, width: int) -> _Rows:
-    """Tokenize one line at a time, up to the first malformed line. This is
-    how a malformed line is found, and how a file with a NUL character is
-    read: numpy's fixed-width strings drop a trailing NUL, and its string
-    functions treat NUL as the end of a string."""
-    rows, line_nos, error = [], [], None
-    for line_no, line in enumerate(lines, start=first_line):
-        try:
-            row = fields(path, line_no, line)
-        except ParseError as exc:
-            error = exc
-            break
-        if row is not None:
-            rows.append(row)
-            line_nos.append(line_no)
-    tokens = np.array(rows, dtype=StringDType()).reshape(-1, width)
-    return _Rows(tokens, np.array(line_nos, dtype=np.int64), error)
+def _first_bad_row(tokens, line_nos, bad, error, stand_in) -> _Rows:
+    """The rows before the first one that ``bad`` marks, with the error that
+    ``error`` gives for that row's index and line number (None when no row
+    is bad)."""
+    stop = int(np.argmax(bad)) if bad.any() else len(bad)
+    rows = tokens[:stop]
+    if stand_in is not None:
+        # np.strings.replace drops the NUL it puts back
+        rows = np.array([t.replace(stand_in, "\x00")
+                         for t in rows.ravel().tolist()],
+                        dtype=StringDType()).reshape(rows.shape)
+    return _Rows(rows, line_nos[:stop],
+                 error(stop, int(line_nos[stop])) if stop < len(bad) else None)
 
 
 def _edge_rows(path) -> _Rows:
     """Tokenize an edge file: ``source<TAB>target`` per line once stripped of
     whitespace; blank lines and lines starting with ``#`` are skipped."""
-    text = _read_text(path)
-    lines = text.splitlines()
-    if "\x00" not in text:
-        stripped = np.strings.strip(_strings(lines))
-        data = ((np.strings.str_len(stripped) > 0)
-                & ~np.strings.startswith(stripped, "#"))
-        source, tab, target = _partition(stripped[data], "\t")
-        # a stripped line neither starts nor ends with a tab, so one tab
-        # leaves two non-empty fields
-        if (tab == "\t").all() and (np.strings.find(target, "\t") < 0).all():
-            return _Rows(np.stack([source, target], axis=1),
-                         np.flatnonzero(data) + 1, None)
-    return _rows_by_line(path, lines, 1, _edge_fields, 2)
+    text, stand_in = _nul_free(_read_text(path))
+    stripped = np.strings.strip(_strings(text.splitlines()))
+    data = np.flatnonzero((np.strings.str_len(stripped) > 0)
+                          & ~np.strings.startswith(stripped, "#"))
+    source, tab, target = _partition(stripped[data], "\t")
+    # a stripped line neither starts nor ends with a tab, so one tab
+    # leaves two non-empty fields
+    bad = (tab != "\t") | (np.strings.find(target, "\t") >= 0)
+    return _first_bad_row(np.stack([source, target], axis=1), data + 1, bad,
+                          lambda i, line_no: ParseError(
+                              path, line_no, 1, "expected 'source<TAB>target'"),
+                          stand_in)
 
 
 def _csv_rows(path, header: str) -> _Rows:
     """Tokenize a 3-column CSV with a fixed header row: blank lines are
     skipped, every other line holds 3 comma-separated fields, each one
     non-empty once stripped of whitespace. A wrong header raises."""
-    text = _read_text(path)
+    text, stand_in = _nul_free(_read_text(path))
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(path, 1, 1, f"expected header {header!r}")
-    if "\x00" not in text:
-        body = _strings(lines[1:])
-        data = np.strings.str_len(np.strings.strip(body)) > 0
-        first, comma1, rest = _partition(body[data], ",")
-        second, comma2, third = _partition(rest, ",")
-        tokens = np.strings.strip(np.stack([first, second, third], axis=1))
-        if ((comma1 == ",") & (comma2 == ",")
-                & (np.strings.find(third, ",") < 0)).all() \
-                and (np.strings.str_len(tokens) > 0).all():
-            return _Rows(tokens, np.flatnonzero(data) + 2, None)
-    return _rows_by_line(path, lines[1:], 2, _csv_fields, 3)
+    body = _strings(lines[1:])
+    data = np.flatnonzero(np.strings.str_len(np.strings.strip(body)) > 0)
+    first, comma1, rest = _partition(body[data], ",")
+    second, comma2, third = _partition(rest, ",")
+    tokens = np.strings.strip(np.stack([first, second, third], axis=1))
+    three = (comma1 == ",") & (comma2 == ",") & (np.strings.find(third, ",") < 0)
+    empty = np.strings.str_len(tokens) == 0
+
+    def error(i, line_no):
+        if not three[i]:
+            return ParseError(path, line_no, 1, "expected 3 comma-separated "
+                              f"fields, got {lines[line_no - 1].count(',') + 1}")
+        return ParseError(path, line_no, int(np.argmax(empty[i])) + 1,
+                          "empty field")
+
+    return _first_bad_row(tokens, data + 2, ~three | empty.any(axis=1), error,
+                          stand_in)
 
 
 def _raise_first(checks, pending: StancecastError | None = None) -> None:
@@ -398,18 +391,20 @@ def write_graph(g: SocialGraph, symbols: SymbolTable,
         for v in g.out_neighbors(u):
             lines.append(f"{symbols.node_ids[u]}\t{symbols.node_ids[int(v)]}")
     _atomic_write(edges_path, "\n".join(lines) + "\n")
-
-    rows = ["node_id,topic_id,stance"]
-    for u in range(g.n):
-        for j in range(g.z):
-            rows.append(f"{symbols.node_ids[u]},{symbols.topic_ids[j]},"
-                        f"{_format_stance(g.profiles[u, j])}")
-    _atomic_write(profiles_path, "\n".join(rows) + "\n")
+    _write_stances(profiles_path, _PROFILE_HEADER, symbols,
+                   ((u, j, g.profiles[u, j])
+                    for u in range(g.n) for j in range(g.z)))
 
 
-def _format_stance(value: float) -> str:
-    value = float(value)
-    return str(int(value)) if value in (-1.0, 0.0, 1.0) else "0.5"
+def _write_stances(path, header: str, symbols: SymbolTable, rows) -> None:
+    """Write a stance CSV: ``header``, then one line per (node, topic,
+    stance) row, ids as in ``symbols``."""
+    lines = [header]
+    for node, topic, stance in rows:
+        stance = float(stance)
+        lines.append(f"{symbols.node_ids[node]},{symbols.topic_ids[topic]},"
+                     f"{int(stance) if stance in (-1.0, 0.0, 1.0) else 0.5}")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_profiles(path) -> tuple[np.ndarray, SymbolTable]:
@@ -469,12 +464,9 @@ def load_seed_nodes(path, symbols: SymbolTable) -> list[int]:
 
 def write_seeds(path, seeds: dict[int, dict[int, float]],
                 symbols: SymbolTable) -> None:
-    rows = ["node_id,topic_id,stance"]
-    for topic in sorted(seeds):
-        for node in sorted(seeds[topic]):
-            rows.append(f"{symbols.node_ids[node]},{symbols.topic_ids[topic]},"
-                        f"{_format_stance(seeds[topic][node])}")
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_stances(path, _PROFILE_HEADER, symbols,
+                   ((node, topic, seeds[topic][node]) for topic in sorted(seeds)
+                    for node in sorted(seeds[topic])))
 
 
 def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float]:
@@ -497,11 +489,9 @@ def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float
 
 def write_ground_truth(path, truth: dict[tuple[int, int], float],
                        symbols: SymbolTable) -> None:
-    rows = ["node_id,topic_id,final_stance"]
-    for node, topic in sorted(truth):
-        rows.append(f"{symbols.node_ids[node]},{symbols.topic_ids[topic]},"
-                    f"{_format_stance(truth[(node, topic)])}")
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_stances(path, _TRUTH_HEADER, symbols,
+                   ((node, topic, truth[(node, topic)])
+                    for node, topic in sorted(truth)))
 
 
 def load_config(path) -> SimParams:
@@ -604,65 +594,20 @@ def _trace_header(path, header: dict):
     return header["n"], header["z"], params, [RoundSummary(*row) for row in rows]
 
 
-def _event_line_no(lines, index: int) -> int:
-    """Line number of the event at ``index`` (blank lines hold no event)."""
-    return [line_no for line_no, line in enumerate(lines[1:], start=2)
-            if line.strip()][index]
-
-
-def _number_column(values, dtype):
-    """``values`` as a 1-d array, or None unless all are numbers that
-    ``dtype`` holds (integers for an integer dtype). Not yet cast to
-    ``dtype``, so range checks see the values as written."""
-    if not values:
-        return np.empty(0, dtype=dtype)
-    try:
-        column = np.asarray(values)
-    except ValueError:
-        return None
-    kinds = "biuf" if np.dtype(dtype).kind == "f" else "biu"
-    if column.ndim != 1 or column.dtype.kind not in kinds:
-        return None
-    return column
-
-
-def _bad_events(columns, n: int, z: int, rounds_k: int):
-    """Mask of the events with a field outside its range."""
-    rnd, topic, p = columns["round"], columns["topic"], columns["p"]
-    node, source = columns["node"], columns["source"]
-    return ((rnd < 1) | (rnd > rounds_k) | (topic < 0) | (topic >= z)
-            | (node < 0) | (node >= n) | (source < 0) | (source >= n)
-            | ~_is_stance_code(columns["old"]) | ~_is_stance_code(columns["new"])
-            | ~((p >= 0.0) & (p <= 1.0)) | (columns["channel"] < 0))
-
-
-def _event_problem(ev: dict, n: int, z: int, rounds_k: int) -> str | None:
-    """Why one parsed event breaks the checks of :func:`_bad_events`."""
-    for key, low, high in (("round", 1, rounds_k), ("topic", 0, z - 1),
-                           ("node", 0, n - 1), ("source", 0, n - 1)):
-        value = ev[key]
-        if not (isinstance(value, int) and low <= value <= high):
-            return f"event {key} {value!r} outside the integers [{low}, {high}]"
-    for key in ("old", "new"):
-        value = ev[key]
-        if not (isinstance(value, (int, float)) and is_stance(value)):
-            return f"event {key} {value!r} not in {{-1, 0, 0.5, 1}}"
-    value = ev["p"]
-    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-        return f"event p {value!r} outside [0, 1]"
-    if ev["channel"] not in _CHANNEL_CODES:
-        return f"unknown event channel {ev['channel']!r}"
-    return None
-
-
-def _raise_first_bad_event(path, lines, n: int, z: int, rounds_k: int):
-    """Raise a :class:`ParseError` at the first event line that is invalid."""
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            problem = _event_problem(json.loads(line), n, z, rounds_k)
-            if problem is not None:
-                raise ParseError(path, line_no, 1, problem)
-    raise ParseError(path, 1, 1, "trace events do not fit the header")
+def _event_rules(columns, n: int, z: int, rounds_k: int) -> list:
+    """The checks of an event, in the order in which one event is checked:
+    (field, mask of the events that fail the check, message for the field's
+    value as a %-format)."""
+    rules = [(name, (columns[name] < low) | (columns[name] > high),
+              f"event {name} %r outside the integers [{low}, {high}]")
+             for name, low, high in (("round", 1, rounds_k), ("topic", 0, z - 1),
+                                     ("node", 0, n - 1), ("source", 0, n - 1))]
+    rules += [(name, ~_is_stance_code(columns[name]),
+               f"event {name} %r not in " + "{-1, 0, 0.5, 1}")
+              for name in ("old", "new")]
+    p = columns["p"]
+    return rules + [("p", ~((p >= 0.0) & (p <= 1.0)), "event p %r outside [0, 1]"),
+                    ("channel", columns["channel"] < 0, "unknown event channel %r")]
 
 
 _COLON_TO_COMMA = bytes.maketrans(b":", b",")
@@ -735,7 +680,8 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
     columns = {name: table[name].copy() for name in _NUMBER_FIELDS}
     columns["channel"] = _CHANNEL_BY_BYTE[
         body[np.maximum(ends - _CHANNEL_BYTE_OFFSET, 0)]]
-    if (_bad_events(columns, n, z, params.rounds_K).any()
+    rules = _event_rules(columns, n, z, params.rounds_K)
+    if (any(mask.any() for _, mask, _ in rules)
             or (np.diff(columns["round"]) < 0).any()):
         return None
     offsets = (head_end + 1 + np.concatenate([[0], ends + 1])).tolist()
@@ -779,8 +725,8 @@ def load_trace(path) -> SimTrace:
             f"got {header.get('schema') if isinstance(header, dict) else header!r}"
         )
     n, z, params, summaries = _trace_header(path, header)
-    rounds, topics, nodes, olds = [], [], [], []
-    news, sources, ps, channels = [], [], [], []
+    values = {name: [] for name in _EVENT_DTYPES}
+    line_nos, channels = [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -789,35 +735,36 @@ def load_trace(path) -> SimTrace:
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, exc.colno, exc.msg) from None
         try:
-            rounds.append(ev["round"])
-            topics.append(ev["topic"])
-            nodes.append(ev["node"])
-            olds.append(ev["old"])
-            news.append(ev["new"])
-            sources.append(ev["source"])
-            ps.append(ev["p"])
+            for name, column in values.items():
+                column.append(ev[name])
             channels.append(_CHANNEL_CODES.get(ev["channel"], -1))
         except KeyError as exc:
             raise ParseError(path, line_no, 1, f"missing event key {exc}") from None
         except TypeError:
             raise ParseError(path, line_no, 1,
                              "event is not an object with a string channel") from None
-    columns = {
-        name: _number_column(values, _EVENT_DTYPES[name])
-        for name, values in (("round", rounds), ("topic", topics),
-                             ("node", nodes), ("old", olds), ("new", news),
-                             ("source", sources), ("p", ps))
-    }
-    columns["channel"] = np.asarray(channels, dtype=np.int8)
-    if (any(col is None for col in columns.values())
-            or _bad_events(columns, n, z, params.rounds_K).any()):
-        _raise_first_bad_event(path, lines, n, z, params.rounds_K)
+        line_nos.append(line_no)
+    # a value of the wrong type, or one its column cannot hold, becomes a
+    # value that every check of its kind rejects: -1 for the integer fields
+    # (all >= 0), NaN for the float ones
+    columns = {name: np.array([v if isinstance(v, int) and 0 <= v < 2**63
+                               else -1 for v in values[name]], dtype=np.int64)
+               for name in ("round", "topic", "node", "source")}
+    for name in ("old", "new", "p"):
+        columns[name] = np.array([v if isinstance(v, (int, float))
+                                  and -1 <= v <= 1 else math.nan
+                                  for v in values[name]], dtype=np.float64)
+    columns["channel"] = np.array(channels, dtype=np.int8)
+    _raise_first([
+        (mask, lambda i, name=name, message=message: ParseError(
+            path, line_nos[i], 1, message % (values[name][i],)))
+        for name, mask, message in _event_rules(columns, n, z, params.rounds_K)])
     for name, dtype in _EVENT_DTYPES.items():
         columns[name] = columns[name].astype(dtype, copy=False)
     back = np.flatnonzero(np.diff(columns["round"]) < 0)
     if back.shape[0]:
         i = int(back[0]) + 1
-        raise ParseError(path, _event_line_no(lines, i), 1,
+        raise ParseError(path, line_nos[i], 1,
                          f"event round {columns['round'][i]} after round "
                          f"{columns['round'][i - 1]}: events out of round order")
     return SimTrace(n, z, params, columns, summaries)
@@ -830,10 +777,14 @@ def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,
     ``stance_mix`` is a distribution over (unknown, oppose, neutral,
     support) — either one 4-vector applied to every topic or one per
     topic. Nodes with a known sampled stance become the seed users.
-    Byte-identical output for identical arguments.
+    Byte-identical output for identical arguments. A bundle needs a topic
+    (``z >= 1``): its profiles file holds one row per node and topic, so a
+    node without a row, and on no edge, would not be loaded.
     """
-    if n < 0 or m < 0 or z < 0:
-        raise InfeasibleEdgeCountError("n, m and z must be non-negative")
+    if z < 1:
+        raise RangeViolationError("z", z, "integers >= 1")
+    if n < 0 or m < 0:
+        raise InfeasibleEdgeCountError("n and m must be non-negative")
     if m > n * (n - 1):
         raise InfeasibleEdgeCountError(
             f"{m} edges requested but a simple digraph on {n} nodes "

@@ -59,16 +59,20 @@ def _replay(initial_profiles, trace: SimTrace):
 
     codes = STANCE_VALUES  # ascending, so searchsorted gives a code's slot
     rounds = trace.params.rounds_K + 1
-    tallies = np.zeros((rounds, trace.z, len(codes)), dtype=np.int64)
-    tallies[0] = np.count_nonzero(profiles[:, :, None] == codes, axis=0)
+    # a change moves one count from its (round, topic, old code) key to its
+    # (round, topic, new code) key
     changed = trace.ev_old != trace.ev_new
-    where = (trace.ev_round[changed], trace.ev_topic[changed])
-    np.add.at(tallies, where + (np.searchsorted(codes, trace.ev_old[changed]),), -1)
-    np.add.at(tallies, where + (np.searchsorted(codes, trace.ev_new[changed]),), 1)
+    cell = (trace.ev_round.astype(np.int64) * trace.z + trace.ev_topic)[changed]
+    into, out_of = (
+        np.bincount(cell * len(codes) + np.searchsorted(codes, stances[changed]),
+                    minlength=rounds * trace.z * len(codes))
+        for stances in (trace.ev_new, trace.ev_old))
+    tallies = (into - out_of).reshape(rounds, trace.z, len(codes))
+    tallies[0] += np.count_nonzero(profiles[:, :, None] == codes, axis=0)
     tallies = np.cumsum(tallies, axis=0).tolist()
-    activated = np.zeros((rounds, trace.z), dtype=np.int64)
-    woke = changed & (trace.ev_old == STANCE_UNKNOWN)
-    np.add.at(activated, (trace.ev_round[woke], trace.ev_topic[woke]), 1)
+    woke = trace.ev_old[changed] == STANCE_UNKNOWN
+    activated = np.bincount(cell[woke], minlength=rounds * trace.z).reshape(
+        rounds, trace.z)
     _check_summaries(trace.round_summaries, [
         RoundSummary(rnd, j, *tallies[rnd][j], activated[rnd, j].item())
         for rnd in range(rounds) for j in range(trace.z)

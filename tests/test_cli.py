@@ -405,6 +405,37 @@ def test_bad_stance_mix_exit_1(tmp_path, capsys):
     assert "stance_mix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("topics", ["0", "-1"])
+def test_generate_without_topics_exit_1(tmp_path, capsys, topics):
+    # a bundle without topics has an empty profiles file, so a node on no
+    # edge would be lost
+    rc = main(["generate", "--nodes", "3", "--edges", "2", "--topics", topics,
+               "--seed", "1", "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config key 'z' = {topics} outside allowed integers >= 1\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "baseline-ic"])
+def test_no_seed_stances_warns_in_one_line(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    assert main(["generate", "--nodes", "6", "--edges", "8", "--topics", "2",
+                 "--stance-mix", "[1, 0, 0, 0]", "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    if command == "simulate":
+        args = simulate_args(data, tmp_path / "t.jsonl")
+        expected = [f"warning: {data / 'seeds.csv'}: no seed stances",
+                    "warning: no seed stances: the run will produce no events"]
+    else:
+        args = ["baseline-ic", "--graph", str(data / "edges.tsv"),
+                "--seeds", str(data / "seeds.csv"), "--p", "0.5",
+                "--runs", "3", "--out", str(tmp_path / "ic.json")]
+        expected = [f"warning: {data / 'seeds.csv'}: no seed stances"]
+    assert main(args) == 0
+    assert capsys.readouterr().err.splitlines() == expected
+
+
 def test_internal_error_exit_2(bundle_dir, tmp_path, monkeypatch, capsys):
     def boom(*_args, **_kwargs):
         raise RuntimeError("induced internal failure")
@@ -600,3 +631,68 @@ def test_non_numeric_stance_mix_exit_1(tmp_path, capsys, mix):
     assert "'stance_mix'" in err and "shape (4,) or (2, 4)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+FUZZ_BYTES = [b"\x00", b"\xff", b",", b"\t", b'"', b"{"]
+
+
+def fuzzed(data: bytes, rng) -> bytes:
+    """``data`` with one line changed: a byte inserted, the line truncated,
+    deleted or duplicated, or one of its delimiters replaced."""
+    lines = data.split(b"\n")
+    i = int(rng.integers(0, len(lines)))
+    line = lines[i]
+    k = int(rng.integers(0, len(line) + 1))
+    operation = int(rng.integers(0, 5))
+    if operation == 0:
+        byte = FUZZ_BYTES[int(rng.integers(0, len(FUZZ_BYTES)))]
+        lines[i] = line[:k] + byte + line[k:]
+    elif operation == 1:
+        lines[i] = line[:k]
+    elif operation == 2:
+        del lines[i]
+    elif operation == 3:
+        lines.insert(i, line)
+    else:
+        spots = [j for j in range(len(line)) if line[j:j + 1] in (b"\t", b",", b":")]
+        if spots:
+            j = spots[int(rng.integers(0, len(spots)))]
+            other = [b"\t", b",", b":", b" ", b";"][int(rng.integers(0, 5))]
+            lines[i] = line[:j] + other + line[j + 1:]
+    return b"\n".join(lines)
+
+
+def test_fuzzed_inputs_exit_0_or_1(tmp_path, capsys):
+    """Seeded mutations of every input file; each command exits 0 or 1
+    and prints no traceback."""
+    data = tmp_path / "data"
+    assert main(["generate", "--nodes", "12", "--edges", "30", "--topics", "2",
+                 "--stance-mix", "[0.5, 0.2, 0.1, 0.2]", "--seed", "4",
+                 "--out-dir", str(data)]) == 0
+    assert main(simulate_args(data, data / "trace.jsonl")) == 0
+    profiles = (data / "profiles.csv").read_text()
+    (data / "truth.csv").write_text(profiles.replace("stance", "final_stance", 1))
+    clean = {path: path.read_bytes() for path in sorted(data.iterdir())}
+    out = tmp_path / "out"
+    out.mkdir()
+    commands = [
+        simulate_args(data, out / "t.jsonl"),
+        ["baseline-ic", "--graph", str(data / "edges.tsv"), "--seeds",
+         str(data / "seeds.csv"), "--p", "0.3", "--runs", "5",
+         "--out", str(out / "ic.json")],
+        ["curves", "--trace", str(data / "trace.jsonl"), "--initial",
+         str(data / "profiles.csv"), "--out-csv", str(out / "c.csv")],
+        ["evaluate", "--trace", str(data / "trace.jsonl"), "--initial",
+         str(data / "profiles.csv"), "--truth", str(data / "truth.csv"),
+         "--out-report", str(out / "r.json")],
+    ]
+    rng = np.random.default_rng(11)
+    capsys.readouterr()
+    for case in range(300):
+        path = list(clean)[case % len(clean)]
+        path.write_bytes(fuzzed(clean[path], rng))
+        for args in commands:
+            rc = main(args)
+            err = capsys.readouterr().err
+            assert rc in (0, 1) and "Traceback" not in err, (case, path.name, err)
+        path.write_bytes(clean[path])

@@ -167,9 +167,7 @@ def test_untidy_files_load_identically(tmp_path):
         assert assert_same(loader, paths, *ids)[0] == "ok"
 
 
-def test_nul_characters_load_identically(tmp_path):
-    """NUL is an ordinary character of an id: 'a', 'a<NUL>' and '<NUL>b' are
-    three nodes, and 'a<NUL>' -> 'a' is no self-loop."""
+def write_nul_bundle(tmp_path):
     paths = {"edges": tmp_path / "edges.tsv", "profiles": tmp_path / "p.csv",
              "seeds": tmp_path / "s.csv", "truth": tmp_path / "t.csv"}
     paths["edges"].write_text("a\x00\ta\n\x00b\ta\x00\n", encoding="utf-8")
@@ -179,10 +177,49 @@ def test_nul_characters_load_identically(tmp_path):
                               encoding="utf-8")
     paths["truth"].write_text("node_id,topic_id,final_stance\n\x00b,t,1\n"
                               "a\x00,t\x00,1\n", encoding="utf-8")
+    return paths
+
+
+def test_nul_characters_load_identically(tmp_path):
+    """NUL is an ordinary character of an id: 'a', 'a<NUL>' and '<NUL>b' are
+    three nodes, and 'a<NUL>' -> 'a' is no self-loop."""
+    paths = write_nul_bundle(tmp_path)
     ids = bundle_ids(paths)
     assert ids == (("\x00b", "a", "a\x00"), ("t", "t\x00"))
     for loader in LOADERS:
         assert assert_same(loader, paths, *ids)[0] == "ok"
+
+
+CSV_HEAD = {"profiles": "node_id,topic_id,stance\n",
+            "seeds": "node_id,topic_id,stance\n",
+            "truth": "node_id,topic_id,final_stance\n"}
+# A file holding a NUL and a malformed line; seeds and truth with an
+# unknown id in an earlier row, which is reported first.
+NUL_AND_MALFORMED = [
+    ("edges", "a\x00\ta\na\x00\tb\tc\n\x00b\ta\x00\n"),
+    ("edges", "a\x00\ta\n\x00b\n"),
+    ("edges", "a\x00\tb\tc\n"),
+    ("profiles", "a\x00,t\x00,1\na\x00,t,1,x\n"),
+    ("profiles", "a\x00,t\x00,1\na,\x00\n"),
+    ("profiles", "a\x00,,1\n\x00b,t,0.5\n"),
+    ("profiles", "a\x00,t\x00, \n"),
+    ("seeds", "a\x00,t\x00,1\na\x00,t,1,x\n"),
+    ("seeds", "zz\x00,t,1\na\x00,t,1,x\n"),
+    ("seeds", "a\x00,t\x00,\x00\na\x00,t,1,x\n"),
+    ("truth", "\x00b,t,1\na\x00,t,1,x\n"),
+    ("truth", "\x00b,zz,1\na\x00,t,1,x\n"),
+    ("truth", "\x00b,t,1\n\x00b,t,1\n,a\x00,1\n"),
+]
+
+
+@pytest.mark.parametrize("kind,text", NUL_AND_MALFORMED)
+def test_nul_files_with_a_malformed_line_load_identically(tmp_path, kind,
+                                                          text):
+    paths = write_nul_bundle(tmp_path)
+    ids = bundle_ids(paths)
+    paths[kind].write_text(CSV_HEAD.get(kind, "") + text, encoding="utf-8")
+    results = [assert_same(loader, paths, *ids)[0] for loader in LOADERS]
+    assert "error" in results
 
 
 # Characters a mutation may insert: delimiters, comment and sign marks,

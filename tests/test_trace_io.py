@@ -255,3 +255,35 @@ def test_load_trace_reads_the_file_once(tmp_path, file_reads, mutation):
     result = outcome(io_formats, path)
     assert result[0] == ("ok" if MUTATIONS[mutation] else "error")
     assert file_reads == [path]
+
+
+# Values of the wrong type or beyond what a column holds: booleans, floats
+# in integer fields, strings, null, integers past 64 bits or past a float,
+# lists and objects.
+FIELD_VALUES = (
+    [("round", t) for t in ("true", "false", "null", "2e0", '"1"', str(2**70),
+                            "[1]", "{}")]
+    + [("node", t) for t in ("true", "null", str(2**70), str(2**1030), "-0",
+                             "1e400", "[]")]
+    + [("old", t) for t in ("true", "false", str(2**1030), '"1"', "null",
+                            "-0.0", "NaN")]
+    + [("p", t) for t in ("true", "1", "0", "Infinity", "NaN", str(2**1030),
+                          '"0.5"')]
+    + [("channel", t) for t in ("0", "null", "true", '["adjacent"]', '"x"')]
+)
+
+
+@pytest.mark.parametrize("field,text", FIELD_VALUES,
+                         ids=[f"{f}={t[:12]}" for f, t in FIELD_VALUES])
+def test_field_values_load_as_reference(tmp_path, field, text):
+    # alone, and ahead of a later event whose node is out of range
+    _, lines = generated_trace_lines(tmp_path)
+    for i in (1, len(lines) // 2):
+        for later in (False, True):
+            mutated = list(lines)
+            mutated[i] = set_field(mutated[i], field, text)
+            if later:
+                mutated[-1] = set_field(mutated[-1], "node", "-1")
+            path = tmp_path / f"{i}-{later}.jsonl"
+            path.write_text("\n".join(mutated) + "\n")
+            assert_same_load(path)
