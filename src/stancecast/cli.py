@@ -36,15 +36,13 @@ def _at_least_one(**counts) -> None:
             raise StancecastError(f"--{name} must be at least 1, got {value}")
 
 
-def _simulate_one(payload) -> list[tuple]:
+def _simulate_one(payload) -> list[engine.RoundSummary]:
     """Run one seeded simulation and write its trace (worker-safe); returns
-    the final round's (topic, unknown, oppose, neutral, support) rows."""
+    the final round's summaries."""
     graph, params, seeds, out_path, run_index = payload
     trace = engine.run_tsa(graph, params, seeds, run_index=run_index)
     io_formats.write_trace(trace, out_path)
-    last = [s for s in trace.round_summaries if s.round == params.rounds_K] \
-        or [s for s in trace.round_summaries if s.round == 0]
-    return [(s.topic, s.unknown, s.oppose, s.neutral, s.support) for s in last]
+    return [s for s in trace.round_summaries if s.round == params.rounds_K]
 
 
 def _cmd_simulate(args) -> int:
@@ -65,9 +63,10 @@ def _cmd_simulate(args) -> int:
     else:
         results = [_simulate_one(p) for p in payloads]
     for i, rows in enumerate(results):
-        for topic, unknown, oppose, neutral, support in rows:
-            print(f"run {i} topic {symbols.topic_ids[topic]}: unknown={unknown} "
-                  f"oppose={oppose} neutral={neutral} support={support}")
+        for s in rows:
+            print(f"run {i} topic {symbols.topic_ids[s.topic]}: "
+                  f"unknown={s.unknown} oppose={s.oppose} neutral={s.neutral} "
+                  f"support={s.support}")
     return 0
 
 

@@ -107,15 +107,14 @@ def _overlay_topic(g: SocialGraph, profiles, j, stances) -> None:
 class SimState:
     """Mutable per-run state: live profiles, persistence and memories.
 
-    ``profiles`` / ``avals`` / ``counts`` are (n, z) arrays; ``v_adj`` and
-    ``v_new`` are (z, n) boolean masks holding, per topic, the nodes already
-    reached through the adjacent channel and the spreader set.
+    ``profiles`` / ``avals`` / ``counts`` are (n, z) arrays; ``v_adj`` is a
+    (z, n) boolean mask holding, per topic, the nodes already reached
+    through the adjacent channel. The spreaders are the nodes with a known
+    stance (:attr:`v_new`).
     """
 
     def __init__(self, g: SocialGraph, params: SimParams, seeds=None):
         self.params = params
-        self.n = g.n
-        self.z = g.z
         self.profiles = g.profiles.copy()
         for j, stances in (seeds or {}).items():
             g.check_topic(int(j))
@@ -123,7 +122,11 @@ class SimState:
         self.avals = np.full((g.n, g.z), params.initial_persistence_A0)
         self.counts = np.zeros((g.n, g.z), dtype=np.int64)
         self.v_adj = np.zeros((g.z, g.n), dtype=np.bool_)
-        self.v_new = (self.profiles != STANCE_UNKNOWN).T.copy()
+
+    @property
+    def v_new(self) -> np.ndarray:
+        """The (z, n) spreader mask: per topic, the nodes with a known stance."""
+        return (self.profiles != STANCE_UNKNOWN).T
 
     def persistence(self, v: int, j: int) -> PersistenceEntry:
         return PersistenceEntry(float(self.avals[v, j]), int(self.counts[v, j]))
@@ -178,7 +181,7 @@ def apply_att(g: SocialGraph, state: SimState, q: int, v: int, j: int,
 
     Computes the influence probability from the live profiles (delta picked
     by actual adjacency), updates persistence and applies the transition;
-    a receiver that turns known joins the spreader set.
+    a receiver that turns known is a spreader from then on.
     """
     g.check_node(q)
     g.check_node(v)
@@ -193,8 +196,6 @@ def apply_att(g: SocialGraph, state: SimState, q: int, v: int, j: int,
         state.profiles, state.avals, state.counts, q, v, j,
         delta, state.params.lambda_, state.params.mu, state.params.tie_epsilon,
     )
-    if old == STANCE_UNKNOWN and new != STANCE_UNKNOWN:
-        state.v_new[j, q] = True
     return StanceChange(
         node=int(q), topic=int(j), old_stance=float(old), new_stance=float(new),
         source_node=int(v), probability=float(p), channel=channel, round=round_no,

@@ -41,8 +41,9 @@ builds its pools only when it samples anyone):
   every round.
 * The spreader set of each topic is a sorted array into which each
   round's activations are merged; the frontier is what was merged last.
-* Each :class:`RoundSummary` comes from running per-topic tallies, moved
-  by the (old, new) stance of every event that changes one.
+* The :class:`RoundSummary` rows come from one count over the finished
+  event columns (:func:`_round_summaries`), the same function that replays
+  a loaded trace's summaries.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .rng import Rng
 _EVENT_DTYPES = {"round": np.int32, "topic": np.int32, "node": np.int64,
                  "old": np.float64, "new": np.float64, "source": np.int64,
                  "p": np.float64, "channel": np.int8}
-_STANCE_CODES = np.asarray(STANCE_VALUES)  # ascending: searchsorted gives the code
 
 
 @dataclass(frozen=True)
@@ -220,37 +220,50 @@ def _nadj_receivers(state: SimState, j: int, rng: Rng):
     return picked
 
 
-def _stance_counts(stances: np.ndarray) -> np.ndarray:
-    """How many of ``stances`` hold each stance code, in code order."""
-    return np.bincount(np.searchsorted(_STANCE_CODES, stances),
-                       minlength=_STANCE_CODES.shape[0])
-
-
-def _absorb(state: SimState, j: int, tally: np.ndarray, chunk) -> np.ndarray:
-    """Fold a chunk into the bookkeeping of topic j: each stance change moves
-    ``tally`` (counts by stance code) and each activation enters v_new.
-    Returns the activated nodes."""
+def _activated(chunk) -> np.ndarray:
+    """The nodes of a chunk's events that turn a stance known."""
     node, _src, old, new, _p = chunk
-    moved = old != new
-    tally += _stance_counts(new[moved]) - _stance_counts(old[moved])
-    activated = node[moved & (old == STANCE_UNKNOWN)]
-    state.v_new[j, activated] = True
-    return activated
+    return node[(old == STANCE_UNKNOWN) & (new != STANCE_UNKNOWN)]
+
+
+def _round_summaries(initial: np.ndarray, rounds_K: int, ev_round, ev_topic,
+                     ev_old, ev_new) -> list[RoundSummary]:
+    """The summary of each (round, topic), rounds 0 to ``rounds_K`` and
+    topics ascending: the stance tallies once the events up to that round
+    have been applied to the (n, z) ``initial`` profiles, and the count of
+    the round's activations."""
+    z = initial.shape[1]
+    codes = np.asarray(STANCE_VALUES)  # ascending: searchsorted gives the code
+    rounds = rounds_K + 1
+    changed = np.flatnonzero(ev_old != ev_new)
+    old, new = ev_old[changed], ev_new[changed]
+    cell = ev_round[changed].astype(np.int64) * z + ev_topic[changed]
+    # a change moves one count from its (round, topic, old code) key to its
+    # (round, topic, new code) key
+    into, out_of = (
+        np.bincount(cell * len(codes) + np.searchsorted(codes, stances),
+                    minlength=rounds * z * len(codes))
+        for stances in (new, old))
+    tallies = (into - out_of).reshape(rounds, z, len(codes))
+    tallies[0] += np.count_nonzero(initial[:, :, None] == codes, axis=0)
+    tallies = np.cumsum(tallies, axis=0).tolist()
+    activated = np.bincount(cell[old == STANCE_UNKNOWN],
+                            minlength=rounds * z).reshape(rounds, z).tolist()
+    return [RoundSummary(rnd, j, *tallies[rnd][j], activated[rnd][j])
+            for rnd in range(rounds) for j in range(z)]
 
 
 def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
                    run_index: int = 0) -> tuple[SimTrace, SimState]:
     """Run the full cascade; returns the trace and the final state."""
     state = SimState(g, params, seeds)
+    initial = state.profiles.copy()
     rng = Rng(params.normalized_seed(), run_index)
     acc = _EventAccumulator()
-    # per topic: the sorted spreader set, the nodes activated since the
-    # topic's last sweep (sorted; at first, the initial spreaders) and the
-    # tallies by stance code
+    # per topic: the sorted spreader set and the nodes activated since the
+    # topic's last sweep (sorted; at first, the initial spreaders)
     spreaders = [np.empty(0, dtype=np.int64)] * g.z
     frontier = [np.flatnonzero(row) for row in state.v_new]
-    tallies = [_stance_counts(state.profiles[:, j]) for j in range(g.z)]
-    summaries = [RoundSummary(0, j, *tallies[j].tolist(), 0) for j in range(g.z)]
     if g.z and not state.v_new.any():
         warnings.warn("no seed stances: the run will produce no events",
                       EmptySeedsWarning, stacklevel=2)
@@ -271,7 +284,7 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
                 params.delta_adjacent, params.lambda_, params.mu,
                 params.tie_epsilon,
             )
-            activated = [_absorb(state, j, tallies[j], chunk)]
+            activated = [_activated(chunk)]
             acc.add(rnd, j, ADJACENT, *chunk)
 
             senders = rng.sample(spreaders[j],
@@ -284,14 +297,14 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
                 params.delta_adjacent, params.delta_nonadjacent,
                 params.lambda_, params.mu, params.tie_epsilon,
             )
-            activated.append(_absorb(state, j, tallies[j], chunk))
+            activated.append(_activated(chunk))
             acc.add(rnd, j, NONADJACENT, *chunk)
 
             frontier[j] = np.sort(np.concatenate(activated))
-            summaries.append(RoundSummary(rnd, j, *tallies[j].tolist(),
-                                          frontier[j].shape[0]))
-    trace = SimTrace(g.n, g.z, params, acc.columns(), summaries)
-    return trace, state
+    columns = acc.columns()
+    summaries = _round_summaries(initial, params.rounds_K, columns["round"],
+                                 columns["topic"], columns["old"], columns["new"])
+    return SimTrace(g.n, g.z, params, columns, summaries), state
 
 
 def run_tsa(g: SocialGraph, params: SimParams, seeds=None,

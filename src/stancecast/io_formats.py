@@ -35,8 +35,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,40 +67,19 @@ _CHANNEL_CODES = {name: code for code, name in enumerate(CHANNELS)}
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Maps external string ids to the dense internal ids and back."""
+    """The external string ids, indexed by dense internal id."""
 
     node_ids: tuple
     topic_ids: tuple
 
-    @cached_property
-    def _node_index(self) -> dict:
-        return dict(zip(self.node_ids, range(len(self.node_ids))))
-
-    @cached_property
-    def _topic_index(self) -> dict:
-        return dict(zip(self.topic_ids, range(len(self.topic_ids))))
-
-    def node(self, external: str) -> int:
-        try:
-            return self._node_index[external]
-        except KeyError:
-            raise InconsistentIdsError(f"unknown node id {external!r}") from None
-
-    def topic(self, external: str) -> int:
-        try:
-            return self._topic_index[external]
-        except KeyError:
-            raise InconsistentIdsError(f"unknown topic id {external!r}") from None
-
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """File paths of one dataset: graph, profiles, seeds, optional truth."""
+    """File paths of one dataset: graph, profiles, seeds."""
 
     edges_path: Path
     profiles_path: Path
     seeds_path: Path
-    truth_path: Path | None = None
 
 
 def _atomic_write(path, text: str) -> None:
@@ -306,8 +284,8 @@ def _unknown_error(path, rows: _Rows, i: int, column: int):
 
 
 def _dense_ids(names: tuple, tokens: np.ndarray) -> np.ndarray:
-    """Index of each token in ``names`` (the last one if a name repeats, as
-    in :class:`SymbolTable`), or -1 for a token not in ``names``."""
+    """Index of each token in ``names`` (the last one if a name repeats),
+    or -1 for a token not in ``names``."""
     if not names:
         return np.full(len(tokens), -1, dtype=np.int64)
     table = _strings(list(names))
@@ -547,11 +525,7 @@ def write_trace(trace: SimTrace, path) -> None:
         "n": trace.n,
         "z": trace.z,
         "params": trace.params.to_dict(),
-        "round_summaries": [
-            [s.round, s.topic, s.unknown, s.oppose, s.neutral, s.support,
-             s.newly_activated]
-            for s in trace.round_summaries
-        ],
+        "round_summaries": [list(astuple(s)) for s in trace.round_summaries],
     }
     columns = {name: getattr(trace, f"ev_{name}") for name in _EVENT_DTYPES}
     path = Path(path)
@@ -598,10 +572,13 @@ def _event_rules(columns, n: int, z: int, rounds_k: int) -> list:
     """The checks of an event, in the order in which one event is checked:
     (field, mask of the events that fail the check, message for the field's
     value as a %-format)."""
-    rules = [(name, (columns[name] < low) | (columns[name] > high),
-              f"event {name} %r outside the integers [{low}, {high}]")
-             for name, low, high in (("round", 1, rounds_k), ("topic", 0, z - 1),
-                                     ("node", 0, n - 1), ("source", 0, n - 1))]
+    rules = []
+    for name, low, high in (("round", 1, rounds_k), ("topic", 0, z - 1),
+                            ("node", 0, n - 1), ("source", 0, n - 1)):
+        # past what its column holds, a value would wrap when stored
+        high = min(high, np.iinfo(_EVENT_DTYPES[name]).max)
+        rules.append((name, (columns[name] < low) | (columns[name] > high),
+                      f"event {name} %r outside the integers [{low}, {high}]"))
     rules += [(name, ~_is_stance_code(columns[name]),
                f"event {name} %r not in " + "{-1, 0, 0.5, 1}")
               for name in ("old", "new")]

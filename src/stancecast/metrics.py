@@ -7,7 +7,7 @@ from itertools import chain
 
 import numpy as np
 
-from .engine import RoundSummary, SimTrace
+from .engine import SimTrace, _round_summaries
 from .errors import (InconsistentIdsError, MissingTruthEntryError,
                      SummaryMismatchError)
 from .graph import STANCE_UNKNOWN, STANCE_VALUES
@@ -31,7 +31,7 @@ def _replay(initial_profiles, trace: SimTrace):
     order, raises :class:`InconsistentIdsError`. Then the header's
     ``round_summaries`` must equal the tallies of the replay, or
     :class:`SummaryMismatchError` names the first row that does not.
-    Returns the final state and the tallies, ``[round][topic][code]``."""
+    Returns the final state and the replayed round summaries."""
     profiles = np.asarray(initial_profiles, dtype=np.float64)
     if profiles.shape != (trace.n, trace.z):
         raise InconsistentIdsError(
@@ -56,28 +56,11 @@ def _replay(initial_profiles, trace: SimTrace):
     last = np.diff(key, append=-1) != 0
     final = start.copy()
     final[key[last]] = new[last]
-
-    codes = STANCE_VALUES  # ascending, so searchsorted gives a code's slot
-    rounds = trace.params.rounds_K + 1
-    # a change moves one count from its (round, topic, old code) key to its
-    # (round, topic, new code) key
-    changed = trace.ev_old != trace.ev_new
-    cell = (trace.ev_round.astype(np.int64) * trace.z + trace.ev_topic)[changed]
-    into, out_of = (
-        np.bincount(cell * len(codes) + np.searchsorted(codes, stances[changed]),
-                    minlength=rounds * trace.z * len(codes))
-        for stances in (trace.ev_new, trace.ev_old))
-    tallies = (into - out_of).reshape(rounds, trace.z, len(codes))
-    tallies[0] += np.count_nonzero(profiles[:, :, None] == codes, axis=0)
-    tallies = np.cumsum(tallies, axis=0).tolist()
-    woke = trace.ev_old[changed] == STANCE_UNKNOWN
-    activated = np.bincount(cell[woke], minlength=rounds * trace.z).reshape(
-        rounds, trace.z)
-    _check_summaries(trace.round_summaries, [
-        RoundSummary(rnd, j, *tallies[rnd][j], activated[rnd, j].item())
-        for rnd in range(rounds) for j in range(trace.z)
-    ])
-    return final.reshape(profiles.shape), tallies
+    summaries = _round_summaries(profiles, trace.params.rounds_K,
+                                 trace.ev_round, trace.ev_topic, trace.ev_old,
+                                 trace.ev_new)
+    _check_summaries(trace.round_summaries, summaries)
+    return final.reshape(profiles.shape), summaries
 
 
 def replay_trace(initial_profiles: np.ndarray, trace: SimTrace) -> np.ndarray:
@@ -95,11 +78,12 @@ def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint
     """Per-round counts of unknown/oppose/neutral/support per topic; the
     trace must replay over ``initial_state`` as in :func:`replay_trace`,
     header summaries included."""
-    _, tallies = _replay(initial_state, trace)
     return [
-        CurvePoint(rnd, j, dict(zip(STANCE_VALUES, tallies[rnd][j])),
-                   trace.n - tallies[rnd][j][0])
-        for rnd in range(len(tallies)) for j in range(trace.z)
+        CurvePoint(s.round, s.topic,
+                   dict(zip(STANCE_VALUES,
+                            (s.unknown, s.oppose, s.neutral, s.support))),
+                   trace.n - s.unknown)
+        for s in _replay(initial_state, trace)[1]
     ]
 
 

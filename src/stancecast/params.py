@@ -105,12 +105,11 @@ class SimParams:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, *, defaults_ok: bool = True) -> "SimParams":
+    def from_dict(cls, data: dict) -> "SimParams":
         """Build from the JSON key set ("lambda" maps to ``lambda_``).
 
         The three plumbing keys (initial_persistence_A0, adjacency_memory,
-        epsilon_tie) fall back to defaults when ``defaults_ok``; the model
-        keys are always required.
+        epsilon_tie) fall back to defaults; the model keys are required.
         """
         required = [
             "delta_adjacent", "delta_nonadjacent", "lambda", "mu",
@@ -131,12 +130,7 @@ class SimParams:
                 raise MissingKeyError(key)
             kwargs["lambda_" if key == "lambda" else key] = data[key]
         for key, default in optional.items():
-            if key in data:
-                kwargs[key] = data[key]
-            elif defaults_ok:
-                kwargs[key] = default
-            else:
-                raise MissingKeyError(key)
+            kwargs[key] = data.get(key, default)
         for key in ("rounds_K", "rng_seed"):
             if not isinstance(kwargs[key], int) or isinstance(kwargs[key], bool):
                 raise RangeViolationError(key, kwargs[key], "integer")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 
@@ -696,3 +697,75 @@ def test_fuzzed_inputs_exit_0_or_1(tmp_path, capsys):
             err = capsys.readouterr().err
             assert rc in (0, 1) and "Traceback" not in err, (case, path.name, err)
         path.write_bytes(clean[path])
+
+
+PINNED_CONFIGS = {
+    "default": {},
+    "per_round": {"adjacency_memory": "per_round",
+                  "initial_persistence_A0": 0, "epsilon_tie": "one"},
+}
+# sha256 of every output (and of simulate's stdout), recorded before the
+# round-summary tally moved into one function; any change to an output
+# byte fails here
+PINNED_SHA256 = {
+    "default": {
+        "curves.csv": "34b022c24ef77d2b166918c8632bc9448f15bf61710cd774d13b0312970c2b00",
+        "evaluate.stdout": "01cfb9f8cc1a86644d0a5681cc58b23e3c2b1ca148f7034790e708b2acc6381b",
+        "many.run000.jsonl": "a7454f933944dde5314943a5e411c407c3128544db139da2c70ee53aa92a2652",
+        "many.run001.jsonl": "b4e6f3cfc92ae7efc5610b5f4e8ab3e01e2fcdf9c4c3c3770c993e9b99d27e85",
+        "report.json": "f47e5afc29d7bc68e07a82f72fdf1384e775ffd29579195f9d69503a1aa675e2",
+        "simulate.stdout": "c3cda01c025a798a552e17930fbd6749fe0e2e92be7b3433aa19bd215e934fa2",
+        "simulate_runs.stdout": "9e11b20d71f767ca95434ca46f0598f036d0aef2abba5ce56efe515bbac4bdb7",
+        "trace.jsonl": "a7454f933944dde5314943a5e411c407c3128544db139da2c70ee53aa92a2652",
+    },
+    "per_round": {
+        "curves.csv": "f674389507d9a763a4608690c39cfd70c7cde152d62827c6cbeccd28f1a1f905",
+        "evaluate.stdout": "83ec0ba3c1530584c01c8c844f19fefa4b9cf66dc1b71ab9ba3e5c18101bfce9",
+        "many.run000.jsonl": "4e936e1ecc8b149ad6b275e020d8ff46c5d01f6d961badc851925fa9b1e35403",
+        "many.run001.jsonl": "1505c2f1ec3278f79b4953dd2921a5f7c1bddafe7c4a59273777631009004215",
+        "report.json": "4e5dfadac2ecf478f2e1be9e1d80830a10858a2599a851c2f2e9e35b4b25df18",
+        "simulate.stdout": "90ef5a8a5a5a29d837fb4217c1288b17751368cfda0b54acb37c3614e2ab9bc1",
+        "simulate_runs.stdout": "42b1d492ec96238401e404e4228a718176766ee2d974d2b1b9281fdd5274b31c",
+        "trace.jsonl": "4e936e1ecc8b149ad6b275e020d8ff46c5d01f6d961badc851925fa9b1e35403",
+    },
+}
+
+
+def pipeline_digests(tmp_path, capsys, config_edits) -> dict:
+    """Run generate, simulate (plain, and two runs on two workers), curves
+    and evaluate on one small bundle; returns each output's sha256."""
+    data = tmp_path / "data"
+    assert main(["generate", "--nodes", "300", "--edges", "1200", "--topics",
+                 "2", "--seed", "7", "--out-dir", str(data)]) == 0
+    config = json.loads((data / "config.json").read_text())
+    (data / "config.json").write_text(json.dumps({**config, **config_edits}))
+    profiles = (data / "profiles.csv").read_text()
+    (data / "truth.csv").write_text(profiles.replace("stance", "final_stance", 1))
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    stdout = {}
+    for name, args in [
+        ("simulate", simulate_args(data, out / "trace.jsonl")),
+        ("simulate_runs", simulate_args(data, out / "many.jsonl",
+                                        ["--runs", "2", "--workers", "2"])),
+        ("curves", ["curves", "--trace", str(out / "trace.jsonl"), "--initial",
+                    str(data / "profiles.csv"), "--out-csv",
+                    str(out / "curves.csv")]),
+        ("evaluate", ["evaluate", "--trace", str(out / "trace.jsonl"),
+                      "--initial", str(data / "profiles.csv"), "--truth",
+                      str(data / "truth.csv"), "--out-report",
+                      str(out / "report.json")]),
+    ]:
+        assert main(args) == 0, name
+        stdout[f"{name}.stdout"] = capsys.readouterr().out.encode()
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return {name: hashlib.sha256(content).hexdigest()
+            for name, content in {**files, **stdout}.items()
+            if name != "curves.stdout"}  # it names the output path
+
+
+@pytest.mark.parametrize("config", sorted(PINNED_CONFIGS))
+def test_outputs_pinned(tmp_path, capsys, config):
+    assert pipeline_digests(tmp_path, capsys,
+                            PINNED_CONFIGS[config]) == PINNED_SHA256[config]

@@ -21,6 +21,7 @@ import stancecast as sc
 from stancecast import io_formats
 from stancecast.dynamics import CHANNELS
 from stancecast.engine import _EVENT_DTYPES
+from stancecast.errors import ParseError
 from test_metrics import simulated_case
 
 # Probabilities whose text is easy to get wrong: the smallest subnormal,
@@ -287,3 +288,26 @@ def test_field_values_load_as_reference(tmp_path, field, text):
             path = tmp_path / f"{i}-{later}.jsonl"
             path.write_text("\n".join(mutated) + "\n")
             assert_same_load(path)
+
+
+@pytest.mark.parametrize("field,bound", [("topic", "z"), ("round", "rounds_K")])
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["canonical", "crlf"])
+def test_integer_past_its_column_is_an_error(tmp_path, field, bound, end):
+    """A round or topic that the header allows, but that its int32 column
+    cannot hold, fails at its line instead of loading wrapped mod 2**32."""
+    _, lines = generated_trace_lines(tmp_path)
+    header = json.loads(lines[0])
+    if bound == "z":
+        header["z"] = 2**32 + 5
+    else:
+        header["params"]["rounds_K"] = 2**32 + 5
+    lines[0] = json.dumps(header, separators=(",", ":"))
+    lines[-1] = set_field(lines[-1], field, str(2**32 + 1))
+    path = tmp_path / "wide.jsonl"
+    path.write_bytes(end.join(lines + [""]).encode())
+    low = 1 if field == "round" else 0
+    with pytest.raises(ParseError) as caught:
+        io_formats.load_trace(path)
+    assert str(caught.value) == (
+        f"{path}:{len(lines)}:1: event {field} {2**32 + 1} outside the "
+        f"integers [{low}, {2**31 - 1}]")
