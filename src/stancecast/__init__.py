@@ -15,7 +15,7 @@ from .dynamics import (
     transition,
     update_persistence,
 )
-from .engine import RoundSummary, SimTrace, run_simulation, run_tsa
+from .engine import RoundSummary, SimTrace, run_simulation
 from .graph import (
     KNOWN_STANCES,
     STANCE_NEUTRAL,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ADJACENT", "NONADJACENT", "PersistenceEntry", "SimState", "StanceChange",
     "apply_att", "transition", "update_persistence",
-    "RoundSummary", "SimTrace", "run_simulation", "run_tsa",
+    "RoundSummary", "SimTrace", "run_simulation",
     "KNOWN_STANCES", "STANCE_NEUTRAL", "STANCE_OPPOSE", "STANCE_SUPPORT",
     "STANCE_UNKNOWN", "STANCE_VALUES", "SocialGraph", "build_graph", "is_stance",
     "IcParams", "IcTrace", "mean_final_active", "run_ic",

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, ic, io_formats, metrics
-from .errors import ParseError, StancecastError, SummaryMismatchError
+from .errors import (EmptySeedsWarning, ParseError, RangeViolationError,
+                     StancecastError, SummaryMismatchError)
 
 
 def _trace_path(base, run_index: int, runs: int) -> Path:
@@ -29,24 +30,33 @@ def _trace_path(base, run_index: int, runs: int) -> Path:
     return base.with_name(f"{base.stem}.run{run_index:03d}{base.suffix}")
 
 
-def _at_least_one(**counts) -> None:
-    """Reject a count option below 1 as an input error (argparse exits 2)."""
+def _at_least(minimum: int, **counts) -> None:
+    """Reject a count option below ``minimum`` as an input error (exit 1)."""
     for name, value in counts.items():
-        if value < 1:
-            raise StancecastError(f"--{name} must be at least 1, got {value}")
+        if value < minimum:
+            raise StancecastError(f"--{name} must be at least {minimum}, got {value}")
+
+
+def _option_error(option: str, exc: RangeViolationError) -> StancecastError:
+    """A library's range error as an error of the option that set the value."""
+    return StancecastError(f"{option} = {exc.value!r} outside allowed {exc.allowed}")
 
 
 def _simulate_one(payload) -> list[engine.RoundSummary]:
     """Run one seeded simulation and write its trace (worker-safe); returns
     the final round's summaries."""
     graph, params, seeds, out_path, run_index = payload
-    trace = engine.run_tsa(graph, params, seeds, run_index=run_index)
+    with warnings.catch_warnings():
+        # a run without a known stance had no seeds row, and the seeds
+        # loader has warned of that once already
+        warnings.simplefilter("ignore", EmptySeedsWarning)
+        trace, _state = engine.run_simulation(graph, params, seeds, run_index)
     io_formats.write_trace(trace, out_path)
     return [s for s in trace.round_summaries if s.round == params.rounds_K]
 
 
 def _cmd_simulate(args) -> int:
-    _at_least_one(runs=args.runs, workers=args.workers)
+    _at_least(1, runs=args.runs, workers=args.workers)
     params = io_formats.load_config(args.config)
     if args.run_seed_base is not None:
         params = params.with_seed(args.run_seed_base)
@@ -71,7 +81,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_baseline_ic(args) -> int:
-    _at_least_one(runs=args.runs)
+    _at_least(1, runs=args.runs)
     graph, symbols = io_formats.load_graph(args.graph, None, args.seeds)
     seed_nodes = io_formats.load_seed_nodes(args.seeds, symbols)
     degree = np.diff(graph.indptr) + np.diff(graph.in_indptr)
@@ -79,7 +89,10 @@ def _cmd_baseline_ic(args) -> int:
     if isolated:
         print(f"note: {isolated} seed node(s) lie on no edge; they count as "
               f"active and spread nowhere", file=sys.stderr)
-    params = ic.IcParams(edge_probability=args.p, rng_seed=args.seed).validate()
+    try:
+        params = ic.IcParams(edge_probability=args.p, rng_seed=args.seed).validate()
+    except RangeViolationError as exc:
+        raise _option_error("--p", exc) from None
     mean, counts = ic.mean_final_active(graph, params, seed_nodes, args.runs)
     io_formats._atomic_write(
         args.out,
@@ -90,14 +103,19 @@ def _cmd_baseline_ic(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    _at_least(0, nodes=args.nodes, edges=args.edges)
+    _at_least(1, topics=args.topics)
     try:
         mix = json.loads(args.stance_mix)
     except json.JSONDecodeError as exc:
         print(f"error: --stance-mix is not valid JSON: {exc}", file=sys.stderr)
         return 1
-    bundle = io_formats.generate_synthetic(
-        args.nodes, args.edges, args.topics, mix, args.seed, args.out_dir
-    )
+    try:
+        bundle = io_formats.generate_synthetic(
+            args.nodes, args.edges, args.topics, mix, args.seed, args.out_dir
+        )
+    except RangeViolationError as exc:  # the counts are checked above
+        raise _option_error("--stance-mix", exc) from None
     params = io_formats.SimParams(rng_seed=args.seed)
     config_path = Path(args.out_dir) / "config.json"
     io_formats.write_config(config_path, params)

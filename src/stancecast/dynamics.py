@@ -58,14 +58,6 @@ class StanceChange:
     channel: str
     round: int
 
-    @property
-    def activated(self) -> bool:
-        return self.old_stance == STANCE_UNKNOWN and self.new_stance != STANCE_UNKNOWN
-
-    @property
-    def changed(self) -> bool:
-        return self.old_stance != self.new_stance
-
 
 def _overlay_seeds_one_by_one(g: SocialGraph, profiles, j, stances) -> None:
     """Write the seed stances of topic j one at a time, checking each; the

@@ -64,6 +64,7 @@ from .rng import Rng
 _EVENT_DTYPES = {"round": np.int32, "topic": np.int32, "node": np.int64,
                  "old": np.float64, "new": np.float64, "source": np.int64,
                  "p": np.float64, "channel": np.int8}
+_ADJACENT_CODE, _NONADJACENT_CODE = map(CHANNELS.index, (ADJACENT, NONADJACENT))
 
 
 @dataclass(frozen=True)
@@ -79,40 +80,11 @@ class RoundSummary:
     newly_activated: int
 
 
-class _EventsView:
-    """Sequence adapter turning the columnar event store into records."""
-
-    def __init__(self, trace: "SimTrace"):
-        self._t = trace
-
-    def __len__(self) -> int:
-        return self._t.ev_node.shape[0]
-
-    def __getitem__(self, i: int) -> StanceChange:
-        t = self._t
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return StanceChange(
-            node=int(t.ev_node[i]), topic=int(t.ev_topic[i]),
-            old_stance=float(t.ev_old[i]), new_stance=float(t.ev_new[i]),
-            source_node=int(t.ev_source[i]), probability=float(t.ev_p[i]),
-            channel=CHANNELS[t.ev_channel[i]], round=int(t.ev_round[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-
 class SimTrace:
     """Ordered event log of a run plus per-round, per-topic summaries.
 
     Events are stored columnar (one numpy array per field) so large runs
-    stay cheap; ``events`` exposes them as :class:`StanceChange` records.
+    stay cheap; ``events`` builds :class:`StanceChange` records from them.
     """
 
     def __init__(self, n: int, z: int, params: SimParams, columns: dict,
@@ -131,8 +103,13 @@ class SimTrace:
         self.round_summaries = list(round_summaries)
 
     @property
-    def events(self) -> _EventsView:
-        return _EventsView(self)
+    def events(self) -> list[StanceChange]:
+        """The events as records, in trace order."""
+        return list(map(
+            StanceChange, self.ev_node.tolist(), self.ev_topic.tolist(),
+            self.ev_old.tolist(), self.ev_new.tolist(), self.ev_source.tolist(),
+            self.ev_p.tolist(), [CHANNELS[c] for c in self.ev_channel.tolist()],
+            self.ev_round.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimTrace):
@@ -149,35 +126,22 @@ class SimTrace:
         )
 
     def __repr__(self) -> str:
-        return (f"SimTrace(n={self.n}, z={self.z}, events={len(self.events)}, "
+        return (f"SimTrace(n={self.n}, z={self.z}, events={self.ev_node.shape[0]}, "
                 f"rounds={self.params.rounds_K})")
 
 
-class _EventAccumulator:
-    """Collects per-pass columnar chunks and assembles the final columns."""
-
-    def __init__(self):
-        self.chunks = []
-
-    def add(self, rnd, j, channel, node, src, old, new, p):
-        count = node.shape[0]
-        if count == 0:
-            return
-        self.chunks.append({
-            "round": np.full(count, rnd, dtype=np.int32),
-            "topic": np.full(count, j, dtype=np.int32),
-            "node": node, "source": src, "old": old, "new": new, "p": p,
-            "channel": np.full(count, CHANNELS.index(channel), dtype=np.int8),
-        })
-
-    def columns(self) -> dict:
-        out = {}
-        for name, dtype in _EVENT_DTYPES.items():
-            if self.chunks:
-                out[name] = np.concatenate([c[name] for c in self.chunks])
-            else:
-                out[name] = np.empty(0, dtype=dtype)
-        return out
+def _event_columns(passes: list) -> dict:
+    """The event columns of a run from its passes, each a ``(round, topic,
+    channel code, kernel events)`` tuple, in pass order."""
+    rounds, topics, codes, chunks = zip(*passes) if passes else ((),) * 4
+    sizes = [chunk[0].shape[0] for chunk in chunks]
+    columns = {name: np.repeat(np.array(tags, dtype=_EVENT_DTYPES[name]), sizes)
+               for name, tags in (("round", rounds), ("topic", topics),
+                                  ("channel", codes))}
+    for k, name in enumerate(("node", "source", "old", "new", "p")):
+        columns[name] = np.concatenate(
+            [chunk[k] for chunk in chunks] + [np.empty(0, _EVENT_DTYPES[name])])
+    return columns
 
 
 def _floor_count(fraction: float, size: int) -> int:
@@ -259,7 +223,7 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
     state = SimState(g, params, seeds)
     initial = state.profiles.copy()
     rng = Rng(params.normalized_seed(), run_index)
-    acc = _EventAccumulator()
+    passes = []
     # per topic: the sorted spreader set and the nodes activated since the
     # topic's last sweep (sorted; at first, the initial spreaders)
     spreaders = [np.empty(0, dtype=np.int64)] * g.z
@@ -285,7 +249,7 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
                 params.tie_epsilon,
             )
             activated = [_activated(chunk)]
-            acc.add(rnd, j, ADJACENT, *chunk)
+            passes.append((rnd, j, _ADJACENT_CODE, chunk))
 
             senders = rng.sample(spreaders[j],
                                  _floor_count(params.r1, spreaders[j].shape[0]))
@@ -298,17 +262,11 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
                 params.lambda_, params.mu, params.tie_epsilon,
             )
             activated.append(_activated(chunk))
-            acc.add(rnd, j, NONADJACENT, *chunk)
+            passes.append((rnd, j, _NONADJACENT_CODE, chunk))
 
             frontier[j] = np.sort(np.concatenate(activated))
-    columns = acc.columns()
+    columns = _event_columns(passes)
     summaries = _round_summaries(initial, params.rounds_K, columns["round"],
                                  columns["topic"], columns["old"], columns["new"])
     return SimTrace(g.n, g.z, params, columns, summaries), state
 
-
-def run_tsa(g: SocialGraph, params: SimParams, seeds=None,
-            run_index: int = 0) -> SimTrace:
-    """Run the cascade and return its trace."""
-    trace, _state = run_simulation(g, params, seeds, run_index)
-    return trace

@@ -558,6 +558,9 @@ def _trace_header(path, header: dict):
         params = SimParams.from_dict(header["params"])
     except StancecastError as exc:
         raise ParseError(path, 1, 1, f"trace header 'params': {exc}") from None
+    if params.rounds_K < 0:
+        raise ParseError(path, 1, 1, "trace header 'params' rounds_K must be a "
+                         f"non-negative integer, got {params.rounds_K!r}")
     rows = header.get("round_summaries")
     width = len(fields(RoundSummary))
     if not (isinstance(rows, list)

@@ -28,10 +28,12 @@ def _replay(initial_profiles, trace: SimTrace):
     """The checked replay: an event's old stance must equal the new stance
     of its (node, topic) pair's previous event, found by a stable sort on
     the pair, or the initial stance; the first that does not, in trace
-    order, raises :class:`InconsistentIdsError`. Then the header's
-    ``round_summaries`` must equal the tallies of the replay, or
-    :class:`SummaryMismatchError` names the first row that does not.
-    Returns the final state and the replayed round summaries."""
+    order, raises :class:`InconsistentIdsError`. Then the header must hold
+    one ``round_summaries`` row per (round, topic), rounds 0 to
+    ``rounds_K``, counted before anything is tallied, and each row must
+    equal the tallies of the replay; :class:`SummaryMismatchError` names the
+    row count or the first row that does not. Returns the final state and
+    the replayed round summaries."""
     profiles = np.asarray(initial_profiles, dtype=np.float64)
     if profiles.shape != (trace.n, trace.z):
         raise InconsistentIdsError(
@@ -56,10 +58,20 @@ def _replay(initial_profiles, trace: SimTrace):
     last = np.diff(key, append=-1) != 0
     final = start.copy()
     final[key[last]] = new[last]
+    rows = (trace.params.rounds_K + 1) * trace.z
+    if len(trace.round_summaries) != rows:
+        raise SummaryMismatchError(
+            f"round_summaries has {len(trace.round_summaries)} rows, but the "
+            f"events replayed over the initial state give {rows}")
     summaries = _round_summaries(profiles, trace.params.rounds_K,
                                  trace.ev_round, trace.ev_topic, trace.ev_old,
                                  trace.ev_new)
-    _check_summaries(trace.round_summaries, summaries)
+    for i, (mine, theirs) in enumerate(zip(trace.round_summaries, summaries)):
+        if mine != theirs:
+            raise SummaryMismatchError(
+                f"round_summaries row {i} is {list(astuple(mine))}, but the "
+                f"events replayed over the initial state give "
+                f"{list(astuple(theirs))}")
     return final.reshape(profiles.shape), summaries
 
 
@@ -85,22 +97,6 @@ def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint
                    trace.n - s.unknown)
         for s in _replay(initial_state, trace)[1]
     ]
-
-
-def _check_summaries(recorded: list, replayed: list) -> None:
-    """Raise :class:`SummaryMismatchError` at the first recorded round
-    summary that differs from the replayed one."""
-    if recorded == replayed:
-        return
-    for i, (mine, theirs) in enumerate(zip(recorded, replayed)):
-        if mine != theirs:
-            raise SummaryMismatchError(
-                f"round_summaries row {i} is {list(astuple(mine))}, but the "
-                f"events replayed over the initial state give "
-                f"{list(astuple(theirs))}")
-    raise SummaryMismatchError(
-        f"round_summaries has {len(recorded)} rows, but the events replayed "
-        f"over the initial state give {len(replayed)}")
 
 
 def _truth_table(truth: dict, n: int, z: int) -> np.ndarray:

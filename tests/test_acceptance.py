@@ -289,7 +289,7 @@ def test_criterion_8_scale_runtime(tmp_path):
     g, symbols = io_formats.load_graph(bundle.edges_path, bundle.profiles_path)
     seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
     params = io_formats.load_config(tmp_path / "big" / "config.json")
-    trace = sc.run_tsa(g, params, seeds)
+    trace, _ = sc.run_simulation(g, params, seeds)
     io_formats.write_trace(trace, tmp_path / "big" / "trace.jsonl")
     elapsed = time.perf_counter() - start
 

@@ -248,6 +248,26 @@ def test_evaluate_header_summary_mismatch_exit_1(bundle_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["evaluate", "curves"])
+@pytest.mark.parametrize("rounds", [-3, 10**9])
+def test_trace_header_rounds_beyond_its_summaries_exit_1(
+        bundle_dir, tmp_path, capsys, command, rounds):
+    """The header's rounds_K sizes the replayed tallies: a negative one, or
+    one with more rounds than the header has summary rows, fails at line 1
+    before anything is tallied."""
+    trace_path = tmp_path / "t.jsonl"
+    lines = simulated_trace_lines(bundle_dir, trace_path)
+    header = json.loads(lines[0])
+    header["params"]["rounds_K"] = rounds
+    # without events, no event round is out of range first
+    trace_path.write_text(json.dumps(header) + "\n")
+    capsys.readouterr()
+    assert run_on_trace(command, bundle_dir, trace_path, tmp_path) == (1, False)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace_path}:1:1: trace header ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "curves"])
 def test_trace_events_out_of_round_order_exit_1(bundle_dir, tmp_path, capsys,
                                                 command):
     trace_path = tmp_path / "t.jsonl"
@@ -399,11 +419,13 @@ def test_generate_infeasible_exit_1(tmp_path, capsys):
 
 
 def test_bad_stance_mix_exit_1(tmp_path, capsys):
-    rc = main(["generate", "--nodes", "5", "--edges", "4", "--topics", "1",
-               "--stance-mix", "[0.5, 0.7, 0, 0]",
-               "--out-dir", str(tmp_path / "x")])
-    assert rc == 1
-    assert "stance_mix" in capsys.readouterr().err
+    for mix, allowed in [("[0.5, 0.7, 0, 0]", "non-negative entries summing to 1"),
+                         ("[1,0]", "shape (4,) or (1, 4)")]:
+        rc = main(["generate", "--nodes", "5", "--edges", "4", "--topics", "1",
+                   "--stance-mix", mix, "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --stance-mix = {json.loads(mix)!r} outside allowed {allowed}\n")
 
 
 @pytest.mark.parametrize("topics", ["0", "-1"])
@@ -414,34 +436,59 @@ def test_generate_without_topics_exit_1(tmp_path, capsys, topics):
                "--seed", "1", "--out-dir", str(tmp_path / "x")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: config key 'z' = {topics} outside allowed integers >= 1\n"
+    assert err == f"error: --topics must be at least 1, got {topics}\n"
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "baseline-ic"])
-def test_no_seed_stances_warns_in_one_line(tmp_path, capsys, command):
+@pytest.mark.parametrize("option", ["--nodes", "--edges"])
+def test_generate_negative_count_exit_1(tmp_path, capsys, option):
+    args = {"--nodes": "3", "--edges": "2", option: "-1"}
+    rc = main(["generate", *(x for pair in args.items() for x in pair),
+               "--topics", "1", "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {option} must be at least 0, got -1\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_baseline_ic_bad_p_exit_1(bundle_dir, tmp_path, capsys, p):
+    rc = main(["baseline-ic", "--graph", str(bundle_dir / "edges.tsv"),
+               "--seeds", str(bundle_dir / "seeds.csv"), "--p", p,
+               "--runs", "3", "--out", str(tmp_path / "ic.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --p = {float(p)!r} outside allowed [0, 1]\n")
+    assert not (tmp_path / "ic.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-workers",
+                                     "baseline-ic"])
+def test_no_seed_stances_warns_in_one_line(tmp_path, capfd, command):
+    """The seeds loader's warning is the only one, since a run without a
+    known stance is one without seeds rows (workers print to the fd)."""
     data = tmp_path / "data"
     assert main(["generate", "--nodes", "6", "--edges", "8", "--topics", "2",
                  "--stance-mix", "[1, 0, 0, 0]", "--out-dir", str(data)]) == 0
-    capsys.readouterr()
+    capfd.readouterr()
     if command == "simulate":
         args = simulate_args(data, tmp_path / "t.jsonl")
-        expected = [f"warning: {data / 'seeds.csv'}: no seed stances",
-                    "warning: no seed stances: the run will produce no events"]
+    elif command == "simulate-workers":
+        args = simulate_args(data, tmp_path / "t.jsonl",
+                             ["--runs", "3", "--workers", "2"])
     else:
         args = ["baseline-ic", "--graph", str(data / "edges.tsv"),
                 "--seeds", str(data / "seeds.csv"), "--p", "0.5",
                 "--runs", "3", "--out", str(tmp_path / "ic.json")]
-        expected = [f"warning: {data / 'seeds.csv'}: no seed stances"]
     assert main(args) == 0
-    assert capsys.readouterr().err.splitlines() == expected
+    assert capfd.readouterr().err.splitlines() == [
+        f"warning: {data / 'seeds.csv'}: no seed stances"]
 
 
 def test_internal_error_exit_2(bundle_dir, tmp_path, monkeypatch, capsys):
     def boom(*_args, **_kwargs):
         raise RuntimeError("induced internal failure")
 
-    monkeypatch.setattr("stancecast.cli.engine.run_tsa", boom)
+    monkeypatch.setattr("stancecast.cli.engine.run_simulation", boom)
     rc = main(simulate_args(bundle_dir, tmp_path / "t.jsonl"))
     assert rc == 2
     assert "induced internal failure" in capsys.readouterr().err
@@ -629,7 +676,7 @@ def test_non_numeric_stance_mix_exit_1(tmp_path, capsys, mix):
                "--stance-mix", mix, "--out-dir", str(tmp_path / "x")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "'stance_mix'" in err and "shape (4,) or (2, 4)" in err
+    assert "--stance-mix = " in err and "shape (4,) or (2, 4)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
 

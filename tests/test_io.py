@@ -185,11 +185,11 @@ class TestTraceFiles:
         g = sc.build_graph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)],
                            [[1.0, 0.0]] + [[-1.0, -1.0]] * 4)
         params = sc.SimParams(rounds_K=rounds, rng_seed=seed, r1=1.0, r2=0.5)
-        return sc.run_tsa(g, params)
+        return sc.run_simulation(g, params)[0]
 
     def test_empty_trace_round_trip(self, tmp_path):
         g = sc.build_graph(2, 1, [], [[1.0], [1.0]])
-        trace = sc.run_tsa(g, sc.SimParams(rounds_K=1, r1=0.0, r2=0.0))
+        trace, _ = sc.run_simulation(g, sc.SimParams(rounds_K=1, r1=0.0, r2=0.0))
         io_formats.write_trace(trace, tmp_path / "t.jsonl")
         assert io_formats.load_trace(tmp_path / "t.jsonl") == trace
 
@@ -211,7 +211,7 @@ class TestTraceFiles:
         )
         params = sc.SimParams(rounds_K=12, rng_seed=4, r1=1.0, r2=0.8,
                               adjacency_memory="per_round")
-        trace = sc.run_tsa(g, params)
+        trace, _ = sc.run_simulation(g, params)
         assert len(trace.events) >= 1000
         io_formats.write_trace(trace, tmp_path / "big.jsonl")
         assert io_formats.load_trace(tmp_path / "big.jsonl") == trace

@@ -41,19 +41,19 @@ class TestReplay:
 class TestCurves:
     def test_empty_trace_flat_at_seed_count(self):
         g = sc.build_graph(3, 1, [], [[1.0], [0.0], [-1.0]])
-        trace = sc.run_tsa(g, sc.SimParams(rounds_K=2, r1=0.0, r2=0.0))
+        trace, _ = sc.run_simulation(g, sc.SimParams(rounds_K=2, r1=0.0, r2=0.0))
         points = metrics.stance_distribution_curve(trace, g.profiles)
         assert [p.cumulative_known for p in points] == [2, 2, 2]
 
     def test_single_activation_increments_curve(self):
         g = sc.build_graph(2, 1, [(0, 1)], [[1.0], [-1.0]])
-        trace = sc.run_tsa(g, sc.SimParams(rounds_K=1, r1=0.0, r2=0.0))
+        trace, _ = sc.run_simulation(g, sc.SimParams(rounds_K=1, r1=0.0, r2=0.0))
         points = metrics.stance_distribution_curve(trace, g.profiles)
         assert [p.cumulative_known for p in points] == [1, 2]
 
     def test_oppose_only_seeds_stay_constant_without_events(self):
         g = sc.build_graph(4, 1, [], [[0.0], [0.0], [-1.0], [-1.0]])
-        trace = sc.run_tsa(g, sc.SimParams(rounds_K=3, r1=0.0, r2=0.0))
+        trace, _ = sc.run_simulation(g, sc.SimParams(rounds_K=3, r1=0.0, r2=0.0))
         points = metrics.stance_distribution_curve(trace, g.profiles)
         assert [p.counts[0.0] for p in points] == [2, 2, 2, 2]
 

@@ -107,8 +107,8 @@ def generated_trace_lines(tmp_path):
     seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trace = sc.run_tsa(graph, sc.SimParams(rounds_K=4, rng_seed=3, r2=0.3),
-                           seeds)
+        trace, _ = sc.run_simulation(
+            graph, sc.SimParams(rounds_K=4, rng_seed=3, r2=0.3), seeds)
     assert set(trace.ev_channel.tolist()) == {0, 1}
     assert len(set(trace.ev_round.tolist())) > 1
     io_formats.write_trace(trace, tmp_path / "trace.jsonl")
