@@ -140,11 +140,13 @@ def _coin_flips(targets: np.ndarray, uniforms: np.ndarray, p: np.ndarray):
         if at.shape[0]:
             u = uniforms[:c].tolist()
             done = set()
+            n_skipped = 0
             for i, t, q in zip(at.tolist(), targets[at].tolist(),
                                p[at].tolist()):
                 if t in done:
                     skipped.append(i)
-                elif u[i - len(skipped)] < q:
+                    n_skipped += 1
+                elif u[i - n_skipped] < q:
                     done.add(t)
     if not skipped:
         return uniforms[:c] < p, c

@@ -1,12 +1,31 @@
 """Hot inner-loop kernels over numpy arrays.
 
-The non-adjacent sweep (:func:`nadj_pass`) is a segment scan: between two
-stance changes of a receiver, its messages are computed as whole arrays,
-and the persistence recursion runs as a prefix sum (``np.cumsum``). Each
-element goes through the same IEEE operations as the per-message
-:func:`deliver` (the similarity is summed topic by topic, ``a - y`` is
-``a + (-y)``, and ``add.accumulate`` adds strictly left to right), so the
-scan and the scalar loop agree bit for bit.
+The non-adjacent sweep (:func:`nadj_pass`) plans its receivers as the rows
+of one receivers x senders array. While a receiver's stance holds, the
+influence p of each of its messages and the persistence step y are whole
+arrays, and the recursion a <- a - y is a prefix sum along the row
+(``np.cumsum`` over ``[a, -y_1, -y_2, ...]``). A row holds up to its first
+message that may move the receiver; only then does the receiver go through
+the per-receiver loop (:func:`_hold_scan` and the scalar :func:`deliver`).
+The plan gives the per-message loop's results bit for bit:
+
+- Rows interact only through receivers that are also senders. A held row
+  writes only its own receiver's ``avals`` and ``counts``, so each row of a
+  plan reads the state the plan started with, and its events go where the
+  per-message order puts them. A plan ends with the first receiver that is
+  also a sender and may move; the rows after it are planned again, so they
+  hear its new stance.
+- An unknown receiver moves on its first message. The plan delivers the
+  first messages of all its unknown receivers at once
+  (:func:`_deliver_many`) and computes their rows after that, because the
+  similarity includes the receiver's own stance on topic j.
+- Each element goes through the IEEE operations of :func:`deliver` in its
+  order: the similarity is summed topic by topic and ``a - y`` is
+  ``a + (-y)``. A cell that carries no message (the receiver's own column,
+  or an unknown receiver's delivered first message) adds -0.0, which
+  leaves a as it is.
+- ``np.cumsum`` along a row is ``add.accumulate``, which adds strictly
+  left to right, as the scalar loop does.
 
 The adjacent sweep (:func:`adjacent_pass`) is array code too. The
 adjacency memory only grows during a sweep, so the receivers it reaches
@@ -45,12 +64,11 @@ BACKEND = "python"
 
 def similarity(profiles, u, v):
     """Topic similarity sqrt(z) / (sqrt(z) + ||p_u - p_v||) of two nodes."""
-    z = profiles.shape[1]
     acc = 0.0
-    for i in range(z):
-        d = profiles[u, i] - profiles[v, i]
+    for a, b in zip(profiles[u].tolist(), profiles[v].tolist()):
+        d = a - b
         acc += d * d
-    sq = math.sqrt(z)
+    sq = math.sqrt(profiles.shape[1])
     return sq / (sq + math.sqrt(acc))
 
 
@@ -101,12 +119,14 @@ def deliver(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     then the stance transition, mutating profiles/avals/counts in place.
     Returns (old_stance, new_stance, probability).
     """
-    t_u = profiles[v, j]
-    old = profiles[q, j]
+    # Python floats: the IEEE operations of float64, without numpy's
+    # per-scalar cost
+    t_u = profiles.item(v, j)
+    old = profiles.item(q, j)
     p = delta * similarity(profiles, v, q) * stance_factor(old, t_u, lam, mu)
-    k = counts[q, j] + 1
+    k = counts.item(q, j) + 1
     counts[q, j] = k
-    a = persistence_update(avals[q, j], k, old, t_u, p)
+    a = persistence_update(avals.item(q, j), k, old, t_u, p)
     avals[q, j] = a
     new = transition(old, t_u, p, a, tie_eps)
     profiles[q, j] = new
@@ -298,6 +318,302 @@ def _hold_scan(profiles, avals, counts, q, senders, delta, j, lam, mu,
     return done, n_ev
 
 
+def _receiver_loop(profiles, avals, counts, q, sv, delta, start, scan_from, j,
+                   lam, mu, tie_eps, ev_node, ev_src, ev_old, ev_new, ev_p, n_ev):
+    """Deliver the messages ``sv[start:] -> q`` one receiver at a time.
+
+    :func:`_hold_scan` delivers the messages that cannot move q's stance as
+    arrays; the message that may move it goes through the scalar
+    :func:`deliver`, and the scan restarts after it with q's new stance. An
+    unknown receiver moves on any message, so its messages go through
+    :func:`deliver`. The messages before ``scan_from``, and the next
+    ``_SHORT_HOLD`` after a hold shorter than that, go through
+    :func:`deliver` too. Returns how many messages went through
+    :func:`deliver`.
+    """
+    one_by_one = 0
+    while start < sv.shape[0]:
+        if start >= scan_from and profiles[q, j] != -1.0:
+            held, n_ev = _hold_scan(profiles, avals, counts, q, sv[start:],
+                                    delta[start:], j, lam, mu, ev_node,
+                                    ev_src, ev_old, ev_new, ev_p, n_ev)
+            start += held
+            if held < _SHORT_HOLD:
+                scan_from = start + _SHORT_HOLD
+        if start < sv.shape[0]:
+            v = sv[start]
+            old, new, p = deliver(profiles, avals, counts, q, v, j,
+                                  delta.item(start), lam, mu, tie_eps)
+            ev_node[n_ev] = q
+            ev_src[n_ev] = v
+            ev_old[n_ev] = old
+            ev_new[n_ev] = new
+            ev_p[n_ev] = p
+            n_ev += 1
+            start += 1
+            one_by_one += 1
+    return one_by_one
+
+
+# One plan holds at most this many (receiver, sender) cells.
+_PLAN_CELLS = 65536
+# A plan costs about as much as this many per-receiver scans, whatever its
+# size; fewer receivers go through the per-receiver loop.
+_MIN_PLAN = 8
+# A scan costs about as much as this many cells, whatever its size.
+_SCAN_CELLS = 2048
+
+
+def _scan_rows(profiles, avals, counts, q, own, skip, sender_rows, delta, j,
+               lam, mu):
+    """Hold-scan receivers ``q`` against every sender as one rows x senders
+    array, each row as :func:`_hold_scan` scans one receiver.
+
+    ``own[r]`` is the column of q[r] among the senders (the sender count
+    when q[r] is none), and the first ``skip[r]`` columns were delivered
+    already; neither carries a message here. Such a cell's step is -0.0,
+    which leaves the running a as it is, and the message number k counts
+    only the cells that carry a message. Returns (p, stop, a, msg, carry):
+    each cell's influence, the column of each row's first message that may
+    move q or takes a below 0 (the sender count when the row holds to its
+    end), a before that column, each cell's index among q's messages, and
+    whether it carries one.
+    """
+    rows, s = delta.shape
+    cols = np.arange(s)
+    z = profiles.shape[1]
+    sq = math.sqrt(z)
+    q_rows = profiles[q]
+    old = q_rows[:, j, None]
+    t_u = sender_rows[:, j]
+    acc = np.zeros((rows, s))
+    for i in range(z):
+        d = sender_rows[:, i] - q_rows[:, i, None]
+        acc = acc + d * d
+    same = t_u == old
+    f = np.where(same | (old == 0.5), 1.0,
+                 np.where(np.abs(old - t_u) <= 0.5, lam, mu))
+    p = (delta * (sq / (sq + np.sqrt(acc)))) * f
+    msg = cols - (cols > own[:, None])
+    carry = (cols != own[:, None]) & (cols >= skip[:, None])
+    # a cell that carries no message gets k >= 1 too, so y stays finite
+    k = (counts[q, j] + 1 - skip)[:, None] + msg
+    y = np.where(carry, (np.abs(t_u - old) * p - same * p) / k, 0.0)
+    movable = carry & ~same
+    steps = np.empty((rows, s + 1))
+    steps[:, 0] = avals[q, j]
+    np.negative(y, out=steps[:, 1:])
+    before = np.cumsum(steps, axis=1)  # before[:, c]: a before column c
+
+    stop = np.full(rows, s)
+    a = np.empty(rows)
+    active = np.arange(rows)
+    mv, pa, c0 = movable, p, None
+    while True:
+        run = before[:, 1:]
+        hit = (mv & (pa >= run)) | (run < 0.0) | (run > 1.0)
+        if c0 is not None:
+            hit &= cols >= c0[:, None]
+        a[active] = before[:, s]
+        at = np.flatnonzero(hit.any(axis=1))
+        if not at.shape[0]:
+            return p, stop, a, msg, carry
+        h = hit[at].argmax(axis=1)
+        # a step that takes a above 1 is clamped to 1 (unless the message
+        # may move q at a = 1), and a stays exactly 1 while the steps are
+        # <= 0; the row's sum restarts from 1 at the first step > 0 or
+        # message that may move q at a = 1
+        clamp = (run[at, h] > 1.0) & ~(mv[at, h] & (pa[at, h] >= 1.0))
+        moved = ~clamp
+        stop[active[at[moved]]] = h[moved]
+        a[active[at[moved]]] = before[at[moved], h[moved]]
+        if not clamp.any():
+            return p, stop, a, msg, carry
+        active, h = active[at[clamp]], h[clamp]
+        back = (((y[active] > 0.0) | (movable[active] & (p[active] >= 1.0)))
+                & (cols >= h[:, None]))
+        ends = np.where(back.any(axis=1), back.argmax(axis=1), s)
+        a[active[ends == s]] = 1.0
+        active, c0 = active[ends < s], ends[ends < s]
+        if not active.shape[0]:
+            return p, stop, a, msg, carry
+        # 0.0 + 1.0 is 1.0: zeroing the steps before c0 starts a fresh sum
+        seg = steps[active]
+        seg[np.arange(s + 1) < c0[:, None]] = 0.0
+        seg[np.arange(active.shape[0]), c0] = 1.0
+        before = np.cumsum(seg, axis=1)
+        mv, pa = movable[active], p[active]
+
+
+class _NadjPass:
+    """One :func:`nadj_pass` call: its arrays, and where the events of each
+    receiver start."""
+
+    def __init__(self, in_indptr, in_indices, profiles, avals, counts,
+                 receivers, senders, j, delta_adj, delta_nonadj, lam, mu,
+                 tie_eps, events):
+        self.in_indptr, self.in_indices = in_indptr, in_indices
+        self.profiles, self.avals, self.counts = profiles, avals, counts
+        self.receivers, self.senders, self.j = receivers, senders, j
+        self.delta_adj, self.delta_nonadj = delta_adj, delta_nonadj
+        self.lam, self.mu, self.tie_eps = lam, mu, tie_eps
+        self.events = events
+        s = senders.shape[0]
+        # a node's column among the senders, s for a node that is none
+        self.col_of = np.full(profiles.shape[0], s)
+        self.col_of[senders] = np.arange(s)
+        self.own = self.col_of[receivers]
+        # a receiver hears every sender but itself, in sender order, so its
+        # events start at a place known before any is delivered
+        self.starts = np.zeros(receivers.shape[0] + 1, dtype=np.int64)
+        np.cumsum(s - (self.own < s), out=self.starts[1:])
+
+    def deltas(self, rows):
+        """delta of every (receiver, sender) cell of receivers ``rows``."""
+        s = self.senders.shape[0]
+        delta = np.full((rows.shape[0], s), self.delta_nonadj)
+        slots, lens = out_slots(self.in_indptr, self.receivers[rows])
+        col = self.col_of[self.in_indices[slots]]
+        adj = col < s
+        delta[np.repeat(np.arange(rows.shape[0]), lens)[adj], col[adj]] = self.delta_adj
+        return delta
+
+    def finish(self, i, delta, start, scan_from):
+        """Deliver receiver i's messages from its ``start``-th on in the
+        per-receiver loop, given its row of delta (None: look it up here);
+        returns whether it held to its end, as a planned row may (only an
+        unknown receiver's first message went one by one)."""
+        q = self.receivers[i]
+        sv = self.senders
+        s = sv.shape[0]
+        if delta is None:  # one in-row: :meth:`deltas` costs 3x as much
+            delta = np.full(s, self.delta_nonadj)
+            col = self.col_of[self.in_indices[self.in_indptr[q]:self.in_indptr[q + 1]]]
+            delta[col[col < s]] = self.delta_adj
+        own = self.own[i]
+        if own < s:
+            sv = np.concatenate((sv[:own], sv[own + 1:]))
+            delta = np.concatenate((delta[:own], delta[own + 1:]))
+        unknown = self.profiles[q, self.j] == -1.0
+        one_by_one = _receiver_loop(
+            self.profiles, self.avals, self.counts, q, sv, delta, start,
+            scan_from, self.j, self.lam, self.mu, self.tie_eps, *self.events,
+            self.starts[i] + start)
+        return one_by_one <= unknown
+
+    def hold(self, r, rows, skip, delta, p, stop, a, msg, carry):
+        """Write the messages of scanned rows ``r + rows`` before each row's
+        stop, and its a and k after them; returns (row, delta row, first
+        message, scan_from) of each row that stopped early."""
+        s = self.senders.shape[0]
+        i = r + rows
+        q = self.receivers[i]
+        early = np.flatnonzero(stop < s)
+        cells = carry
+        if early.shape[0]:
+            cells = carry & (np.arange(s) < stop[:, None])
+        held = np.count_nonzero(cells, axis=1)
+        pos = (self.starts[i][:, None] + msg)[cells]
+        ev_node, ev_src, ev_old, ev_new, ev_p = self.events
+        old = self.profiles[q, self.j]
+        ev_node[pos] = q.repeat(held)
+        ev_src[pos] = np.broadcast_to(self.senders, cells.shape)[cells]
+        ev_old[pos] = ev_new[pos] = old.repeat(held)
+        ev_p[pos] = p[cells]
+        self.avals[q, self.j] = a
+        self.counts[q, self.j] += held
+        if not early.shape[0]:
+            return []
+        first = msg[early, stop[early]]
+        # after a hold shorter than _SHORT_HOLD, q is moving often, so its
+        # next messages go one by one, as in _receiver_loop
+        scan_from = first + np.where(held[early] < _SHORT_HOLD, _SHORT_HOLD, 1)
+        return list(zip(i[early].tolist(), delta[early], first.tolist(),
+                        scan_from.tolist()))
+
+    def _first_messages(self, i, delta):
+        """Deliver senders[0]'s message to each unknown receiver i (none of
+        them a sender) as whole arrays; returns whether each is still
+        unknown after it."""
+        q = self.receivers[i]
+        at = self.starts[i]
+        ev_node, ev_src, ev_old, ev_new, ev_p = self.events
+        ev_node[at] = q
+        ev_src[at] = self.senders[0]
+        ev_old[at], ev_new[at], ev_p[at] = _deliver_many(
+            self.profiles, self.avals, self.counts, q,
+            self.senders[:1].repeat(q.shape[0]), self.j, delta, self.lam,
+            self.mu, self.tie_eps)
+        return ev_new[at] == -1.0
+
+    def plan(self, r, end):
+        """Deliver the messages of receivers r:end as one plan; returns
+        whether each receiver it took held to its end (without a message
+        that may move it). The plan halts after the first receiver that is
+        also a sender and may move (an unknown one always does), as later
+        rows must hear its new stance."""
+        s = self.senders.shape[0]
+        j = self.j
+        profiles = self.profiles
+        q = self.receivers[r:end]
+        own = self.own[r:end]
+        sender_rows = profiles[self.senders]
+        unknown = profiles[q, j] == -1.0
+        is_sender = own < s
+
+        def scan(rows, skip, delta):
+            return (rows, skip, delta) + _scan_rows(
+                profiles, self.avals, self.counts, q[rows], own[rows], skip,
+                sender_rows, delta, j, self.lam, self.mu)
+
+        halt = np.flatnonzero(is_sender & unknown)
+        last = int(halt[0]) if halt.shape[0] else q.shape[0]
+        # the known receivers that are also senders are scanned first, in
+        # chunks that start at about one scan's cost and double, so that a
+        # plan that halts early has scanned at most about twice the rows it
+        # took
+        scans = []
+        known = np.flatnonzero(is_sender[:last] & ~unknown[:last])
+        size = max(1, _SCAN_CELLS // s)
+        while known.shape[0]:
+            rows, known = known[:size], known[size:]
+            scans.append(scan(rows, np.zeros(rows.shape[0], dtype=np.int64),
+                              self.deltas(r + rows)))
+            hits = np.flatnonzero(scans[-1][4] < s)
+            if hits.shape[0]:
+                last = int(rows[hits[0]])
+                break
+            size *= 2
+        finish = []
+        if last < q.shape[0] and unknown[last]:
+            finish.append((r + last, None, 0, 0))
+
+        # an unknown receiver before ``last`` is no sender, so its first
+        # message comes from senders[0]; its row is scanned after that
+        # message, as the similarity includes q's own stance on topic j
+        rows = np.flatnonzero(~is_sender[:last])
+        if rows.shape[0]:
+            delta = self.deltas(r + rows)
+            first = np.flatnonzero(unknown[rows])
+            if first.shape[0]:
+                still = self._first_messages(r + rows[first], delta[first, 0])
+                finish += [(r + rows[e], delta[e], 1, 1) for e in first[still]]
+                rows = np.delete(rows, first[still])
+                delta = np.delete(delta, first[still], axis=0)
+            scans.append(scan(rows, unknown[rows].astype(np.int64), delta))
+
+        for rows, skip, delta, p, stop, a, msg, carry in scans:
+            keep = rows <= last  # the last chunk may run past ``last``
+            finish += self.hold(r, rows[keep], skip[keep], delta[keep], p[keep],
+                                stop[keep], a[keep], msg[keep], carry[keep])
+        held = np.ones(min(last + 1, q.shape[0]), dtype=np.bool_)
+        # in receiver order, so that the row that halts the plan goes last
+        for i, delta, start, scan_from in sorted(finish, key=lambda e: e[0]):
+            self.finish(i, delta, start, scan_from)
+            held[i - r] = False
+        return held
+
+
 def nadj_pass(in_indptr, in_indices, profiles, avals, counts, receivers, senders,
               j, delta_adj, delta_nonadj, lam, mu, tie_eps,
               ev_node, ev_src, ev_old, ev_new, ev_p):
@@ -305,46 +621,44 @@ def nadj_pass(in_indptr, in_indices, profiles, avals, counts, receivers, senders
 
     Receivers are taken in the order given (ascending, from the engine),
     each hearing the senders in order with self-pairs skipped, so a
-    receiver that is also a sender is heard with the stance its own scan
-    left. delta is delta_adj when the
-    pair is an edge v -> q (v in the in-row of q), delta_nonadj otherwise.
+    receiver that is also a sender is heard with the stance its own
+    messages left. delta is delta_adj when the pair is an edge v -> q (v
+    in the in-row of q), delta_nonadj otherwise. The receivers are
+    distinct, and so are the senders (the engine samples both without
+    replacement). Returns the event count.
 
-    Segment scan: :func:`_hold_scan` delivers the messages that cannot
-    move q's stance as arrays; the message that may move it goes through
-    the scalar :func:`deliver`, and the scan restarts after it with q's
-    new stance. An unknown receiver moves on any message, so its first
-    message always goes through :func:`deliver`. After a hold shorter than
-    ``_SHORT_HOLD`` messages, the next ``_SHORT_HOLD`` messages go through
-    :func:`deliver` too. Returns the event count.
+    The receivers are planned a window at a time (see the module
+    docstring): at most ``_PLAN_CELLS`` cells, and up to twice as many
+    receivers as held to their end just before the window. A window of
+    fewer than ``_MIN_PLAN`` receivers goes through the per-receiver loop
+    one receiver at a time, as a plan would cost more than it saves; that
+    minimum doubles after each plan in which a receiver moved, so a pass
+    whose receivers keep moving is rarely planned.
     """
-    n_ev = 0
-    for qi in range(receivers.shape[0]):
-        q = receivers[qi]
-        sv = senders[senders != q]
-        delta = np.full(sv.shape[0], delta_nonadj)
-        row = in_indices[in_indptr[q]:in_indptr[q + 1]]
-        if row.shape[0] > 0:
-            pos = np.minimum(np.searchsorted(row, sv), row.shape[0] - 1)
-            delta[row[pos] == sv] = delta_adj
-        start = 0
-        scan_from = 0
-        while start < sv.shape[0]:
-            if start >= scan_from and profiles[q, j] != -1.0:
-                held, n_ev = _hold_scan(profiles, avals, counts, q, sv[start:],
-                                        delta[start:], j, lam, mu, ev_node,
-                                        ev_src, ev_old, ev_new, ev_p, n_ev)
-                start += held
-                if held < _SHORT_HOLD:
-                    scan_from = start + _SHORT_HOLD
-            if start < sv.shape[0]:
-                v = sv[start]
-                old, new, p = deliver(profiles, avals, counts, q, v, j,
-                                      delta[start], lam, mu, tie_eps)
-                ev_node[n_ev] = q
-                ev_src[n_ev] = v
-                ev_old[n_ev] = old
-                ev_new[n_ev] = new
-                ev_p[n_ev] = p
-                n_ev += 1
-                start += 1
-    return n_ev
+    n_rows = receivers.shape[0]
+    s = senders.shape[0]
+    if n_rows == 0 or s == 0:
+        return 0
+    ps = _NadjPass(in_indptr, in_indices, profiles, avals, counts, receivers,
+                   senders, j, delta_adj, delta_nonadj, lam, mu, tie_eps,
+                   (ev_node, ev_src, ev_old, ev_new, ev_p))
+    cap = max(1, _PLAN_CELLS // s)
+    streak = n_rows  # the receivers before r that held to their end
+    need = _MIN_PLAN
+    r = 0
+    while r < n_rows:
+        end = min(n_rows, r + cap, r + 2 * streak)
+        if end - r < need:
+            streak = streak + 1 if ps.finish(r, None, 0, 0) else 0
+            r += 1
+            continue
+        held = ps.plan(r, end)
+        moved = np.flatnonzero(~held)
+        if moved.shape[0]:
+            streak = held.shape[0] - 1 - moved[-1]
+            need *= 2
+        else:
+            streak += held.shape[0]
+            need = _MIN_PLAN
+        r += held.shape[0]
+    return int(ps.starts[-1])

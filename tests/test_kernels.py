@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stancecast as sc
-from stancecast import kernels
+from stancecast import io_formats, kernels
 from conftest import make_random_case
 
 
@@ -293,3 +293,183 @@ def test_nadj_pass_exact_tie(tie):
         params.tie_epsilon)
     assert p[3] == 0.125
     assert list(new) == [1.0] * 3 + ([0.5] * 4 if tie == "one" else [1.0] * 4)
+
+
+STANCES = np.array([-1.0, 0.0, 0.5, 1.0])
+
+
+def random_graph(rng, n, z, m):
+    """A random simple digraph on n nodes with about m edges and random
+    profiles; the kernels read the profiles they are given, so a test may
+    rewrite its copy."""
+    edges = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(m, 2))
+             if u != v}
+    profiles = rng.choice(STANCES, size=(n, z), p=[0.4, 0.2, 0.2, 0.2])
+    return sc.build_graph(n, z, sorted(edges), profiles), profiles
+
+
+def known_nodes(profiles, j, nodes):
+    return nodes[profiles[nodes, j] != -1.0]
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 4])
+def test_nadj_pass_replans_after_a_sender_receiver_moves(z):
+    # receiver 0 comes first and is also a sender; with a = 0 it moves on
+    # the first opposing message it hears, and the 40 receivers after it
+    # must hear it with its new stance, not the one their plan started with
+    rng = np.random.default_rng(300 + z)
+    n = 200
+    g, profiles = random_graph(rng, n, z, 2000)
+    j = z - 1
+    profiles[0, j] = 1.0
+    profiles[100:, j] = rng.choice([0.0, 0.5], size=n - 100)
+    senders = np.concatenate([[0], np.arange(100, 160)])
+    receivers = np.concatenate(
+        [[0], known_nodes(profiles, j, np.arange(1, 100))[:40]])
+    avals = np.full((n, z), 0.9)
+    avals[0, j] = 0.0
+    counts = rng.integers(0, 3, size=(n, z))
+    node, src, old, new, p = run_both_nadj(
+        g, profiles, avals, counts, receivers, senders, j, 0.8, 0.2, 0.7,
+        0.2, 0.0)
+    assert receivers.shape[0] == 41
+    heard_from_0 = (src == 0) & (node != 0)
+    assert np.count_nonzero(heard_from_0) == 40
+    assert np.count_nonzero((node == 0) & (old != new)) > 0
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 4])
+def test_nadj_pass_unknown_receivers(z):
+    # 30 unknown receivers among 10 known ones: each one's first message
+    # sets its stance on topic j, which the similarity of every later
+    # message includes
+    rng = np.random.default_rng(400 + z)
+    n = 300
+    g, profiles = random_graph(rng, n, z, 3000)
+    j = 0
+    profiles[:30, j] = -1.0
+    senders = known_nodes(profiles, j, np.arange(100, 300))[:50]
+    receivers = np.sort(np.concatenate(
+        [np.arange(30), known_nodes(profiles, j, np.arange(30, 100))[:10]]))
+    for a0 in (0.05, 0.5):
+        node, src, old, new, p = run_both_nadj(
+            g, profiles, np.full((n, z), a0), np.zeros((n, z), dtype=np.int64),
+            receivers, senders, j, 0.8, 0.2, 0.7, 0.2, 0.0)
+        activated = node[(old == -1.0) & (new != -1.0)]
+        assert np.array_equal(activated, np.arange(30))
+
+
+def test_nadj_pass_unknown_receivers_that_are_senders():
+    # the engine samples senders among known nodes only, but the kernel
+    # takes any: an unknown receiver that is also a sender moves on its
+    # first message, so the rows after it are planned again
+    rng = np.random.default_rng(8)
+    n = 200
+    g, profiles = random_graph(rng, n, 2, 2000)
+    j = 1
+    profiles[:100, j] = rng.choice([0.0, 0.5, 1.0], size=100)
+    profiles[[3, 17, 40], j] = -1.0
+    receivers = np.arange(60)
+    senders = np.sort(np.concatenate([[3, 17, 40], np.arange(100, 180)]))
+    node, src, old, new, p = run_both_nadj(
+        g, profiles, np.full((n, 2), 0.5), np.zeros((n, 2), dtype=np.int64),
+        receivers, senders, j, 0.8, 0.2, 0.7, 0.2, 0.0)
+    assert {3, 17, 40} <= set(node[(old == -1.0) & (new != -1.0)].tolist())
+
+
+def test_nadj_pass_receiver_whose_only_sender_is_itself():
+    rng = np.random.default_rng(5)
+    n = 40
+    g, profiles = random_graph(rng, n, 2, 200)
+    profiles[:, 0] = rng.choice([0.0, 0.5, 1.0], size=n)
+    receivers = np.arange(20)
+    node, src, old, new, p = run_both_nadj(
+        g, profiles, np.full((n, 2), 0.5), np.zeros((n, 2), dtype=np.int64),
+        receivers, np.array([7]), 0, 0.8, 0.2, 0.7, 0.2, 0.0)
+    assert list(node) == [q for q in range(20) if q != 7]
+    assert set(src.tolist()) == {7}
+
+
+def test_nadj_pass_no_senders():
+    rng = np.random.default_rng(6)
+    n = 30
+    g, profiles = random_graph(rng, n, 2, 100)
+    events = run_both_nadj(
+        g, profiles, np.full((n, 2), 0.5), np.zeros((n, 2), dtype=np.int64),
+        np.arange(n), np.array([], dtype=np.int64), 0, 0.8, 0.2, 0.7, 0.2,
+        0.0)
+    assert all(ev.shape[0] == 0 for ev in events)
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 4])
+@pytest.mark.parametrize("a0", [0.05, 0.5, 1.0])
+def test_nadj_pass_every_receiver_a_sender(z, a0):
+    rng = np.random.default_rng(500 + 10 * z + int(10 * a0))
+    n = 120
+    g, profiles = random_graph(rng, n, z, 1500)
+    j = 0
+    both = known_nodes(profiles, j, np.arange(n))[:40]
+    for tie_eps in (0.0, 1.0):
+        node, src, old, new, p = run_both_nadj(
+            g, profiles, np.full((n, z), a0), rng.integers(0, 3, size=(n, z)),
+            both, both, j, 0.8, 0.2, 0.7, 0.2, tie_eps)
+        assert node.shape[0] == 40 * 39
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 4])
+def test_nadj_pass_clamps_at_one_and_stops_below_zero(z):
+    # rows at a = 1 hearing mostly their own stance clamp again and again
+    # between opposing messages; rows at a near 0 stop on the first
+    # opposing message (senders 100-109), which would take a below 0
+    rng = np.random.default_rng(600 + z)
+    n = 300
+    g, profiles = random_graph(rng, n, z, 3000)
+    j = z - 1
+    profiles[:100, j] = 1.0
+    profiles[100:110, j] = 0.0
+    profiles[110:, j] = rng.choice([0.0, 0.5, 1.0], size=n - 110,
+                                   p=[0.1, 0.1, 0.8])
+    receivers = np.arange(40)
+    senders = np.arange(100, 250)
+    avals = np.full((n, z), 1.0)
+    avals[20:40, j] = 0.01
+    node, src, old, new, p = run_both_nadj(
+        g, profiles, avals, np.zeros((n, z), dtype=np.int64), receivers,
+        senders, j, 0.8, 0.2, 0.7, 0.2, 0.0)
+    assert np.count_nonzero((node >= 20) & (old != new)) > 0
+
+
+def test_nadj_pass_splits_plans_past_the_cell_cap():
+    rng = np.random.default_rng(7)
+    n = 700
+    g, profiles = random_graph(rng, n, 2, 6000)
+    j = 1
+    profiles[:, j] = rng.choice([0.0, 0.5, 1.0], size=n)
+    receivers = np.arange(300)
+    senders = np.arange(400, 650)
+    assert receivers.shape[0] * senders.shape[0] > kernels._PLAN_CELLS
+    node, src, old, new, p = run_both_nadj(
+        g, profiles, np.full((n, 2), 0.5), np.zeros((n, 2), dtype=np.int64),
+        receivers, senders, j, 0.8, 0.05, 0.7, 0.2, 0.0)
+    assert node.shape[0] == 300 * 250
+
+
+def test_nadj_pass_fallback_calls_pinned(tmp_path, monkeypatch):
+    # how many messages of one seeded run go through the per-receiver loop:
+    # 29 hold scans and 464 single deliveries, against 233 and 528 when
+    # every receiver goes through it
+    bundle = io_formats.generate_synthetic(
+        1000, 3000, 2, [0.6, 0.1, 0.2, 0.1], 5, tmp_path)
+    g, symbols = io_formats.load_graph(bundle.edges_path, bundle.profiles_path)
+    seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
+    params = sc.SimParams(rounds_K=4, r1=0.2, r2=0.2,
+                          initial_persistence_A0=0.3, rng_seed=5)
+    calls = {"_hold_scan": 0, "deliver": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    trace, _ = sc.run_simulation(g, params, seeds)
+    assert trace.ev_node.shape[0] == 24570
+    assert calls == {"_hold_scan": 29, "deliver": 464}
