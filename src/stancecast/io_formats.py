@@ -13,7 +13,12 @@ Formats (all UTF-8, line oriented):
   that key order, ``repr`` floats and ``\\n`` line endings. A file in that
   form loads on an array path; any other valid JSON Lines trace is parsed
   one line at a time into the same columns, checked by the same rules
-  (:func:`_event_rules`), with identical results.
+  (:func:`_event_rules`), with identical results. One renderer,
+  :func:`_render_events`, writes the canonical form and checks it on
+  load. It joins each event line from five pieces, each looked up in a
+  small table of texts built once per distinct value or pair of values of
+  a slice of events; as each text is formatted from the ``repr`` of its
+  values, a line equals the one formatted field by field.
 
 External ids are arbitrary strings; dense internal ids are assigned by
 sorting them by Unicode code point (as ``sorted`` does), so loading never
@@ -492,29 +497,80 @@ def write_config(path, params: SimParams) -> None:
 # trace, whatever its length.
 _SLICE_EVENTS = 65536
 _NUMBER_FIELDS = ("round", "topic", "node", "old", "new", "source", "p")
-_CHANNEL_TEXTS = np.array(CHANNELS, dtype=object)
 
 
-def _value_texts(values: np.ndarray) -> list:
-    """``repr`` of each value, computed once per distinct value. Floats are
-    told apart by their bits, so 0.0 and -0.0 keep their own text."""
+def _distinct(values: np.ndarray):
+    """(keys, index): the distinct values of ``values``, and each value's
+    index among them.
+
+    A non-negative integer column whose maximum is below its length plus
+    256 is its own index into ``range(max + 1)``, with no sort, and its
+    table holds no more texts than that. Any other column is sorted and
+    each value found among the distinct ones by binary search: floats by
+    their bits, so 0.0 and -0.0 keep their own text, and integers of any
+    sign or size by value. (A sort and a search take a fraction of the
+    argsort that ``np.unique`` needs for its inverse.)"""
+    if values.dtype.kind in "iu" and values.size:
+        high = int(values.max())
+        if values.min() >= 0 and high < values.size + 256:
+            return range(high + 1), values.astype(np.intp)
     keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    texts = [repr(v) for v in distinct.view(values.dtype).tolist()]
-    return np.array(texts, dtype=object)[inverse].tolist()
+    ordered = np.sort(keys)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    return distinct.view(values.dtype).tolist(), np.searchsorted(distinct, keys)
+
+
+def _pair_texts(a: np.ndarray, b: np.ndarray, text):
+    """(texts, index): ``text(x, y)`` for each distinct pair of values (x, y)
+    of the columns ``a`` and ``b``, and each event's index into them."""
+    keys_a, index_a = _distinct(a)
+    keys_b, index_b = _distinct(b)
+    width = len(keys_b)
+    pairs, index = _distinct(index_a * width + index_b)
+    return np.array([text(keys_a[k // width], keys_b[k % width]) for k in pairs],
+                    dtype=object), index
+
+
+def _event_pieces(columns: dict, start: int, stop: int) -> list:
+    """The event lines ``start:stop`` of a trace file as five pieces each,
+    given as (texts, index) pairs: piece j of event i is
+    ``texts[index[i]]`` of pair j. The pieces are the text up to the node
+    id for each (round, topic), the node id, the text up to the source id
+    for each (old, new), the source id, and the rest of the line for each
+    (p, channel); node and source share one table of ids."""
+    col = {name: values[start:stop] for name, values in columns.items()}
+    count = len(col["node"])
+    ids, index = _distinct(np.concatenate([col["node"], col["source"]]))
+    ids = np.array([repr(v) for v in ids], dtype=object)
+    return [
+        _pair_texts(col["round"], col["topic"],
+                    lambda r, t: f'{{"round":{r!r},"topic":{t!r},"node":'),
+        (ids, index[:count]),
+        _pair_texts(col["old"], col["new"],
+                    lambda o, w: f',"old":{o!r},"new":{w!r},"source":'),
+        (ids, index[count:]),
+        _pair_texts(col["p"], col["channel"],
+                    lambda p, c: f',"p":{p!r},"channel":"{CHANNELS[c]}"}}\n'),
+    ]
 
 
 def _render_events(columns: dict, start: int, stop: int) -> bytes:
     """The event lines ``start:stop`` of a trace file, as :func:`write_trace`
     writes them: compact separators, fixed key order, ``repr`` numbers and
-    ``\\n`` endings."""
-    texts = [_value_texts(columns[name][start:stop]) for name in _NUMBER_FIELDS]
-    channels = _CHANNEL_TEXTS[columns["channel"][start:stop]].tolist()
-    return "".join([
-        f'{{"round":{r},"topic":{t},"node":{v},"old":{o},"new":{w},'
-        f'"source":{s},"p":{p},"channel":"{c}"}}\n'
-        for r, t, v, o, w, s, p, c in zip(*texts, channels)
-    ]).encode("utf-8")
+    ``\\n`` endings.
+
+    Each line is joined from its five pieces (:func:`_event_pieces`). A
+    piece's text is built once per distinct value, or pair of values, from
+    the ``repr`` of those values, so each line equals the one formatted
+    field by field from the ``repr`` of each value. The pieces are laid out
+    as one (event, piece) table, joined as ``str`` and then encoded:
+    ``bytes.join`` would hold a buffer per piece."""
+    lines = np.empty((len(columns["node"][start:stop]), 5), dtype=object)
+    for j, (texts, index) in enumerate(_event_pieces(columns, start, stop)):
+        lines[:, j] = texts[index]
+    return "".join(lines.ravel().tolist()).encode()
 
 
 def write_trace(trace: SimTrace, path) -> None:
@@ -615,11 +671,16 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
     :func:`write_trace` writes; else None.
 
     The event fields are parsed as one numpy table and checked as arrays.
-    The parsed columns are then rendered again, one slice at a time, and
-    must give back the file's bytes. So a file is accepted only when
-    ``write_trace`` would write exactly those bytes, and as ``repr`` round-
-    trips, ``json.loads`` reads the same values from them: the result
-    equals that of the per-line loop in :func:`load_trace`.
+    The parsed columns then go through the writer's own renderer,
+    :func:`_render_events`, one slice at a time, and must give back the
+    file's bytes. So a file is accepted only when ``write_trace`` would
+    write exactly those bytes, and as ``repr`` round-trips, ``json.loads``
+    reads the same values from them: the result equals that of the per-line
+    loop in :func:`load_trace`. Before any slice is joined, the length of
+    each event line is summed from the lengths of its pieces' texts
+    (:func:`_event_pieces`) and compared with the file's line lengths, so
+    a file whose line differs in length is turned away without being
+    rendered; its parse is still paid.
     """
     if not (data.isascii() and data.endswith(b"\n")):
         return None
@@ -664,9 +725,16 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
     if (any(mask.any() for _, mask, _ in rules)
             or (np.diff(columns["round"]) < 0).any()):
         return None
-    offsets = (head_end + 1 + np.concatenate([[0], ends + 1])).tolist()
-    for start in range(0, len(ends), _SLICE_EVENTS):
-        stop = min(start + _SLICE_EVENTS, len(ends))
+    offsets = head_end + 1 + np.concatenate([[0], ends + 1])
+    lengths = np.diff(offsets)
+    slices = [(start, min(start + _SLICE_EVENTS, len(ends)))
+              for start in range(0, len(ends), _SLICE_EVENTS)]
+    for start, stop in slices:
+        expected = sum(np.fromiter(map(len, texts), np.intp, len(texts))[index]
+                       for texts, index in _event_pieces(columns, start, stop))
+        if (expected != lengths[start:stop]).any():
+            return None
+    for start, stop in slices:
         if _render_events(columns, start, stop) != data[offsets[start]:offsets[stop]]:
             return None
     return SimTrace(n, z, params, columns, summaries)

@@ -10,7 +10,9 @@ parses no event line as JSON.
 """
 
 import json
+import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +97,62 @@ def test_writer_matches_reference_on_hand_built_columns(tmp_path, count):
             assert f'"p":{p!r},'.encode() in data
         for channel in CHANNELS:
             assert f'"channel":"{channel}"'.encode() in data
+
+
+def assert_same_bytes(columns, tmp_path):
+    """Write ``columns`` (in a trace with z = 3) with both writers and
+    compare the bytes; such a trace need not load."""
+    trace = sc.SimTrace(50, 3, sc.SimParams(rounds_K=4), columns, [])
+    io_formats.write_trace(trace, tmp_path / "new.jsonl")
+    ref.write_trace(trace, tmp_path / "ref.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+# Values no simulation writes: ids below 0 or past a small-range table,
+# round 0 and the int32 maximum, topics at and past z, and probabilities
+# and stances that are not finite or are a negative zero.
+ODD_VALUES = {
+    "round": [0, 2**31 - 1, 1],
+    "topic": [0, 3, 2**31 - 1],
+    "node": [-1, 2**40, 0, 7],
+    "old": STANCES + [math.nan],
+    "new": [-0.0, 1.0, math.inf],
+    "source": [-1, 2**40, 3],
+    "p": [math.nan, math.inf, -0.0, 5e-324, 0.5, -math.inf],
+    "channel": [0, 1],
+}
+
+
+@pytest.mark.parametrize("count", [1, 500, io_formats._SLICE_EVENTS + 7])
+def test_writer_matches_reference_outside_the_engine_ranges(tmp_path, count):
+    rng = np.random.default_rng(count)
+    assert_same_bytes({name: rng.choice(values, count).astype(_EVENT_DTYPES[name])
+                       for name, values in ODD_VALUES.items()}, tmp_path)
+
+
+@pytest.mark.parametrize("row", range(4))
+@pytest.mark.parametrize("count", [1, 300])
+def test_writer_matches_reference_on_single_valued_columns(tmp_path, row, count):
+    # every column of the slice holds one value
+    assert_same_bytes({name: np.full(count, values[row % len(values)],
+                                     dtype=_EVENT_DTYPES[name])
+                       for name, values in ODD_VALUES.items()}, tmp_path)
+
+
+def test_writer_memory_is_bounded_by_a_slice(tmp_path):
+    """Rendering holds one slice as a table of ``str`` pieces, their joined
+    text and its bytes, about 2.5 times the slice's bytes; a renderer that
+    joins ``bytes`` pieces holds a buffer per piece as well, about 6 times."""
+    trace = hand_built(2 * io_formats._SLICE_EVENTS + 3, seed=1)
+    path = tmp_path / "t.jsonl"
+    tracemalloc.start()
+    try:
+        io_formats.write_trace(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slice_bytes = path.stat().st_size / len(trace.ev_node) * io_formats._SLICE_EVENTS
+    assert peak < 3.5 * slice_bytes, (peak, slice_bytes)
 
 
 def generated_trace_lines(tmp_path):
@@ -229,6 +287,29 @@ def test_other_traces_load_line_by_line(tmp_path, json_loads_calls):
     (tmp_path / "t.jsonl").write_text("\r\n".join(lines) + "\r\n")
     assert io_formats.load_trace(tmp_path / "t.jsonl") == trace
     assert len(json_loads_calls) > 500
+
+
+def test_line_lengths_turn_a_file_away_before_any_slice_is_rendered(
+        tmp_path, monkeypatch):
+    """One space after ``"source":`` near the end still parses as numbers,
+    but the line is one byte longer than its event renders to: the file goes
+    to the per-line loop without a slice being joined for comparison."""
+    trace = hand_built(io_formats._SLICE_EVENTS + 500, seed=2)
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(trace, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[-6] = lines[-6].replace(b'"source":', b'"source": ')  # fifth-last
+    path.write_bytes(b"\n".join(lines))
+    renders = []
+    render = io_formats._render_events
+
+    def counting_render(*args):
+        renders.append(args[1:])
+        return render(*args)
+
+    monkeypatch.setattr(io_formats, "_render_events", counting_render)
+    assert assert_same_load(path) == ("ok", exact(trace), [])
+    assert renders == []
 
 
 @pytest.fixture
