@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Time the high-churn simulations of two source trees against each other.
+
+Run from the repository root, with the ``src`` directory of each side:
+
+    python3 benchmarks/nadj_churn.py PARENT_SRC CHANGE_SRC --pairs 11
+
+The high-churn config has 1,000 nodes, 3,000 edges, stance mix
+``[0.4, 0.2, 0.2, 0.2]`` (generator seed 3), ``r1 = r2 = 0.5``, A0 = 0.05,
+K = 4 and ``rng_seed`` 7, at z = 1..4 topics. Its passes move many receivers,
+so ``run_simulation`` spends most of its time in the non-adjacent kernel's
+per-receiver loop, which the perfbench workloads barely reach.
+
+Each pair runs both sides in a fresh process each, alternating which side
+goes first. A process generates the bundles untimed, takes the best of
+``--repeat`` timed ``run_simulation`` calls per config, and writes the trace
+of the last with ``write_trace``. The report gives, per config, each side's
+median and interquartile range of those seconds, the pairs the change won
+(ties count for neither), and each side's trace sha256, so that exactness is
+checked in the same run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+TOPICS = (1, 2, 3, 4)
+
+
+def worker(repeat: int) -> None:
+    """Run every config with the stancecast on ``sys.path``; print one JSON
+    object {z: [best seconds, trace sha256]}."""
+    import stancecast as sc
+    from stancecast import io_formats
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for z in TOPICS:
+            bundle = io_formats.generate_synthetic(
+                1000, 3000, z, [0.4, 0.2, 0.2, 0.2], 3, Path(tmp) / f"z{z}")
+            g, symbols = io_formats.load_graph(bundle.edges_path,
+                                               bundle.profiles_path)
+            seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
+            params = sc.SimParams(r1=0.5, r2=0.5, initial_persistence_A0=0.05,
+                                  rounds_K=4, rng_seed=7)
+            seconds = []
+            for _ in range(repeat):
+                t0 = time.perf_counter()
+                trace, _ = sc.run_simulation(g, params, seeds)
+                seconds.append(time.perf_counter() - t0)
+            path = Path(tmp) / f"trace{z}.jsonl"
+            io_formats.write_trace(trace, path)
+            out[z] = [min(seconds),
+                      hashlib.sha256(path.read_bytes()).hexdigest()]
+    print(json.dumps(out))
+
+
+def run_side(src: str, repeat: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run([sys.executable, __file__, "--worker",
+                           "--repeat", str(repeat)],
+                          env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def quartiles(xs):
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q2, q3 - q1
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_src", nargs="?")
+    ap.add_argument("change_src", nargs="?")
+    ap.add_argument("--pairs", type=int, default=11)
+    ap.add_argument("--repeat", type=int, default=3,
+                    help="timed runs per config and process; the best counts")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    if args.worker:
+        worker(args.repeat)
+        return
+    if args.parent_src is None or args.change_src is None:
+        ap.error("give the parent's and the change's src directories")
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2, for the quartiles")
+    sides = {"parent": args.parent_src, "change": args.change_src}
+    runs = {name: [] for name in sides}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in order:
+            runs[name].append(run_side(sides[name], args.repeat))
+        print(f"pair {i + 1}/{args.pairs}: " + "  ".join(
+            f"z={z} {runs['parent'][-1][str(z)][0]:.3f}/"
+            f"{runs['change'][-1][str(z)][0]:.3f}s" for z in TOPICS),
+            file=sys.stderr)
+    print("config  parent median (IQR)  change median (IQR)  change won")
+    for z in TOPICS:
+        key = str(z)
+        secs = {name: [r[key][0] for r in runs[name]] for name in sides}
+        shas = {name: {r[key][1] for r in runs[name]} for name in sides}
+        won = sum(c < p for p, c in zip(secs["parent"], secs["change"]))
+        (pm, piqr), (cm, ciqr) = (quartiles(secs[name]) for name in sides)
+        same = len(shas["parent"]) == 1 and shas["parent"] == shas["change"]
+        print(f"z={z}  {pm:.3f} s ({piqr:.3f})  {cm:.3f} s ({ciqr:.3f})  "
+              f"{won}/{args.pairs}")
+        for name in sides:
+            print(f"    {name} sha256 {' '.join(sorted(shas[name]))}")
+        print(f"    traces {'identical' if same else 'DIFFER'}")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,10 +4,12 @@ The non-adjacent sweep (:func:`nadj_pass`) plans its receivers as the rows
 of one receivers x senders array. While a receiver's stance holds, the
 influence p of each of its messages and the persistence step y are whole
 arrays, and the recursion a <- a - y is a prefix sum along the row
-(``np.cumsum`` over ``[a, -y_1, -y_2, ...]``). A row holds up to its first
-message that may move the receiver; only then does the receiver go through
-the per-receiver loop (:func:`_hold_scan` and the scalar :func:`deliver`).
-The plan gives the per-message loop's results bit for bit:
+(``np.add.accumulate`` over ``[a, -y_1, -y_2, ...]``). A row holds up to
+its first message that may move the receiver; only then does the receiver
+go through the per-receiver loop (:meth:`_NadjPass.finish`), where one-row
+scans (:func:`_scan_rows`, as for a plan) take turns with the scalar
+:func:`deliver`. The plan gives the per-message loop's results bit for
+bit:
 
 - Rows interact only through receivers that are also senders. A held row
   writes only its own receiver's ``avals`` and ``counts``, so each row of a
@@ -21,11 +23,12 @@ The plan gives the per-message loop's results bit for bit:
   similarity includes the receiver's own stance on topic j.
 - Each element goes through the IEEE operations of :func:`deliver` in its
   order: the similarity is summed topic by topic and ``a - y`` is
-  ``a + (-y)``. A cell that carries no message (the receiver's own column,
-  or an unknown receiver's delivered first message) adds -0.0, which
-  leaves a as it is.
-- ``np.cumsum`` along a row is ``add.accumulate``, which adds strictly
-  left to right, as the scalar loop does.
+  ``a + (-y)``. The scalar sum starts from 0.0 and the array sum from the
+  first topic's term, which is the same, as 0.0 + x is x for x >= 0. A
+  cell that carries no message (the receiver's own column, or an unknown
+  receiver's delivered first message) adds -0.0, which leaves a as it is.
+- ``np.add.accumulate`` along a row adds strictly left to right, as the
+  scalar loop does.
 
 The adjacent sweep (:func:`adjacent_pass`) is array code too. The
 adjacency memory only grows during a sweep, so the receivers it reaches
@@ -247,114 +250,6 @@ def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
 _SHORT_HOLD = 16
 
 
-def _hold_scan(profiles, avals, counts, q, senders, delta, j, lam, mu,
-               ev_node, ev_src, ev_old, ev_new, ev_p, n_ev):
-    """Deliver messages from ``senders`` to q for as long as q's stance holds.
-
-    q's stance on topic j is known. With it fixed, the influence p of every
-    sender and the persistence step y of every message are whole arrays,
-    and a <- a - y is ``np.cumsum`` over ``[a, -y_1, -y_2, ...]``. A step
-    that takes a above 1 is clamped to 1 as the scalar step clamps it, and
-    the sum restarts from 1. The scan stops before the first message that
-    may move q (its sender holds another stance and p >= a) or takes a
-    below 0; stopping early is always exact, as :func:`deliver` then takes
-    that message. Writes the events and returns (messages delivered, new
-    event count).
-    """
-    z = profiles.shape[1]
-    sq = math.sqrt(z)
-    old = profiles[q, j]
-    t_u = profiles[senders, j]
-    acc = np.zeros(senders.shape[0])
-    for i in range(z):
-        d = profiles[senders, i] - profiles[q, i]
-        acc = acc + d * d
-    f = np.full(senders.shape[0], 1.0)
-    if old != 0.5:
-        f[:] = mu
-        f[np.abs(old - t_u) <= 0.5] = lam
-        f[t_u == old] = 1.0
-    p = (delta * (sq / (sq + np.sqrt(acc)))) * f
-    same = (t_u == old).astype(np.float64)
-    k = counts[q, j] + 1 + np.arange(senders.shape[0])
-    y = (np.abs(t_u - old) * p - same * p) / k
-    may_move = t_u != old
-
-    total = senders.shape[0]
-    a = avals[q, j]
-    done = 0
-    while done < total:
-        steps = np.empty(total - done + 1)
-        steps[0] = a
-        steps[1:] = -y[done:]
-        run = np.cumsum(steps)[1:]
-        hits = np.flatnonzero((may_move[done:] & (p[done:] >= run))
-                              | (run < 0.0) | (run > 1.0))
-        stop = done + hits[0] if hits.shape[0] > 0 else total
-        # a above 1 is clamped to 1 and the scan goes on; a stays exactly 1
-        # while the steps are <= 0, so the clamped run ends at the first
-        # step > 0 (or a message that may move q at a = 1)
-        clamped = (stop < total and run[stop - done] > 1.0
-                   and not (may_move[stop] and p[stop] >= 1.0))
-        end = stop
-        if clamped:
-            back = np.flatnonzero((y[stop:] > 0.0)
-                                  | (may_move[stop:] & (p[stop:] >= 1.0)))
-            end = stop + back[0] if back.shape[0] > 0 else total
-        if end > done:
-            n_end = n_ev + end - done
-            ev_node[n_ev:n_end] = q
-            ev_src[n_ev:n_end] = senders[done:end]
-            ev_old[n_ev:n_end] = old
-            ev_new[n_ev:n_end] = old
-            ev_p[n_ev:n_end] = p[done:end]
-            n_ev = n_end
-            a = 1.0 if clamped else run[end - 1 - done]
-        done = end
-        if not clamped:
-            break
-    avals[q, j] = a
-    counts[q, j] += done
-    return done, n_ev
-
-
-def _receiver_loop(profiles, avals, counts, q, sv, delta, start, scan_from, j,
-                   lam, mu, tie_eps, ev_node, ev_src, ev_old, ev_new, ev_p, n_ev):
-    """Deliver the messages ``sv[start:] -> q`` one receiver at a time.
-
-    :func:`_hold_scan` delivers the messages that cannot move q's stance as
-    arrays; the message that may move it goes through the scalar
-    :func:`deliver`, and the scan restarts after it with q's new stance. An
-    unknown receiver moves on any message, so its messages go through
-    :func:`deliver`. The messages before ``scan_from``, and the next
-    ``_SHORT_HOLD`` after a hold shorter than that, go through
-    :func:`deliver` too. Returns how many messages went through
-    :func:`deliver`.
-    """
-    one_by_one = 0
-    while start < sv.shape[0]:
-        if start >= scan_from and profiles[q, j] != -1.0:
-            held, n_ev = _hold_scan(profiles, avals, counts, q, sv[start:],
-                                    delta[start:], j, lam, mu, ev_node,
-                                    ev_src, ev_old, ev_new, ev_p, n_ev)
-            start += held
-            if held < _SHORT_HOLD:
-                scan_from = start + _SHORT_HOLD
-        if start < sv.shape[0]:
-            v = sv[start]
-            old, new, p = deliver(profiles, avals, counts, q, v, j,
-                                  delta.item(start), lam, mu, tie_eps)
-            ev_node[n_ev] = q
-            ev_src[n_ev] = v
-            ev_old[n_ev] = old
-            ev_new[n_ev] = new
-            ev_p[n_ev] = p
-            n_ev += 1
-            start += 1
-            one_by_one += 1
-    return one_by_one
-
-
 # One plan holds at most this many (receiver, sender) cells.
 _PLAN_CELLS = 65536
 # A plan costs about as much as this many per-receiver scans, whatever its
@@ -364,85 +259,85 @@ _MIN_PLAN = 8
 _SCAN_CELLS = 2048
 
 
-def _scan_rows(profiles, avals, counts, q, own, skip, sender_rows, delta, j,
-               lam, mu):
-    """Hold-scan receivers ``q`` against every sender as one rows x senders
-    array, each row as :func:`_hold_scan` scans one receiver.
+def _stops(before, movable, p, top, c0):
+    """Each row's first column, from column ``c0`` on, whose message may move
+    q or takes a out of [0, 1] (the column count when none does), a before
+    that column, and whether a went above 1 there and is clamped to 1 (as
+    its message may not move q at a = 1: it is not in ``top``).
+    ``before[:, c]`` is a before column c, and ``before[:, -1]`` a after the
+    last column."""
+    run = before[:, 1:]
+    over = run > 1.0
+    hit = (movable & (p >= run)) | (run < 0.0) | over
+    if c0 is not None:
+        hit &= np.arange(hit.shape[1]) >= c0[:, None]
+    r = np.arange(hit.shape[0])
+    h = hit.argmax(axis=1)
+    got = hit[r, h]
+    stop = np.where(got, h, hit.shape[1])
+    return stop, before[r, stop], got & (over & ~top)[r, h]
 
-    ``own[r]`` is the column of q[r] among the senders (the sender count
-    when q[r] is none), and the first ``skip[r]`` columns were delivered
-    already; neither carries a message here. Such a cell's step is -0.0,
-    which leaves the running a as it is, and the message number k counts
-    only the cells that carry a message. Returns (p, stop, a, msg, carry):
-    each cell's influence, the column of each row's first message that may
-    move q or takes a below 0 (the sender count when the row holds to its
-    end), a before that column, each cell's index among q's messages, and
-    whether it carries one.
+
+def _scan_rows(profiles, avals, q, sender_cols, delta, k, carry, j, lam, mu):
+    """Hold-scan receivers ``q`` against senders as one rows x senders array.
+
+    ``sender_cols[i]`` holds the senders' stances on topic i, ``carry``
+    whether a cell carries a message, and ``k`` the number of a cell's
+    message among q's messages on topic j, counted from q's first. A cell
+    that carries none (q's own column, or a message delivered already)
+    steps by -0.0, which leaves the running a as it is. Returns (p, stop,
+    a): each cell's influence, the column of each row's first message that
+    may move q or takes a below 0 (the sender count when the row holds to
+    its end), and a before that column.
     """
     rows, s = delta.shape
-    cols = np.arange(s)
-    z = profiles.shape[1]
-    sq = math.sqrt(z)
-    q_rows = profiles[q]
-    old = q_rows[:, j, None]
-    t_u = sender_rows[:, j]
-    acc = np.zeros((rows, s))
-    for i in range(z):
-        d = sender_rows[:, i] - q_rows[:, i, None]
-        acc = acc + d * d
+    sq = math.sqrt(profiles.shape[1])
+    q_cols = profiles.take(q, axis=0).T[:, :, None]
+    old = q_cols[j]
+    t_u = sender_cols[j]
+    d = sender_cols[0] - q_cols[0]
+    acc = d * d
+    for i in range(1, q_cols.shape[0]):
+        np.subtract(sender_cols[i], q_cols[i], out=d)
+        d *= d
+        acc += d
     same = t_u == old
-    f = np.where(same | (old == 0.5), 1.0,
-                 np.where(np.abs(old - t_u) <= 0.5, lam, mu))
+    # |t_u - old| is |old - t_u|: IEEE subtraction is exactly antisymmetric
+    diff = np.abs(t_u - old)
+    f = np.where(diff <= 0.5, lam, mu)
+    f[same | (old == 0.5)] = 1.0
     p = (delta * (sq / (sq + np.sqrt(acc)))) * f
-    msg = cols - (cols > own[:, None])
-    carry = (cols != own[:, None]) & (cols >= skip[:, None])
-    # a cell that carries no message gets k >= 1 too, so y stays finite
-    k = (counts[q, j] + 1 - skip)[:, None] + msg
-    y = np.where(carry, (np.abs(t_u - old) * p - same * p) / k, 0.0)
+    y = np.zeros((rows, s))
+    np.divide(diff * p - same * p, k, out=y, where=carry)
     movable = carry & ~same
+    # a message that may move q even at a = 1
+    top = movable & (p >= 1.0)
     steps = np.empty((rows, s + 1))
-    steps[:, 0] = avals[q, j]
+    steps[:, 0] = avals[:, j][q]
     np.negative(y, out=steps[:, 1:])
-    before = np.cumsum(steps, axis=1)  # before[:, c]: a before column c
-
-    stop = np.full(rows, s)
-    a = np.empty(rows)
-    active = np.arange(rows)
-    mv, pa, c0 = movable, p, None
-    while True:
-        run = before[:, 1:]
-        hit = (mv & (pa >= run)) | (run < 0.0) | (run > 1.0)
-        if c0 is not None:
-            hit &= cols >= c0[:, None]
-        a[active] = before[:, s]
-        at = np.flatnonzero(hit.any(axis=1))
-        if not at.shape[0]:
-            return p, stop, a, msg, carry
-        h = hit[at].argmax(axis=1)
+    stop, a, clamp = _stops(np.add.accumulate(steps, axis=1), movable, p,
+                            top, None)
+    active = np.flatnonzero(clamp)
+    while active.shape[0]:
         # a step that takes a above 1 is clamped to 1 (unless the message
         # may move q at a = 1), and a stays exactly 1 while the steps are
         # <= 0; the row's sum restarts from 1 at the first step > 0 or
         # message that may move q at a = 1
-        clamp = (run[at, h] > 1.0) & ~(mv[at, h] & (pa[at, h] >= 1.0))
-        moved = ~clamp
-        stop[active[at[moved]]] = h[moved]
-        a[active[at[moved]]] = before[at[moved], h[moved]]
-        if not clamp.any():
-            return p, stop, a, msg, carry
-        active, h = active[at[clamp]], h[clamp]
-        back = (((y[active] > 0.0) | (movable[active] & (p[active] >= 1.0)))
-                & (cols >= h[:, None]))
+        back = (((y[active] > 0.0) | top[active])
+                & (np.arange(s) >= stop[active, None]))
         ends = np.where(back.any(axis=1), back.argmax(axis=1), s)
+        stop[active] = s
         a[active[ends == s]] = 1.0
         active, c0 = active[ends < s], ends[ends < s]
-        if not active.shape[0]:
-            return p, stop, a, msg, carry
         # 0.0 + 1.0 is 1.0: zeroing the steps before c0 starts a fresh sum
         seg = steps[active]
         seg[np.arange(s + 1) < c0[:, None]] = 0.0
         seg[np.arange(active.shape[0]), c0] = 1.0
-        before = np.cumsum(seg, axis=1)
-        mv, pa = movable[active], p[active]
+        stop[active], a[active], clamp = _stops(
+            np.add.accumulate(seg, axis=1), movable[active], p[active],
+            top[active], c0)
+        active = active[clamp]
+    return p, stop, a
 
 
 class _NadjPass:
@@ -482,26 +377,74 @@ class _NadjPass:
         """Deliver receiver i's messages from its ``start``-th on in the
         per-receiver loop, given its row of delta (None: look it up here);
         returns whether it held to its end, as a planned row may (only an
-        unknown receiver's first message went one by one)."""
-        q = self.receivers[i]
+        unknown receiver's first message went one by one).
+
+        A one-row :func:`_scan_rows` delivers the messages that cannot move
+        q's stance; the message that may move it goes through the scalar
+        :func:`deliver`, and the scan restarts after it with q's new stance.
+        An unknown receiver moves on any message, so its messages go through
+        :func:`deliver` while it is unknown. The messages before
+        ``scan_from``, and the next ``_SHORT_HOLD`` after a hold shorter than
+        that, go through :func:`deliver` too.
+        """
+        q = self.receivers[i:i + 1]
+        qi = q.item()
+        profiles, avals, counts, j = self.profiles, self.avals, self.counts, self.j
         sv = self.senders
         s = sv.shape[0]
         if delta is None:  # one in-row: :meth:`deltas` costs 3x as much
             delta = np.full(s, self.delta_nonadj)
-            col = self.col_of[self.in_indices[self.in_indptr[q]:self.in_indptr[q + 1]]]
+            ins = self.in_indices[self.in_indptr[qi]:self.in_indptr[qi + 1]]
+            col = self.col_of[ins]
             delta[col[col < s]] = self.delta_adj
         own = self.own[i]
         if own < s:
             sv = np.concatenate((sv[:own], sv[own + 1:]))
             delta = np.concatenate((delta[:own], delta[own + 1:]))
-        unknown = self.profiles[q, self.j] == -1.0
-        one_by_one = _receiver_loop(
-            self.profiles, self.avals, self.counts, q, sv, delta, start,
-            scan_from, self.j, self.lam, self.mu, self.tie_eps, *self.events,
-            self.starts[i] + start)
+        n = sv.shape[0]
+        # while q's messages are delivered only q's row changes, and q is
+        # none of these senders
+        sender_cols = profiles.T.take(sv, axis=1)
+        # q's message m of this pass is its k[m]-th on topic j
+        first = counts.item(qi, j) - start + 1.0
+        k = np.arange(first, first + n)
+        carry = np.ones(n, dtype=np.bool_)
+        unknown = profiles.item(qi, j) == -1.0
+        at = self.starts.item(i)
+        ev_node, ev_src, ev_old, ev_new, ev_p = self.events
+        one_by_one = 0
+        while start < n:
+            if start >= scan_from and profiles.item(qi, j) != -1.0:
+                p, stop, a = _scan_rows(
+                    profiles, avals, q, sender_cols[:, start:],
+                    delta[None, start:], k[None, start:], carry[None, start:],
+                    j, self.lam, self.mu)
+                held = stop.item()
+                if held:
+                    end = start + held
+                    ev = slice(at + start, at + end)
+                    ev_node[ev] = qi
+                    ev_src[ev] = sv[start:end]
+                    ev_old[ev] = ev_new[ev] = profiles.item(qi, j)
+                    ev_p[ev] = p[0, :held]
+                    avals[qi, j] = a.item()
+                    counts[qi, j] += held
+                    start = end
+                if held < _SHORT_HOLD:
+                    scan_from = start + _SHORT_HOLD
+            if start < n:
+                v = sv.item(start)
+                pos = at + start
+                ev_node[pos] = qi
+                ev_src[pos] = v
+                ev_old[pos], ev_new[pos], ev_p[pos] = deliver(
+                    profiles, avals, counts, qi, v, j, delta.item(start),
+                    self.lam, self.mu, self.tie_eps)
+                start += 1
+                one_by_one += 1
         return one_by_one <= unknown
 
-    def hold(self, r, rows, skip, delta, p, stop, a, msg, carry):
+    def hold(self, r, rows, delta, msg, carry, p, stop, a):
         """Write the messages of scanned rows ``r + rows`` before each row's
         stop, and its a and k after them; returns (row, delta row, first
         message, scan_from) of each row that stopped early."""
@@ -526,7 +469,7 @@ class _NadjPass:
             return []
         first = msg[early, stop[early]]
         # after a hold shorter than _SHORT_HOLD, q is moving often, so its
-        # next messages go one by one, as in _receiver_loop
+        # next messages go one by one, as in :meth:`finish`
         scan_from = first + np.where(held[early] < _SHORT_HOLD, _SHORT_HOLD, 1)
         return list(zip(i[early].tolist(), delta[early], first.tolist(),
                         scan_from.tolist()))
@@ -557,14 +500,20 @@ class _NadjPass:
         profiles = self.profiles
         q = self.receivers[r:end]
         own = self.own[r:end]
-        sender_rows = profiles[self.senders]
+        sender_cols = profiles.T.take(self.senders, axis=1)
         unknown = profiles[q, j] == -1.0
         is_sender = own < s
+        cols = np.arange(s)
 
         def scan(rows, skip, delta):
-            return (rows, skip, delta) + _scan_rows(
-                profiles, self.avals, self.counts, q[rows], own[rows], skip,
-                sender_rows, delta, j, self.lam, self.mu)
+            # skip[r] counts q[r]'s messages delivered already, and its own
+            # column carries none
+            msg = cols - (cols > own[rows, None])
+            carry = (cols != own[rows, None]) & (msg >= skip[:, None])
+            k = (self.counts[q[rows], j] + 1.0 - skip)[:, None] + msg
+            return (rows, delta, msg, carry) + _scan_rows(
+                profiles, self.avals, q[rows], sender_cols, delta, k, carry, j,
+                self.lam, self.mu)
 
         halt = np.flatnonzero(is_sender & unknown)
         last = int(halt[0]) if halt.shape[0] else q.shape[0]
@@ -579,7 +528,7 @@ class _NadjPass:
             rows, known = known[:size], known[size:]
             scans.append(scan(rows, np.zeros(rows.shape[0], dtype=np.int64),
                               self.deltas(r + rows)))
-            hits = np.flatnonzero(scans[-1][4] < s)
+            hits = np.flatnonzero(scans[-1][5] < s)
             if hits.shape[0]:
                 last = int(rows[hits[0]])
                 break
@@ -602,10 +551,10 @@ class _NadjPass:
                 delta = np.delete(delta, first[still], axis=0)
             scans.append(scan(rows, unknown[rows].astype(np.int64), delta))
 
-        for rows, skip, delta, p, stop, a, msg, carry in scans:
-            keep = rows <= last  # the last chunk may run past ``last``
-            finish += self.hold(r, rows[keep], skip[keep], delta[keep], p[keep],
-                                stop[keep], a[keep], msg[keep], carry[keep])
+        for rows, *arrays in scans:
+            # rows ascend, and the last chunk may run past ``last``
+            keep = np.searchsorted(rows, last, side="right")
+            finish += self.hold(r, rows[:keep], *(x[:keep] for x in arrays))
         held = np.ones(min(last + 1, q.shape[0]), dtype=np.bool_)
         # in receiver order, so that the row that halts the plan goes last
         for i, delta, start, scan_from in sorted(finish, key=lambda e: e[0]):

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import stancecast as sc
 from conftest import make_random_case, summary_tuples, trace_event_tuples
 from reference_naive import NaiveTsa
+from stancecast import io_formats
 from stancecast.errors import EmptySeedsWarning
 
 
@@ -291,3 +293,50 @@ def test_persistent_long_runs_on_dense_graphs_match_naive(handed):
         assert summary_tuples(trace) == ref.summaries
         emptied += any(nodes == [] for _, nodes in handed[case["z"]:])
     assert emptied >= 30
+
+
+# -- high churn ---------------------------------------------------------------
+
+def churn_run(tmp_path, n, m, z, rounds_K):
+    """A generated bundle whose passes move many receivers, so the
+    non-adjacent kernel plans often and spends most of its time in the
+    per-receiver loop; returns (graph, params, seeds)."""
+    bundle = io_formats.generate_synthetic(
+        n, m, z, [0.4, 0.2, 0.2, 0.2], 3, tmp_path)
+    g, symbols = io_formats.load_graph(bundle.edges_path,
+                                          bundle.profiles_path)
+    seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
+    params = sc.SimParams(r1=0.5, r2=0.5, initial_persistence_A0=0.05,
+                          rounds_K=rounds_K, rng_seed=7)
+    return g, params, seeds
+
+
+def test_high_churn_run_matches_naive(tmp_path):
+    g, params, seeds = churn_run(tmp_path, 300, 900, 3, 3)
+    trace, state = run_quiet(g, params, seeds)
+    assert trace.ev_node.shape[0] == 13806
+    edges = [(u, int(v)) for u in range(g.n)
+             for v in g.indices[g.indptr[u]:g.indptr[u + 1]]]
+    ref = NaiveTsa(g.n, g.z, edges, g.profiles.tolist(), params, seeds).run()
+    assert trace_event_tuples(trace) == ref.events
+    assert state.profiles.tolist() == ref.final_profiles()
+    assert summary_tuples(trace) == ref.summaries
+
+
+# trace-file sha256 of the high-churn runs, recorded before the per-receiver
+# loop scanned through the planned-row scan
+HIGH_CHURN_SHA256 = {
+    1: "ac0f417d2b8650c6a7945ca9e96114fc331a36c4c54fb85d853bcbc748438774",
+    2: "cd95e511bd10328bc131469894868b2efb36b0baedbf255751168aa65d34d8e5",
+    3: "edbfc47c467a342ac398b7deb4ad8cd422329761493b4f067744a07f518d243f",
+    4: "288b82dd5275f943ab1546190bb92d4d7d53838adb4ccddb7a60d5469943c74e",
+}
+
+
+@pytest.mark.parametrize("z", sorted(HIGH_CHURN_SHA256))
+def test_high_churn_trace_pinned(tmp_path, z):
+    g, params, seeds = churn_run(tmp_path, 1000, 3000, z, 4)
+    trace, _ = run_quiet(g, params, seeds)
+    io_formats.write_trace(trace, tmp_path / "trace.jsonl")
+    digest = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes())
+    assert digest.hexdigest() == HIGH_CHURN_SHA256[z]

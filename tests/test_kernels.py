@@ -455,16 +455,15 @@ def test_nadj_pass_splits_plans_past_the_cell_cap():
 
 
 def test_nadj_pass_fallback_calls_pinned(tmp_path, monkeypatch):
-    # how many messages of one seeded run go through the per-receiver loop:
-    # 29 hold scans and 464 single deliveries, against 233 and 528 when
-    # every receiver goes through it
+    # how many scans and single deliveries one seeded run makes: 16 plans
+    # and 29 per-receiver scans, and 464 single deliveries
     bundle = io_formats.generate_synthetic(
         1000, 3000, 2, [0.6, 0.1, 0.2, 0.1], 5, tmp_path)
     g, symbols = io_formats.load_graph(bundle.edges_path, bundle.profiles_path)
     seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
     params = sc.SimParams(rounds_K=4, r1=0.2, r2=0.2,
                           initial_persistence_A0=0.3, rng_seed=5)
-    calls = {"_hold_scan": 0, "deliver": 0}
+    calls = {"_scan_rows": 0, "deliver": 0}
     for name in calls:
         def counted(*args, _fn=getattr(kernels, name), _name=name):
             calls[_name] += 1
@@ -472,4 +471,4 @@ def test_nadj_pass_fallback_calls_pinned(tmp_path, monkeypatch):
         monkeypatch.setattr(kernels, name, counted)
     trace, _ = sc.run_simulation(g, params, seeds)
     assert trace.ev_node.shape[0] == 24570
-    assert calls == {"_hold_scan": 29, "deliver": 464}
+    assert calls == {"_scan_rows": 45, "deliver": 464}
