@@ -30,7 +30,7 @@ that holds a NUL, which numpy's string functions take for the end of a
 string, each NUL is swapped for a code point the file lacks while the
 lines are split, and back in the tokens.
 Writers go through a temp file and rename, so failures leave no partial
-output.
+output and no temp file, and an error names the path given.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import json
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -87,11 +88,27 @@ class DatasetBundle:
     seeds_path: Path
 
 
+@contextmanager
+def _replacing(path):
+    """A binary file to write ``path`` through: ``<path>.tmp``, renamed to
+    ``path`` when the block ends. On any failure the temp file is removed,
+    and an :class:`OSError` is raised again naming ``path`` as given."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "wb") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
+
+
 def _atomic_write(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with _replacing(path) as out:
+        out.write(text.encode("utf-8"))
 
 
 def _read_text(path) -> str:
@@ -493,8 +510,11 @@ def write_config(path, params: SimParams) -> None:
     _atomic_write(path, json.dumps(params.to_dict(), indent=2) + "\n")
 
 
-# Events per rendered slice: bounds the memory of writing and of checking a
-# trace, whatever its length.
+# Events per rendered slice of a write: bounds the memory of writing a trace,
+# whatever its length. With 16,384-event slices, edges-10k's 20k-event write
+# took 1.15 times as long, from per-slice fixed costs such as the id-text
+# table, though cascade-4k and montecarlo-2k writes took 0.84-0.85 times as
+# long.
 _SLICE_EVENTS = 65536
 _NUMBER_FIELDS = ("round", "topic", "node", "old", "new", "source", "p")
 
@@ -556,7 +576,8 @@ def _event_pieces(columns: dict, start: int, stop: int) -> list:
     ]
 
 
-def _render_events(columns: dict, start: int, stop: int) -> bytes:
+def _render_events(columns: dict, start: int, stop: int,
+                   pieces: list | None = None) -> bytes:
     """The event lines ``start:stop`` of a trace file, as :func:`write_trace`
     writes them: compact separators, fixed key order, ``repr`` numbers and
     ``\\n`` endings.
@@ -566,9 +587,12 @@ def _render_events(columns: dict, start: int, stop: int) -> bytes:
     the ``repr`` of those values, so each line equals the one formatted
     field by field from the ``repr`` of each value. The pieces are laid out
     as one (event, piece) table, joined as ``str`` and then encoded:
-    ``bytes.join`` would hold a buffer per piece."""
+    ``bytes.join`` would hold a buffer per piece. ``pieces``, if given, are
+    the slice's pieces, already built."""
+    if pieces is None:
+        pieces = _event_pieces(columns, start, stop)
     lines = np.empty((len(columns["node"][start:stop]), 5), dtype=object)
-    for j, (texts, index) in enumerate(_event_pieces(columns, start, stop)):
+    for j, (texts, index) in enumerate(pieces):
         lines[:, j] = texts[index]
     return "".join(lines.ravel().tolist()).encode()
 
@@ -584,17 +608,10 @@ def write_trace(trace: SimTrace, path) -> None:
         "round_summaries": [list(astuple(s)) for s in trace.round_summaries],
     }
     columns = {name: getattr(trace, f"ev_{name}") for name in _EVENT_DTYPES}
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as out:
-            out.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-            for start in range(0, len(trace.ev_node), _SLICE_EVENTS):
-                out.write(_render_events(columns, start, start + _SLICE_EVENTS))
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
+    with _replacing(path) as out:
+        out.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+        for start in range(0, len(trace.ev_node), _SLICE_EVENTS):
+            out.write(_render_events(columns, start, start + _SLICE_EVENTS))
 
 
 def _is_count(value) -> bool:
@@ -666,21 +683,78 @@ def _channel_byte_table():
 _CHANNEL_BYTE_OFFSET, _CHANNEL_BY_BYTE = _channel_byte_table()
 
 
+# Event lines per slice of a canonical load: with 8,192-line slices the
+# edges-10k load took up to 1.2 times as long, from per-slice fixed costs, and
+# 65,536-line slices raised a cascade-4k load's peak from 25 to 37 MB.
+_LOAD_LINES = 16384
+# Bytes per chunk in which a load finds the line ends, so that the mask is
+# a chunk's size, not the file's: finding them in 64 KiB chunks took 1.4
+# times as long on the 122 MB trace, and 4 MiB chunks saved under 3%.
+_SCAN_BYTES = 1 << 20
+
+
+def _line_offsets(raw: np.ndarray, start: int) -> np.ndarray:
+    """The offsets in ``raw`` at which the lines from ``start`` on begin,
+    and the end of the last of them, found one chunk of bytes at a time."""
+    ends = [k + 1 + np.flatnonzero(raw[k:k + _SCAN_BYTES] == ord("\n"))
+            for k in range(start, raw.shape[0], _SCAN_BYTES)]
+    return np.concatenate([[start], *ends])
+
+
+def _canonical_slice(data: bytes, offsets, columns: dict, start: int,
+                     stop: int, bounds: tuple):
+    """Parse the event lines ``start:stop`` of ``data`` into ``columns`` and
+    check them; returns their pieces (:func:`_event_pieces`) if every event
+    keeps the rules of ``bounds`` (n, z, rounds_K) and the round order, also
+    across the last event before ``start``, and each line is as long as its
+    event renders to; else None."""
+    # '"round":1,"topic":0,...' becomes 'round,1,topic,0,...': the keys
+    # are the even fields and the numbers the odd ones
+    text = data[offsets[start]:offsets[stop]].translate(_COLON_TO_COMMA, b'{}"')
+    try:
+        table = np.loadtxt(io.BytesIO(text), dtype=_NUMBERS_DTYPE,
+                           delimiter=",", comments=None, ndmin=1,
+                           usecols=range(1, 2 * len(_NUMBER_FIELDS), 2),
+                           encoding="ascii")
+    except (ValueError, DeprecationWarning):
+        return None
+    if table.shape[0] != stop - start:
+        return None
+    for name in _NUMBER_FIELDS:
+        columns[name][start:stop] = table[name]
+    # each line that parsed holds seven numbers, so it is longer than the
+    # offset of its channel byte
+    ends = offsets[start + 1:stop + 1] - 1
+    columns["channel"][start:stop] = _CHANNEL_BY_BYTE[
+        np.frombuffer(data, dtype=np.uint8)[ends - _CHANNEL_BYTE_OFFSET]]
+    events = {name: values[start:stop] for name, values in columns.items()}
+    if (any(mask.any() for _, mask, _ in _event_rules(events, *bounds))
+            or (np.diff(columns["round"][max(start - 1, 0):stop]) < 0).any()):
+        return None
+    pieces = _event_pieces(columns, start, stop)
+    expected = sum(np.fromiter(map(len, texts), np.intp, len(texts))[index]
+                   for texts, index in pieces)
+    if (expected != np.diff(offsets[start:stop + 1])).any():
+        return None
+    return pieces
+
+
 def _canonical_trace(path, data: bytes) -> SimTrace | None:
     """The trace in ``data`` if it is valid and in the canonical form that
     :func:`write_trace` writes; else None.
 
-    The event fields are parsed as one numpy table and checked as arrays.
-    The parsed columns then go through the writer's own renderer,
-    :func:`_render_events`, one slice at a time, and must give back the
-    file's bytes. So a file is accepted only when ``write_trace`` would
+    The event lines are parsed and checked as arrays, one slice of
+    ``_LOAD_LINES`` lines at a time (:func:`_canonical_slice`), into columns
+    allocated once; the first slice that fails ends the load. A slice's
+    check includes the length of each event line, summed from the lengths
+    of its pieces' texts (:func:`_event_pieces`), so a file whose line
+    differs in length is turned away without being rendered. Once every
+    slice has passed, the writer's own renderer, :func:`_render_events`,
+    joins each slice from the pieces kept from its check, and must give back
+    the file's bytes. So a file is accepted only when ``write_trace`` would
     write exactly those bytes, and as ``repr`` round-trips, ``json.loads``
     reads the same values from them: the result equals that of the per-line
-    loop in :func:`load_trace`. Before any slice is joined, the length of
-    each event line is summed from the lengths of its pieces' texts
-    (:func:`_event_pieces`) and compared with the file's line lengths, so
-    a file whose line differs in length is turned away without being
-    rendered; its parse is still paid.
+    loop in :func:`load_trace`.
     """
     if not (data.isascii() and data.endswith(b"\n")):
         return None
@@ -697,45 +771,25 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
         n, z, params, summaries = _trace_header(path, header)
     except ParseError:
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=head_end + 1)
-    ends = np.flatnonzero(body == ord("\n"))
-    if ends.shape[0]:
-        # '"round":1,"topic":0,...' becomes 'round,1,topic,0,...': the keys
-        # are the even fields and the numbers the odd ones
-        text = data[head_end + 1:].translate(_COLON_TO_COMMA, b'{}"')
-        try:
-            with warnings.catch_warnings():
-                # older numpy reads '1.0' into an integer column, with a
-                # DeprecationWarning; such a file is not canonical
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(io.BytesIO(text), dtype=_NUMBERS_DTYPE,
-                                   delimiter=",", comments=None, ndmin=1,
-                                   usecols=range(1, 2 * len(_NUMBER_FIELDS), 2),
-                                   encoding="ascii")
-        except (ValueError, DeprecationWarning):
-            return None
-    else:
-        table = np.empty(0, dtype=_NUMBERS_DTYPE)
-    if table.shape[0] != ends.shape[0]:
-        return None
-    columns = {name: table[name].copy() for name in _NUMBER_FIELDS}
-    columns["channel"] = _CHANNEL_BY_BYTE[
-        body[np.maximum(ends - _CHANNEL_BYTE_OFFSET, 0)]]
-    rules = _event_rules(columns, n, z, params.rounds_K)
-    if (any(mask.any() for _, mask, _ in rules)
-            or (np.diff(columns["round"]) < 0).any()):
-        return None
-    offsets = head_end + 1 + np.concatenate([[0], ends + 1])
-    lengths = np.diff(offsets)
-    slices = [(start, min(start + _SLICE_EVENTS, len(ends)))
-              for start in range(0, len(ends), _SLICE_EVENTS)]
-    for start, stop in slices:
-        expected = sum(np.fromiter(map(len, texts), np.intp, len(texts))[index]
-                       for texts, index in _event_pieces(columns, start, stop))
-        if (expected != lengths[start:stop]).any():
-            return None
-    for start, stop in slices:
-        if _render_events(columns, start, stop) != data[offsets[start]:offsets[stop]]:
+    offsets = _line_offsets(np.frombuffer(data, dtype=np.uint8), head_end + 1)
+    count = offsets.shape[0] - 1
+    columns = {name: np.empty(count, dtype=dtype)
+               for name, dtype in _EVENT_DTYPES.items()}
+    slices = []
+    with warnings.catch_warnings():
+        # older numpy reads '1.0' into an integer column, with a
+        # DeprecationWarning; such a file is not canonical
+        warnings.simplefilter("error", DeprecationWarning)
+        for start in range(0, count, _LOAD_LINES):
+            stop = min(start + _LOAD_LINES, count)
+            pieces = _canonical_slice(data, offsets, columns, start, stop,
+                                      (n, z, params.rounds_K))
+            if pieces is None:
+                return None
+            slices.append((start, stop, pieces))
+    for start, stop, pieces in slices:
+        if (_render_events(columns, start, stop, pieces)
+                != data[offsets[start]:offsets[stop]]):
             return None
     return SimTrace(n, z, params, columns, summaries)
 

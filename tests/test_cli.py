@@ -681,6 +681,49 @@ def test_non_numeric_stance_mix_exit_1(tmp_path, capsys, mix):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, blocked", [
+    (command, blocked)
+    for command in ["simulate", "baseline-ic", "generate", "evaluate", "curves"]
+    for blocked in ["directory", "no parent"]
+    # generate makes its output directory
+    if (command, blocked) != ("generate", "no parent")])
+def test_failed_output_write_exit_1(bundle_dir, tmp_path, capsys, command,
+                                    blocked):
+    """An output path that is a directory, or that lies in none, fails at
+    the path given, and leaves no temp file beside it."""
+    trace_path = tmp_path / "t.jsonl"
+    assert main(simulate_args(bundle_dir, trace_path)) == 0
+    _, symbols = io_formats.load_profiles(bundle_dir / "profiles.csv")
+    truth_path = tmp_path / "truth.csv"
+    io_formats.write_ground_truth(
+        truth_path, {(v, j): -1.0 for v in range(40) for j in range(2)}, symbols)
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / ("out" if blocked == "directory" else "nodir/out")
+    args = {
+        "simulate": simulate_args(bundle_dir, out),
+        "baseline-ic": ["baseline-ic", "--graph", str(bundle_dir / "edges.tsv"),
+                        "--seeds", str(bundle_dir / "seeds.csv"), "--p", "0.5",
+                        "--runs", "3", "--out", str(out)],
+        "generate": ["generate", "--nodes", "5", "--edges", "4", "--topics",
+                     "1", "--out-dir", str(work)],
+        "evaluate": ["evaluate", "--trace", str(trace_path),
+                     "--initial", str(bundle_dir / "profiles.csv"),
+                     "--truth", str(truth_path), "--out-report", str(out)],
+        "curves": ["curves", "--trace", str(trace_path),
+                   "--initial", str(bundle_dir / "profiles.csv"),
+                   "--out-csv", str(out)],
+    }[command]
+    if command == "generate":
+        out = work / "edges.tsv"
+    if blocked == "directory":
+        out.mkdir()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{out}'\n"), err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 FUZZ_BYTES = [b"\x00", b"\xff", b",", b"\t", b'"', b"{"]
 
 

@@ -392,3 +392,74 @@ def test_integer_past_its_column_is_an_error(tmp_path, field, bound, end):
     assert str(caught.value) == (
         f"{path}:{len(lines)}:1: event {field} {2**32 + 1} outside the "
         f"integers [{low}, {2**31 - 1}]")
+
+
+def test_loader_memory_is_bounded_by_a_slice(tmp_path):
+    """A canonical load holds the file, its columns, the pieces kept from
+    each slice's length check and one slice's parse and render: about 1.5
+    times the file, the columns and a slice's bytes on this trace. Parsing
+    the whole file as one table, after a translated copy of it, holds about
+    3 times."""
+    trace = hand_built(2 * io_formats._LOAD_LINES + 3, seed=3)
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(trace, path)
+    file_bytes = path.stat().st_size
+    column_bytes = sum(getattr(trace, f"ev_{name}").nbytes for name in _EVENT_DTYPES)
+    slice_bytes = file_bytes / len(trace.ev_node) * io_formats._LOAD_LINES
+    tracemalloc.start()
+    try:
+        assert io_formats.load_trace(path) == trace
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * (file_bytes + column_bytes + slice_bytes)
+    assert peak < bound, (peak, bound)
+
+
+@pytest.fixture
+def parsed_rows(monkeypatch):
+    """The number of rows of each ``np.loadtxt`` call."""
+    rows = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        rows.append(table.shape[0])
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    return rows
+
+
+def test_load_stops_at_the_first_bad_slice(tmp_path, monkeypatch, parsed_rows):
+    """One space after ``"source":`` in line 10 still parses as numbers, but
+    the first slice's length check turns the file away: no later slice is
+    parsed, and none is rendered."""
+    trace = hand_built(2 * io_formats._LOAD_LINES + 3, seed=4)
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(trace, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[9] = lines[9].replace(b'"source":', b'"source": ')
+    path.write_bytes(b"\n".join(lines))
+    renders = []
+    monkeypatch.setattr(io_formats, "_render_events",
+                        lambda *args: renders.append(args[1:]))
+    assert assert_same_load(path) == ("ok", exact(trace), [])
+    assert parsed_rows == [io_formats._LOAD_LINES]
+    assert renders == []
+
+
+def test_round_order_is_checked_across_load_slices(tmp_path):
+    """The only round that falls is the first of the second slice: each
+    slice is in order on its own, and the load fails at that line."""
+    trace = hand_built(2 * io_formats._LOAD_LINES + 3, seed=5)
+    first = io_formats._LOAD_LINES
+    trace.ev_round[:first] = 4
+    trace.ev_round[first:] = np.sort(trace.ev_round[first:])
+    assert trace.ev_round[first] < 4
+    assert (np.diff(trace.ev_round) < 0).sum() == 1
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(trace, path)
+    result = assert_same_load(path)
+    assert result[:2] == ("error", ParseError)
+    assert result[2].startswith(f"{path}:{first + 2}:1: event round ")
