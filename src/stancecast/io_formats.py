@@ -15,10 +15,12 @@ Formats (all UTF-8, line oriented):
   one line at a time into the same columns, checked by the same rules
   (:func:`_event_rules`), with identical results. One renderer,
   :func:`_render_events`, writes the canonical form and checks it on
-  load. It joins each event line from five pieces, each looked up in a
-  small table of texts built once per distinct value or pair of values of
-  a slice of events; as each text is formatted from the ``repr`` of its
-  values, a line equals the one formatted field by field.
+  load: each slice of a canonical load is checked once, by rendering its
+  parsed events and comparing them with its bytes. It joins each event
+  line from five pieces, each looked up in a small table of texts built
+  once per distinct value or pair of values of a slice of events; as each
+  text is formatted from the ``repr`` of its values, a line equals the one
+  formatted field by field.
 
 External ids are arbitrary strings; dense internal ids are assigned by
 sorting them by Unicode code point (as ``sorted`` does), so loading never
@@ -553,18 +555,25 @@ def _pair_texts(a: np.ndarray, b: np.ndarray, text):
                     dtype=object), index
 
 
-def _event_pieces(columns: dict, start: int, stop: int) -> list:
-    """The event lines ``start:stop`` of a trace file as five pieces each,
-    given as (texts, index) pairs: piece j of event i is
-    ``texts[index[i]]`` of pair j. The pieces are the text up to the node
-    id for each (round, topic), the node id, the text up to the source id
-    for each (old, new), the source id, and the rest of the line for each
-    (p, channel); node and source share one table of ids."""
+def _render_events(columns: dict, start: int, stop: int) -> bytes:
+    """The event lines ``start:stop`` of a trace file, as :func:`write_trace`
+    writes them: compact separators, fixed key order, ``repr`` numbers and
+    ``\\n`` endings.
+
+    Each line is joined from five pieces: the text up to the node id for
+    each (round, topic), the node id, the text up to the source id for each
+    (old, new), the source id, and the rest of the line for each (p,
+    channel); node and source share one table of ids. A piece's text is
+    built once per distinct value, or pair of values, from the ``repr`` of
+    those values, so each line equals the one formatted field by field from
+    the ``repr`` of each value. The pieces are laid out as one (event,
+    piece) table, joined as ``str`` and then encoded: ``bytes.join`` would
+    hold a buffer per piece."""
     col = {name: values[start:stop] for name, values in columns.items()}
     count = len(col["node"])
     ids, index = _distinct(np.concatenate([col["node"], col["source"]]))
     ids = np.array([repr(v) for v in ids], dtype=object)
-    return [
+    pieces = [
         _pair_texts(col["round"], col["topic"],
                     lambda r, t: f'{{"round":{r!r},"topic":{t!r},"node":'),
         (ids, index[:count]),
@@ -574,24 +583,7 @@ def _event_pieces(columns: dict, start: int, stop: int) -> list:
         _pair_texts(col["p"], col["channel"],
                     lambda p, c: f',"p":{p!r},"channel":"{CHANNELS[c]}"}}\n'),
     ]
-
-
-def _render_events(columns: dict, start: int, stop: int,
-                   pieces: list | None = None) -> bytes:
-    """The event lines ``start:stop`` of a trace file, as :func:`write_trace`
-    writes them: compact separators, fixed key order, ``repr`` numbers and
-    ``\\n`` endings.
-
-    Each line is joined from its five pieces (:func:`_event_pieces`). A
-    piece's text is built once per distinct value, or pair of values, from
-    the ``repr`` of those values, so each line equals the one formatted
-    field by field from the ``repr`` of each value. The pieces are laid out
-    as one (event, piece) table, joined as ``str`` and then encoded:
-    ``bytes.join`` would hold a buffer per piece. ``pieces``, if given, are
-    the slice's pieces, already built."""
-    if pieces is None:
-        pieces = _event_pieces(columns, start, stop)
-    lines = np.empty((len(columns["node"][start:stop]), 5), dtype=object)
+    lines = np.empty((count, 5), dtype=object)
     for j, (texts, index) in enumerate(pieces):
         lines[:, j] = texts[index]
     return "".join(lines.ravel().tolist()).encode()
@@ -702,12 +694,11 @@ def _line_offsets(raw: np.ndarray, start: int) -> np.ndarray:
 
 
 def _canonical_slice(data: bytes, offsets, columns: dict, start: int,
-                     stop: int, bounds: tuple):
+                     stop: int, bounds: tuple) -> bool:
     """Parse the event lines ``start:stop`` of ``data`` into ``columns`` and
-    check them; returns their pieces (:func:`_event_pieces`) if every event
-    keeps the rules of ``bounds`` (n, z, rounds_K) and the round order, also
-    across the last event before ``start``, and each line is as long as its
-    event renders to; else None."""
+    check them: True if every event keeps the rules of ``bounds`` (n, z,
+    rounds_K) and the round order, also across the last event before
+    ``start``, and :func:`_render_events` gives back the lines' bytes."""
     # '"round":1,"topic":0,...' becomes 'round,1,topic,0,...': the keys
     # are the even fields and the numbers the odd ones
     text = data[offsets[start]:offsets[stop]].translate(_COLON_TO_COMMA, b'{}"')
@@ -717,11 +708,13 @@ def _canonical_slice(data: bytes, offsets, columns: dict, start: int,
                            usecols=range(1, 2 * len(_NUMBER_FIELDS), 2),
                            encoding="ascii")
     except (ValueError, DeprecationWarning):
-        return None
+        return False
+    del text
     if table.shape[0] != stop - start:
-        return None
+        return False
     for name in _NUMBER_FIELDS:
         columns[name][start:stop] = table[name]
+    del table  # freed, as ``text`` is, before the render builds its tables
     # each line that parsed holds seven numbers, so it is longer than the
     # offset of its channel byte
     ends = offsets[start + 1:stop + 1] - 1
@@ -730,13 +723,9 @@ def _canonical_slice(data: bytes, offsets, columns: dict, start: int,
     events = {name: values[start:stop] for name, values in columns.items()}
     if (any(mask.any() for _, mask, _ in _event_rules(events, *bounds))
             or (np.diff(columns["round"][max(start - 1, 0):stop]) < 0).any()):
-        return None
-    pieces = _event_pieces(columns, start, stop)
-    expected = sum(np.fromiter(map(len, texts), np.intp, len(texts))[index]
-                   for texts, index in pieces)
-    if (expected != np.diff(offsets[start:stop + 1])).any():
-        return None
-    return pieces
+        return False
+    return (_render_events(columns, start, stop)
+            == data[offsets[start]:offsets[stop]])
 
 
 def _canonical_trace(path, data: bytes) -> SimTrace | None:
@@ -745,16 +734,12 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
 
     The event lines are parsed and checked as arrays, one slice of
     ``_LOAD_LINES`` lines at a time (:func:`_canonical_slice`), into columns
-    allocated once; the first slice that fails ends the load. A slice's
-    check includes the length of each event line, summed from the lengths
-    of its pieces' texts (:func:`_event_pieces`), so a file whose line
-    differs in length is turned away without being rendered. Once every
-    slice has passed, the writer's own renderer, :func:`_render_events`,
-    joins each slice from the pieces kept from its check, and must give back
-    the file's bytes. So a file is accepted only when ``write_trace`` would
-    write exactly those bytes, and as ``repr`` round-trips, ``json.loads``
-    reads the same values from them: the result equals that of the per-line
-    loop in :func:`load_trace`.
+    allocated once; the first slice that fails ends the load. Each slice is
+    checked once, by the writer's own renderer, :func:`_render_events`: its
+    events must render back to the slice's bytes. So a file is accepted
+    only when ``write_trace`` would write exactly those bytes, and as
+    ``repr`` round-trips, ``json.loads`` reads the same values from them:
+    the result equals that of the per-line loop in :func:`load_trace`.
     """
     if not (data.isascii() and data.endswith(b"\n")):
         return None
@@ -775,22 +760,15 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
     count = offsets.shape[0] - 1
     columns = {name: np.empty(count, dtype=dtype)
                for name, dtype in _EVENT_DTYPES.items()}
-    slices = []
     with warnings.catch_warnings():
         # older numpy reads '1.0' into an integer column, with a
         # DeprecationWarning; such a file is not canonical
         warnings.simplefilter("error", DeprecationWarning)
         for start in range(0, count, _LOAD_LINES):
-            stop = min(start + _LOAD_LINES, count)
-            pieces = _canonical_slice(data, offsets, columns, start, stop,
-                                      (n, z, params.rounds_K))
-            if pieces is None:
+            if not _canonical_slice(data, offsets, columns, start,
+                                    min(start + _LOAD_LINES, count),
+                                    (n, z, params.rounds_K)):
                 return None
-            slices.append((start, stop, pieces))
-    for start, stop, pieces in slices:
-        if (_render_events(columns, start, stop, pieces)
-                != data[offsets[start]:offsets[stop]]):
-            return None
     return SimTrace(n, z, params, columns, summaries)
 
 

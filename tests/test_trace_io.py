@@ -289,27 +289,35 @@ def test_other_traces_load_line_by_line(tmp_path, json_loads_calls):
     assert len(json_loads_calls) > 500
 
 
-def test_line_lengths_turn_a_file_away_before_any_slice_is_rendered(
-        tmp_path, monkeypatch):
-    """One space after ``"source":`` near the end still parses as numbers,
-    but the line is one byte longer than its event renders to: the file goes
-    to the per-line loop without a slice being joined for comparison."""
-    trace = hand_built(io_formats._SLICE_EVENTS + 500, seed=2)
+@pytest.fixture
+def rendered_slices(monkeypatch):
+    """The (start, stop) of each ``_render_events`` call."""
+    renders = []
+    render = io_formats._render_events
+
+    def counting_render(columns, start, stop):
+        renders.append((start, stop))
+        return render(columns, start, stop)
+
+    monkeypatch.setattr(io_formats, "_render_events", counting_render)
+    return renders
+
+
+def test_a_bad_last_slice_renders_each_slice_once(tmp_path, rendered_slices):
+    """One space after ``"source":`` near the end still parses as numbers;
+    each slice is checked once, by rendering it, so the earlier slices and
+    the bad last one are rendered once each before the per-line loop."""
+    trace = hand_built(2 * io_formats._LOAD_LINES + 500, seed=2)
     path = tmp_path / "t.jsonl"
     io_formats.write_trace(trace, path)
     lines = path.read_bytes().split(b"\n")
     lines[-6] = lines[-6].replace(b'"source":', b'"source": ')  # fifth-last
     path.write_bytes(b"\n".join(lines))
-    renders = []
-    render = io_formats._render_events
-
-    def counting_render(*args):
-        renders.append(args[1:])
-        return render(*args)
-
-    monkeypatch.setattr(io_formats, "_render_events", counting_render)
+    rendered_slices.clear()
     assert assert_same_load(path) == ("ok", exact(trace), [])
-    assert renders == []
+    first, second = io_formats._LOAD_LINES, 2 * io_formats._LOAD_LINES
+    assert rendered_slices == [(0, first), (first, second),
+                               (second, len(trace.ev_node))]
 
 
 @pytest.fixture
@@ -394,13 +402,9 @@ def test_integer_past_its_column_is_an_error(tmp_path, field, bound, end):
         f"integers [{low}, {2**31 - 1}]")
 
 
-def test_loader_memory_is_bounded_by_a_slice(tmp_path):
-    """A canonical load holds the file, its columns, the pieces kept from
-    each slice's length check and one slice's parse and render: about 1.5
-    times the file, the columns and a slice's bytes on this trace. Parsing
-    the whole file as one table, after a translated copy of it, holds about
-    3 times."""
-    trace = hand_built(2 * io_formats._LOAD_LINES + 3, seed=3)
+def load_memory(trace, tmp_path):
+    """(tracemalloc peak of a canonical load of ``trace``, the file's bytes,
+    the columns' bytes, one load slice's bytes)."""
     path = tmp_path / "t.jsonl"
     io_formats.write_trace(trace, path)
     file_bytes = path.stat().st_size
@@ -412,8 +416,29 @@ def test_loader_memory_is_bounded_by_a_slice(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, file_bytes, column_bytes, slice_bytes
+
+
+def test_loader_memory_is_bounded_by_a_slice(tmp_path):
+    """A canonical load holds the file, its columns and one slice's parse
+    and render: about 1.5 times the file, the columns and a slice's bytes on
+    this trace. Parsing the whole file as one table, after a translated copy
+    of it, holds about 3 times."""
+    peak, file_bytes, column_bytes, slice_bytes = load_memory(
+        hand_built(2 * io_formats._LOAD_LINES + 3, seed=3), tmp_path)
     bound = 2 * (file_bytes + column_bytes + slice_bytes)
     assert peak < bound, (peak, bound)
+
+
+def test_loader_memory_does_not_grow_with_slices(tmp_path):
+    """Past the file and its columns, a canonical load of 8 slices holds
+    about 3.5 slices' bytes: each slice's work is freed before the next.
+    Keeping every slice's piece tables until all slices are checked held
+    about 6.4."""
+    peak, file_bytes, column_bytes, slice_bytes = load_memory(
+        hand_built(8 * io_formats._LOAD_LINES, seed=6), tmp_path)
+    bound = file_bytes + column_bytes + 4.5 * slice_bytes
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.fixture
@@ -431,22 +456,21 @@ def parsed_rows(monkeypatch):
     return rows
 
 
-def test_load_stops_at_the_first_bad_slice(tmp_path, monkeypatch, parsed_rows):
+def test_load_stops_at_the_first_bad_slice(tmp_path, rendered_slices,
+                                           parsed_rows):
     """One space after ``"source":`` in line 10 still parses as numbers, but
-    the first slice's length check turns the file away: no later slice is
-    parsed, and none is rendered."""
+    the first slice does not render back to its bytes: it is rendered once,
+    and no later slice is parsed or rendered."""
     trace = hand_built(2 * io_formats._LOAD_LINES + 3, seed=4)
     path = tmp_path / "t.jsonl"
     io_formats.write_trace(trace, path)
     lines = path.read_bytes().split(b"\n")
     lines[9] = lines[9].replace(b'"source":', b'"source": ')
     path.write_bytes(b"\n".join(lines))
-    renders = []
-    monkeypatch.setattr(io_formats, "_render_events",
-                        lambda *args: renders.append(args[1:]))
+    rendered_slices.clear()
     assert assert_same_load(path) == ("ok", exact(trace), [])
     assert parsed_rows == [io_formats._LOAD_LINES]
-    assert renders == []
+    assert rendered_slices == [(0, io_formats._LOAD_LINES)]
 
 
 def test_round_order_is_checked_across_load_slices(tmp_path):
