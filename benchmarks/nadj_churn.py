@@ -25,13 +25,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import statistics
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
+
+from pairs import SIDES, compare, run_pairs
 
 TOPICS = (1, 2, 3, 4)
 
@@ -64,19 +62,6 @@ def worker(repeat: int) -> None:
     print(json.dumps(out))
 
 
-def run_side(src: str, repeat: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    done = subprocess.run([sys.executable, __file__, "--worker",
-                           "--repeat", str(repeat)],
-                          env=env, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-def quartiles(xs):
-    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q2, q3 - q1
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src", nargs="?")
@@ -95,29 +80,21 @@ def main() -> None:
         ap.error("give the parent's and the change's src directories")
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for the quartiles")
-    sides = {"parent": args.parent_src, "change": args.change_src}
-    runs = {name: [] for name in sides}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for name in order:
-            runs[name].append(run_side(sides[name], args.repeat))
-        print(f"pair {i + 1}/{args.pairs}: " + "  ".join(
-            f"z={z} {runs['parent'][-1][str(z)][0]:.3f}/"
-            f"{runs['change'][-1][str(z)][0]:.3f}s" for z in TOPICS),
-            file=sys.stderr)
+    runs = run_pairs(__file__, {"parent": args.parent_src,
+                                "change": args.change_src},
+                     args.pairs, ["--repeat", args.repeat],
+                     lambda runs: "  ".join(
+                         f"z={z} {runs['parent'][-1][str(z)][0]:.3f}/"
+                         f"{runs['change'][-1][str(z)][0]:.3f}s" for z in TOPICS))
     print("config  parent median (IQR)  change median (IQR)  change won")
     for z in TOPICS:
-        key = str(z)
-        secs = {name: [r[key][0] for r in runs[name]] for name in sides}
-        shas = {name: {r[key][1] for r in runs[name]} for name in sides}
-        won = sum(c < p for p, c in zip(secs["parent"], secs["change"]))
-        (pm, piqr), (cm, ciqr) = (quartiles(secs[name]) for name in sides)
-        same = len(shas["parent"]) == 1 and shas["parent"] == shas["change"]
+        result = compare(runs, str(z))
+        (pm, piqr), (cm, ciqr) = (result["stats"][name] for name in SIDES)
         print(f"z={z}  {pm:.3f} s ({piqr:.3f})  {cm:.3f} s ({ciqr:.3f})  "
-              f"{won}/{args.pairs}")
-        for name in sides:
-            print(f"    {name} sha256 {' '.join(sorted(shas[name]))}")
-        print(f"    traces {'identical' if same else 'DIFFER'}")
+              f"{result['won']}/{args.pairs}")
+        for name in SIDES:
+            print(f"    {name} sha256 {' '.join(sorted(result['digests'][name]))}")
+        print(f"    traces {'identical' if result['same'] else 'DIFFER'}")
 
 
 if __name__ == "__main__":

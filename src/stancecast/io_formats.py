@@ -13,14 +13,18 @@ Formats (all UTF-8, line oriented):
   that key order, ``repr`` floats and ``\\n`` line endings. A file in that
   form loads on an array path; any other valid JSON Lines trace is parsed
   one line at a time into the same columns, checked by the same rules
-  (:func:`_event_rules`), with identical results. One renderer,
-  :func:`_render_events`, writes the canonical form and checks it on
-  load: each slice of a canonical load is checked once, by rendering its
-  parsed events and comparing them with its bytes. It joins each event
-  line from five pieces, each looked up in a small table of texts built
-  once per distinct value or pair of values of a slice of events; as each
-  text is formatted from the ``repr`` of its values, a line equals the one
-  formatted field by field.
+  (:func:`_event_rules`), with identical results. Each event line is five
+  pieces: a head up to the node id, the node id, a middle up to the
+  source id, the source id and a tail. The head, middle and tail texts
+  are defined once (:func:`_head_text`, :func:`_middle_text`,
+  :func:`_tail_text`), each formatted from the ``repr`` of its two
+  values. The writer, :func:`_render_events`, joins each line from them,
+  built once per distinct pair of values of a slice of events. A
+  canonical load checks each slice once by the same pieces
+  (:func:`_canonical_slice`): it finds them by the colons of each line,
+  reads the ids as arrays, and reads each distinct head, middle and tail
+  once, accepting it only when it equals the writer's text for its
+  values.
 
 External ids are arbitrary strings; dense internal ids are assigned by
 sorting them by Unicode code point (as ``sorted`` does), so loading never
@@ -37,7 +41,6 @@ output and no temp file, and an error names the path given.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -49,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.dtypes import StringDType
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import CHANNELS
 from .engine import _EVENT_DTYPES, RoundSummary, SimTrace
@@ -518,7 +522,6 @@ def write_config(path, params: SimParams) -> None:
 # table, though cascade-4k and montecarlo-2k writes took 0.84-0.85 times as
 # long.
 _SLICE_EVENTS = 65536
-_NUMBER_FIELDS = ("round", "topic", "node", "old", "new", "source", "p")
 
 
 def _distinct(values: np.ndarray):
@@ -555,6 +558,22 @@ def _pair_texts(a: np.ndarray, b: np.ndarray, text):
                     dtype=object), index
 
 
+def _head_text(r, t) -> str:
+    """The text of an event line up to its node id."""
+    return f'{{"round":{r!r},"topic":{t!r},"node":'
+
+
+def _middle_text(o, w) -> str:
+    """The text of an event line from the end of its node id up to its
+    source id."""
+    return f',"old":{o!r},"new":{w!r},"source":'
+
+
+def _tail_text(p, c) -> str:
+    """The text of an event line after its source id."""
+    return f',"p":{p!r},"channel":"{CHANNELS[c]}"}}\n'
+
+
 def _render_events(columns: dict, start: int, stop: int) -> bytes:
     """The event lines ``start:stop`` of a trace file, as :func:`write_trace`
     writes them: compact separators, fixed key order, ``repr`` numbers and
@@ -574,14 +593,11 @@ def _render_events(columns: dict, start: int, stop: int) -> bytes:
     ids, index = _distinct(np.concatenate([col["node"], col["source"]]))
     ids = np.array([repr(v) for v in ids], dtype=object)
     pieces = [
-        _pair_texts(col["round"], col["topic"],
-                    lambda r, t: f'{{"round":{r!r},"topic":{t!r},"node":'),
+        _pair_texts(col["round"], col["topic"], _head_text),
         (ids, index[:count]),
-        _pair_texts(col["old"], col["new"],
-                    lambda o, w: f',"old":{o!r},"new":{w!r},"source":'),
+        _pair_texts(col["old"], col["new"], _middle_text),
         (ids, index[count:]),
-        _pair_texts(col["p"], col["channel"],
-                    lambda p, c: f',"p":{p!r},"channel":"{CHANNELS[c]}"}}\n'),
+        _pair_texts(col["p"], col["channel"], _tail_text),
     ]
     lines = np.empty((count, 5), dtype=object)
     for j, (texts, index) in enumerate(pieces):
@@ -655,24 +671,28 @@ def _event_rules(columns, n: int, z: int, rounds_k: int) -> list:
                     ("channel", columns["channel"] < 0, "unknown event channel %r")]
 
 
-_COLON_TO_COMMA = bytes.maketrans(b":", b",")
-_NUMBERS_DTYPE = np.dtype([(name, _EVENT_DTYPES[name]) for name in _NUMBER_FIELDS])
+# The longest ``repr`` of a float64, 24 characters
+_WIDEST_FLOAT = -2.2250738585072014e-308
+# Bytes of the longest head, middle and tail that the writer writes for
+# values its columns can hold, and digits of the longest non-negative int64:
+# a longer piece or id is not canonical
+_PIECE_BYTES = (len(_head_text(-2**31, -2**31)),
+                len(_middle_text(_WIDEST_FLOAT, _WIDEST_FLOAT)),
+                max(len(_tail_text(_WIDEST_FLOAT, c)) for c in range(len(CHANNELS))))
+_ID_DIGITS = len(str(np.iinfo(np.int64).max))
 
 
-def _channel_byte_table():
-    """(k, table): the byte ``k`` places before the end of an event line
-    tells its channel, and ``table`` maps that byte to the channel code
-    (-1 for any other byte)."""
-    tails = [f'"{name}"}}'.encode() for name in CHANNELS]
-    k = next(k for k in range(1, min(map(len, tails)) + 1)
-             if len({tail[-k] for tail in tails}) == len(tails))
-    table = np.full(256, -1, dtype=np.int8)
-    for code, tail in enumerate(tails):
-        table[tail[-k]] = code
-    return k, table
+def _channel_code(text: str) -> int:
+    """The code of the channel named in a tail's text after its second
+    colon, ``"name"}`` and a newline."""
+    return _CHANNEL_CODES[text.strip('"}\n')]
 
 
-_CHANNEL_BYTE_OFFSET, _CHANNEL_BY_BYTE = _channel_byte_table()
+# Per piece of an event line that is keyed by its text: the columns of its
+# two values, how each value is read from its text, and the piece's text
+_PIECES = ((("round", "topic"), (int, int), _head_text),
+           (("old", "new"), (float, float), _middle_text),
+           (("p", "channel"), (float, _channel_code), _tail_text))
 
 
 # Event lines per slice of a canonical load: with 8,192-line slices the
@@ -693,39 +713,133 @@ def _line_offsets(raw: np.ndarray, start: int) -> np.ndarray:
     return np.concatenate([[start], *ends])
 
 
-def _canonical_slice(data: bytes, offsets, columns: dict, start: int,
-                     stop: int, bounds: tuple) -> bool:
-    """Parse the event lines ``start:stop`` of ``data`` into ``columns`` and
-    check them: True if every event keeps the rules of ``bounds`` (n, z,
-    rounds_K) and the round order, also across the last event before
-    ``start``, and :func:`_render_events` gives back the lines' bytes."""
-    # '"round":1,"topic":0,...' becomes 'round,1,topic,0,...': the keys
-    # are the even fields and the numbers the odd ones
-    text = data[offsets[start]:offsets[stop]].translate(_COLON_TO_COMMA, b'{}"')
+def _fields(raw: np.ndarray, starts, ends, widest: int, fill: int):
+    """(words, lengths): the bytes ``starts[i]:ends[i]`` of ``raw`` as row
+    ``i`` of a table of uint64 words, right-aligned and filled in front with
+    the byte ``fill`` to the longest field rounded up to 8 bytes, and each
+    field's length; None if a field is empty or longer than ``widest``."""
+    lengths = ends - starts
+    longest = int(lengths.max())
+    width = -(-longest // 8) * 8
+    # ends[i] < width only with a header shorter than any canonical one
+    if lengths.min() < 1 or longest > widest or ends.min() < width:
+        return None
+    front = np.arange(width) < np.arange(width + 1)[:, None]  # row k: k bytes
+    pad = width - lengths
+    words = sliding_window_view(raw, width)[ends - width].view(np.uint64)
+    words &= np.take((~front * np.uint8(0xFF)).view(np.uint64), pad, axis=0)
+    words |= np.take((front * np.uint8(fill)).view(np.uint64), pad, axis=0)
+    return words, lengths
+
+
+def _decimal_ids(raw: np.ndarray, starts, ends):
+    """The values of the ids ``starts[i]:ends[i]`` of ``raw``, or None unless
+    each is an int64 written as the writer writes it: decimal digits with no
+    sign and no leading zero."""
+    fields = _fields(raw, starts, ends, _ID_DIGITS, fill=ord("0"))
+    if fields is None:
+        return None
+    table, lengths = fields[0].view(np.uint8), fields[1]
+    digits = table - np.uint8(ord("0"))  # a byte below '0' wraps past 9
+    leading = table[np.arange(len(lengths)), table.shape[1] - lengths]
+    if (digits > 9).any() or ((leading == ord("0")) & (lengths > 1)).any():
+        return None
+    values = np.zeros(len(lengths), dtype=np.uint64)
+    for column in digits.T:
+        values = values * 10 + column
+    if (values > np.iinfo(np.int64).max).any():
+        return None
+    return values.astype(np.int64)
+
+
+def _piece_hashes(words: np.ndarray, lengths) -> np.ndarray:
+    """A 64-bit hash of each row of ``words`` and its length."""
+    hashes = lengths.astype(np.uint64)
+    for column in words.T:
+        hashes = (hashes ^ column) * np.uint64(0x9E3779B97F4A7C15)
+    return hashes
+
+
+def _distinct_pieces(raw: np.ndarray, starts, ends, widest: int):
+    """(texts, index): the distinct texts among the pieces ``starts[i]:
+    ends[i]`` of ``raw``, and each piece's index among them. Each piece is
+    keyed by its bytes, packed into zero-padded uint64 words, and grouped by
+    the hash of its words and length; None if a piece is empty or longer
+    than ``widest``, or if a piece differs from the first of its group (a
+    hash collision)."""
+    fields = _fields(raw, starts, ends, widest, fill=0)
+    if fields is None:
+        return None
+    words, lengths = fields
+    _, first, index = np.unique(_piece_hashes(words, lengths),
+                                return_index=True, return_inverse=True)
+    same = first[index]
+    if not ((lengths == lengths[same]).all() and (words == words[same]).all()):
+        return None
+    return [raw[s:e].tobytes().decode()
+            for s, e in zip(starts[first].tolist(), ends[first].tolist())], index
+
+
+def _piece_values(text: str, readers, render):
+    """The two values of the piece ``text``, read by ``readers`` from the
+    texts after its first two colons (each up to a comma), or None unless
+    ``render`` writes ``text`` for them."""
     try:
-        table = np.loadtxt(io.BytesIO(text), dtype=_NUMBERS_DTYPE,
-                           delimiter=",", comments=None, ndmin=1,
-                           usecols=range(1, 2 * len(_NUMBER_FIELDS), 2),
-                           encoding="ascii")
-    except (ValueError, DeprecationWarning):
+        values = tuple(read(part.partition(",")[0])
+                       for read, part in zip(readers, text.split(":")[1:3]))
+    except (ValueError, KeyError):
+        return None
+    return values if render(*values) == text else None
+
+
+def _canonical_slice(raw: np.ndarray, offsets, columns: dict, start: int,
+                     stop: int, bounds: tuple) -> bool:
+    """Parse the event lines ``start:stop`` of ``raw`` into ``columns`` and
+    check them: True if each line is what :func:`write_trace` writes for
+    its parsed values, and every event keeps the rules of ``bounds`` (n, z,
+    rounds_K) and the round order, also across the last event before
+    ``start``.
+
+    A line is its five pieces: the head up to its third colon, the node id,
+    which ends 6 bytes before its fourth colon, the middle, the source id,
+    which ends 4 bytes before its seventh colon, and the tail. The ids are
+    checked as arrays. Each distinct head, middle and tail is read once and
+    must equal the writer's text for its values as the columns store them.
+    That also pins each row of 8 colons to its line: a head holds every
+    colon from its line's start to its third, and the writer's holds 3; a
+    tail every colon from its first to its line's end, and the writer's 2."""
+    count = stop - start
+    line_starts, line_ends = offsets[start:stop], offsets[start + 1:stop + 1]
+    colons = line_starts[0] + np.flatnonzero(
+        raw[line_starts[0]:line_ends[-1]] == ord(":"))
+    if colons.shape[0] != 8 * count:
         return False
-    del text
-    if table.shape[0] != stop - start:
+    colons = colons.reshape(count, 8)
+    ids = _decimal_ids(raw, np.concatenate([colons[:, 2] + 1, colons[:, 5] + 1]),
+                       np.concatenate([colons[:, 3] - 6, colons[:, 6] - 4]))
+    if ids is None:
         return False
-    for name in _NUMBER_FIELDS:
-        columns[name][start:stop] = table[name]
-    del table  # freed, as ``text`` is, before the render builds its tables
-    # each line that parsed holds seven numbers, so it is longer than the
-    # offset of its channel byte
-    ends = offsets[start + 1:stop + 1] - 1
-    columns["channel"][start:stop] = _CHANNEL_BY_BYTE[
-        np.frombuffer(data, dtype=np.uint8)[ends - _CHANNEL_BYTE_OFFSET]]
+    columns["node"][start:stop] = ids[:count]
+    columns["source"][start:stop] = ids[count:]
+    spans = ((line_starts, colons[:, 2] + 1), (colons[:, 3] - 6, colons[:, 5] + 1),
+             (colons[:, 6] - 4, line_ends))
+    for (names, readers, render), span, widest in zip(_PIECES, spans, _PIECE_BYTES):
+        found = _distinct_pieces(raw, *span, widest)
+        if found is None:
+            return False
+        texts, index = found
+        pairs = [_piece_values(text, readers, render) for text in texts]
+        if None in pairs:
+            return False
+        try:
+            for name, distinct in zip(names, zip(*pairs)):
+                columns[name][start:stop] = np.array(
+                    distinct, dtype=columns[name].dtype)[index]
+        except OverflowError:  # the column cannot hold the value
+            return False
     events = {name: values[start:stop] for name, values in columns.items()}
-    if (any(mask.any() for _, mask, _ in _event_rules(events, *bounds))
-            or (np.diff(columns["round"][max(start - 1, 0):stop]) < 0).any()):
-        return False
-    return (_render_events(columns, start, stop)
-            == data[offsets[start]:offsets[stop]])
+    return not (any(mask.any() for _, mask, _ in _event_rules(events, *bounds))
+                or (np.diff(columns["round"][max(start - 1, 0):stop]) < 0).any())
 
 
 def _canonical_trace(path, data: bytes) -> SimTrace | None:
@@ -735,10 +849,11 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
     The event lines are parsed and checked as arrays, one slice of
     ``_LOAD_LINES`` lines at a time (:func:`_canonical_slice`), into columns
     allocated once; the first slice that fails ends the load. Each slice is
-    checked once, by the writer's own renderer, :func:`_render_events`: its
-    events must render back to the slice's bytes. So a file is accepted
-    only when ``write_trace`` would write exactly those bytes, and as
-    ``repr`` round-trips, ``json.loads`` reads the same values from them:
+    checked once, by its pieces: every line must be joined from the
+    writer's own piece texts (:func:`_head_text`, :func:`_middle_text`,
+    :func:`_tail_text`) and ids for its parsed values. So a file is
+    accepted only when ``write_trace`` would write exactly those bytes, and
+    as ``repr`` round-trips, ``json.loads`` reads the same values from them:
     the result equals that of the per-line loop in :func:`load_trace`.
     """
     if not (data.isascii() and data.endswith(b"\n")):
@@ -756,19 +871,16 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
         n, z, params, summaries = _trace_header(path, header)
     except ParseError:
         return None
-    offsets = _line_offsets(np.frombuffer(data, dtype=np.uint8), head_end + 1)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    offsets = _line_offsets(raw, head_end + 1)
     count = offsets.shape[0] - 1
     columns = {name: np.empty(count, dtype=dtype)
                for name, dtype in _EVENT_DTYPES.items()}
-    with warnings.catch_warnings():
-        # older numpy reads '1.0' into an integer column, with a
-        # DeprecationWarning; such a file is not canonical
-        warnings.simplefilter("error", DeprecationWarning)
-        for start in range(0, count, _LOAD_LINES):
-            if not _canonical_slice(data, offsets, columns, start,
-                                    min(start + _LOAD_LINES, count),
-                                    (n, z, params.rounds_K)):
-                return None
+    for start in range(0, count, _LOAD_LINES):
+        if not _canonical_slice(raw, offsets, columns, start,
+                                min(start + _LOAD_LINES, count),
+                                (n, z, params.rounds_K)):
+            return None
     return SimTrace(n, z, params, columns, summaries)
 
 

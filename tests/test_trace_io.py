@@ -290,34 +290,34 @@ def test_other_traces_load_line_by_line(tmp_path, json_loads_calls):
 
 
 @pytest.fixture
-def rendered_slices(monkeypatch):
-    """The (start, stop) of each ``_render_events`` call."""
-    renders = []
-    render = io_formats._render_events
+def checked_slices(monkeypatch):
+    """The (start, stop) and result of each ``_canonical_slice`` call."""
+    checks = []
+    check = io_formats._canonical_slice
 
-    def counting_render(columns, start, stop):
-        renders.append((start, stop))
-        return render(columns, start, stop)
+    def counting_check(raw, offsets, columns, start, stop, bounds):
+        checks.append((start, stop,
+                       check(raw, offsets, columns, start, stop, bounds)))
+        return checks[-1][2]
 
-    monkeypatch.setattr(io_formats, "_render_events", counting_render)
-    return renders
+    monkeypatch.setattr(io_formats, "_canonical_slice", counting_check)
+    return checks
 
 
-def test_a_bad_last_slice_renders_each_slice_once(tmp_path, rendered_slices):
-    """One space after ``"source":`` near the end still parses as numbers;
-    each slice is checked once, by rendering it, so the earlier slices and
-    the bad last one are rendered once each before the per-line loop."""
+def test_a_bad_last_slice_checks_each_slice_once(tmp_path, checked_slices):
+    """One space after ``"source":`` near the end leaves the line valid JSON
+    but not canonical; each slice is checked once, so the earlier slices
+    pass and the bad last one fails, once each, before the per-line loop."""
     trace = hand_built(2 * io_formats._LOAD_LINES + 500, seed=2)
     path = tmp_path / "t.jsonl"
     io_formats.write_trace(trace, path)
     lines = path.read_bytes().split(b"\n")
     lines[-6] = lines[-6].replace(b'"source":', b'"source": ')  # fifth-last
     path.write_bytes(b"\n".join(lines))
-    rendered_slices.clear()
     assert assert_same_load(path) == ("ok", exact(trace), [])
     first, second = io_formats._LOAD_LINES, 2 * io_formats._LOAD_LINES
-    assert rendered_slices == [(0, first), (first, second),
-                               (second, len(trace.ev_node))]
+    assert checked_slices == [(0, first, True), (first, second, True),
+                              (second, len(trace.ev_node), False)]
 
 
 @pytest.fixture
@@ -420,10 +420,10 @@ def load_memory(trace, tmp_path):
 
 
 def test_loader_memory_is_bounded_by_a_slice(tmp_path):
-    """A canonical load holds the file, its columns and one slice's parse
-    and render: about 1.5 times the file, the columns and a slice's bytes on
-    this trace. Parsing the whole file as one table, after a translated copy
-    of it, holds about 3 times."""
+    """A canonical load holds the file, its columns and one slice's check:
+    its colon offsets, piece tables and ids. Parsing the whole file as one
+    table, after a translated copy of it, held about 3 times the file, the
+    columns and a slice's bytes on this trace."""
     peak, file_bytes, column_bytes, slice_bytes = load_memory(
         hand_built(2 * io_formats._LOAD_LINES + 3, seed=3), tmp_path)
     bound = 2 * (file_bytes + column_bytes + slice_bytes)
@@ -441,36 +441,18 @@ def test_loader_memory_does_not_grow_with_slices(tmp_path):
     assert peak <= bound, (peak, bound)
 
 
-@pytest.fixture
-def parsed_rows(monkeypatch):
-    """The number of rows of each ``np.loadtxt`` call."""
-    rows = []
-    loadtxt = np.loadtxt
-
-    def counting_loadtxt(*args, **kwargs):
-        table = loadtxt(*args, **kwargs)
-        rows.append(table.shape[0])
-        return table
-
-    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
-    return rows
-
-
-def test_load_stops_at_the_first_bad_slice(tmp_path, rendered_slices,
-                                           parsed_rows):
-    """One space after ``"source":`` in line 10 still parses as numbers, but
-    the first slice does not render back to its bytes: it is rendered once,
-    and no later slice is parsed or rendered."""
+def test_load_stops_at_the_first_bad_slice(tmp_path, checked_slices):
+    """One space after ``"source":`` in line 10 leaves the line valid JSON,
+    but the first slice is not canonical: it is checked once, and no later
+    slice is checked."""
     trace = hand_built(2 * io_formats._LOAD_LINES + 3, seed=4)
     path = tmp_path / "t.jsonl"
     io_formats.write_trace(trace, path)
     lines = path.read_bytes().split(b"\n")
     lines[9] = lines[9].replace(b'"source":', b'"source": ')
     path.write_bytes(b"\n".join(lines))
-    rendered_slices.clear()
     assert assert_same_load(path) == ("ok", exact(trace), [])
-    assert parsed_rows == [io_formats._LOAD_LINES]
-    assert rendered_slices == [(0, io_formats._LOAD_LINES)]
+    assert checked_slices == [(0, io_formats._LOAD_LINES, False)]
 
 
 def test_round_order_is_checked_across_load_slices(tmp_path):
@@ -487,3 +469,47 @@ def test_round_order_is_checked_across_load_slices(tmp_path):
     result = assert_same_load(path)
     assert result[:2] == ("error", ParseError)
     assert result[2].startswith(f"{path}:{first + 2}:1: event round ")
+
+
+@pytest.mark.parametrize("count", [0, 500, 2 * io_formats._SLICE_EVENTS + 3])
+def test_colliding_piece_hashes_load_as_reference(tmp_path, monkeypatch, count):
+    """With every piece hashed alike, a slice with more than one distinct
+    head, middle or tail fails its check and the file loads line by line,
+    with the same result."""
+    monkeypatch.setattr(io_formats, "_piece_hashes",
+                        lambda words, lengths: np.zeros(len(lengths), np.uint64))
+    trace = hand_built(count, seed=count)
+    io_formats.write_trace(trace, tmp_path / "t.jsonl")
+    assert assert_same_load(tmp_path / "t.jsonl") == ("ok", exact(trace), [])
+
+
+@pytest.mark.parametrize("line", [1, 250, 499])
+def test_a_colon_moved_to_the_next_line_loads_as_reference(tmp_path, line):
+    """A line with 9 colons ahead of one with 7 keeps 8 colons a line on
+    average; the head and tail pieces tie each line to its own colons, so
+    the file is not taken on the array path."""
+    trace = hand_built(500, seed=7)
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(trace, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = lines[line].replace(b'"channel":"', b'"channel":":')
+    lines[line + 1] = lines[line + 1].replace(b'"p":', b'"p" ')
+    assert lines[line].count(b":") == 9 and lines[line + 1].count(b":") == 7
+    path.write_bytes(b"\n".join(lines))
+    assert assert_same_load(path)[:2] == ("error", ParseError)
+
+
+def test_the_widest_tail_ends_the_file(tmp_path, json_loads_calls):
+    """The longest tail a valid event has, at the very end of the file,
+    loads on the array path: no fixed-width read passes the end."""
+    trace = hand_built(500, seed=8)
+    trace.ev_p[-1] = 2.2250738585072014e-308
+    trace.ev_channel[-1] = CHANNELS.index("nonadjacent")
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(trace, path)
+    assert path.read_bytes().endswith(
+        b',"p":2.2250738585072014e-308,"channel":"nonadjacent"}\n')
+    assert assert_same_load(path) == ("ok", exact(trace), [])
+    json_loads_calls.clear()
+    assert io_formats.load_trace(path) == trace
+    assert len(json_loads_calls) == 1  # the header
