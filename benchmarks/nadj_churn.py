@@ -5,11 +5,13 @@ Run from the repository root, with the ``src`` directory of each side:
 
     python3 benchmarks/nadj_churn.py PARENT_SRC CHANGE_SRC --pairs 11
 
-The high-churn config has 1,000 nodes, 3,000 edges, stance mix
-``[0.4, 0.2, 0.2, 0.2]`` (generator seed 3), ``r1 = r2 = 0.5``, A0 = 0.05,
-K = 4 and ``rng_seed`` 7, at z = 1..4 topics. Its passes move many receivers,
-so ``run_simulation`` spends most of its time in the non-adjacent kernel's
-per-receiver loop, which the perfbench workloads barely reach.
+The high-churn configs have 1,000 nodes, 3,000 edges, stance mix
+``[0.4, 0.2, 0.2, 0.2]`` (generator seed 3), ``r1 = r2 = 0.5``, K = 4 and
+``rng_seed`` 7, at z = 1..4 topics and at A0 = 0.05 and A0 = 0.9: eight
+configs. Their passes move many receivers, so ``run_simulation`` spends most
+of its time in the non-adjacent kernel's per-receiver loop, which the
+perfbench workloads barely reach. At A0 = 0.9 the hold scans also clamp a at
+1 again and again, which no perfbench workload does.
 
 Each pair runs both sides in a fresh process each, alternating which side
 goes first. A process generates the bundles untimed, takes the best of
@@ -32,11 +34,13 @@ from pathlib import Path
 from pairs import SIDES, compare, run_pairs
 
 TOPICS = (1, 2, 3, 4)
+PERSISTENCES = (0.05, 0.9)
+CONFIGS = [f"A0={a0} z={z}" for a0 in PERSISTENCES for z in TOPICS]
 
 
 def worker(repeat: int) -> None:
     """Run every config with the stancecast on ``sys.path``; print one JSON
-    object {z: [best seconds, trace sha256]}."""
+    object {config: [best seconds, trace sha256]}."""
     import stancecast as sc
     from stancecast import io_formats
 
@@ -48,17 +52,19 @@ def worker(repeat: int) -> None:
             g, symbols = io_formats.load_graph(bundle.edges_path,
                                                bundle.profiles_path)
             seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
-            params = sc.SimParams(r1=0.5, r2=0.5, initial_persistence_A0=0.05,
-                                  rounds_K=4, rng_seed=7)
-            seconds = []
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                trace, _ = sc.run_simulation(g, params, seeds)
-                seconds.append(time.perf_counter() - t0)
-            path = Path(tmp) / f"trace{z}.jsonl"
-            io_formats.write_trace(trace, path)
-            out[z] = [min(seconds),
-                      hashlib.sha256(path.read_bytes()).hexdigest()]
+            for a0 in PERSISTENCES:
+                params = sc.SimParams(r1=0.5, r2=0.5,
+                                      initial_persistence_A0=a0,
+                                      rounds_K=4, rng_seed=7)
+                seconds = []
+                for _ in range(repeat):
+                    t0 = time.perf_counter()
+                    trace, _ = sc.run_simulation(g, params, seeds)
+                    seconds.append(time.perf_counter() - t0)
+                path = Path(tmp) / "trace.jsonl"
+                io_formats.write_trace(trace, path)
+                out[f"A0={a0} z={z}"] = [
+                    min(seconds), hashlib.sha256(path.read_bytes()).hexdigest()]
     print(json.dumps(out))
 
 
@@ -84,13 +90,14 @@ def main() -> None:
                                 "change": args.change_src},
                      args.pairs, ["--repeat", args.repeat],
                      lambda runs: "  ".join(
-                         f"z={z} {runs['parent'][-1][str(z)][0]:.3f}/"
-                         f"{runs['change'][-1][str(z)][0]:.3f}s" for z in TOPICS))
+                         f"{config} {runs['parent'][-1][config][0]:.3f}/"
+                         f"{runs['change'][-1][config][0]:.3f}s"
+                         for config in CONFIGS))
     print("config  parent median (IQR)  change median (IQR)  change won")
-    for z in TOPICS:
-        result = compare(runs, str(z))
+    for config in CONFIGS:
+        result = compare(runs, config)
         (pm, piqr), (cm, ciqr) = (result["stats"][name] for name in SIDES)
-        print(f"z={z}  {pm:.3f} s ({piqr:.3f})  {cm:.3f} s ({ciqr:.3f})  "
+        print(f"{config}  {pm:.3f} s ({piqr:.3f})  {cm:.3f} s ({ciqr:.3f})  "
               f"{result['won']}/{args.pairs}")
         for name in SIDES:
             print(f"    {name} sha256 {' '.join(sorted(result['digests'][name]))}")

@@ -607,7 +607,16 @@ def _render_events(columns: dict, start: int, stop: int) -> bytes:
 
 def write_trace(trace: SimTrace, path) -> None:
     """Serialize a trace: one header line, then one event object per line,
-    rendered and written one slice of events at a time."""
+    rendered and written one slice of events at a time. A channel code
+    outside ``range(len(CHANNELS))`` raises a :class:`StancecastError`
+    before anything is written."""
+    bad = np.flatnonzero((trace.ev_channel < 0)
+                         | (trace.ev_channel >= len(CHANNELS)))
+    if bad.shape[0]:
+        i = int(bad[0])
+        raise StancecastError(f"trace event {i} has channel code "
+                              f"{int(trace.ev_channel[i])}, not one of "
+                              f"0..{len(CHANNELS) - 1}")
     header = {
         "schema": TRACE_SCHEMA,
         "n": trace.n,

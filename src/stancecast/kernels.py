@@ -17,14 +17,16 @@ bit:
   per-message order puts them. A plan ends with the first receiver that is
   also a sender and may move; the rows after it are planned again, so they
   hear its new stance.
-- An unknown receiver moves on its first message. The plan delivers the
-  first messages of all its unknown receivers at once
-  (:func:`_deliver_many`) and computes their rows after that, because the
-  similarity includes the receiver's own stance on topic j.
+- Every sender's stance is known, so an unknown receiver is no sender and
+  moves on its first message. The plan delivers the first messages of all
+  its unknown receivers at once (:func:`_deliver_many`) and computes their
+  rows after that, because the similarity includes the receiver's own
+  stance on topic j.
 - Each element goes through the IEEE operations of :func:`deliver` in its
-  order: the similarity is summed topic by topic and ``a - y`` is
-  ``a + (-y)``. The scalar sum starts from 0.0 and the array sum from the
-  first topic's term, which is the same, as 0.0 + x is x for x >= 0. A
+  order. Both sweeps take p, |t_u - old| and t_u == old from
+  :func:`_influence`, which sums the similarity topic by topic: the scalar
+  sum starts from 0.0 and the array sum from the first topic's term, which
+  is the same, as 0.0 + x is x for x >= 0. ``a - y`` is ``a + (-y)``. A
   cell that carries no message (the receiver's own column, or an unknown
   receiver's delivered first message) adds -0.0, which leaves a as it is.
 - ``np.add.accumulate`` along a row adds strictly left to right, as the
@@ -39,8 +41,8 @@ gets one message, so a message depends on an earlier one only when its
 sender was that message's receiver. Messages go out level by level along
 these dependencies, a level at a time as whole arrays
 (:func:`_deliver_many`), with every input read before any write and the
-IEEE operations of :func:`deliver` in its order, so the sweep and the
-per-edge loop agree bit for bit.
+IEEE operations of :func:`deliver` in its order (as above), so the sweep
+and the per-edge loop agree bit for bit.
 
 With a persistent adjacency memory, the engine hands the adjacent sweep
 only the spreaders activated since the topic's previous sweep. That is
@@ -136,6 +138,29 @@ def deliver(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     return old, new, p
 
 
+def _influence(q_cols, sender_cols, j, delta, lam, mu):
+    """The influence p of senders on receivers, |t_u - old| and t_u == old.
+
+    ``q_cols[i]`` and ``sender_cols[i]`` hold the receivers' and senders'
+    stances on topic i, broadcast together; j is the message's topic.
+    """
+    sq = math.sqrt(q_cols.shape[0])
+    old = q_cols[j]
+    t_u = sender_cols[j]
+    d = sender_cols[0] - q_cols[0]
+    acc = d * d
+    for i in range(1, q_cols.shape[0]):
+        np.subtract(sender_cols[i], q_cols[i], out=d)
+        d *= d
+        acc += d
+    same = t_u == old
+    # |t_u - old| is |old - t_u|: IEEE subtraction is exactly antisymmetric
+    diff = np.abs(t_u - old)
+    f = np.where(diff <= 0.5, lam, mu)
+    f[same | ((old == -1.0) | (old == 0.5))] = 1.0
+    return (delta * (sq / (sq + np.sqrt(acc)))) * f, diff, same
+
+
 def _deliver_many(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     """Deliver the messages ``v[i] -> q[i]`` on topic j as whole arrays.
 
@@ -144,22 +169,15 @@ def _deliver_many(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     before the call. Each element goes through the IEEE operations of
     :func:`deliver` in the same order. Returns (old, new, p).
     """
-    z = profiles.shape[1]
-    sq = math.sqrt(z)
-    t_u = profiles[v, j]
-    old = profiles[q, j]
-    acc = np.zeros(q.shape[0])
-    for i in range(z):
-        d = profiles[v, i] - profiles[q, i]
-        acc = acc + d * d
-    f = np.full(q.shape[0], mu)
-    f[np.abs(old - t_u) <= 0.5] = lam
-    f[(old == -1.0) | (old == 0.5) | (old == t_u)] = 1.0
-    p = (delta * (sq / (sq + np.sqrt(acc)))) * f
+    # whole rows, by ``take``: several times faster than ``profiles[q]``
+    q_cols = profiles.take(q, axis=0).T
+    v_cols = profiles.take(v, axis=0).T
+    old = q_cols[j]
+    t_u = v_cols[j]
+    p, diff, same = _influence(q_cols, v_cols, j, delta, lam, mu)
     # persistence_update, then transition
     k = counts[q, j] + 1
-    same = (t_u == old).astype(np.float64)
-    a = avals[q, j] - (np.abs(t_u - old) * p - same * p) / k
+    a = avals[q, j] - (diff * p - same * p) / k
     a[a < 0.0] = 0.0
     a[a > 1.0] = 1.0
     eps = np.full(q.shape[0], tie_eps)
@@ -168,7 +186,7 @@ def _deliver_many(profiles, avals, counts, q, v, j, delta, lam, mu, tie_eps):
     new = old - eps * 0.5
     oppose = old == 0.0
     new[oppose] = old[oppose] + eps[oppose] * 0.5
-    new[t_u == old] = old[t_u == old]
+    new[same] = old[same]
     unset = (old == -1.0) | (old == 0.5)
     new[unset] = 0.5
     adopt = unset & (p >= a)
@@ -291,22 +309,8 @@ def _scan_rows(profiles, avals, q, sender_cols, delta, k, carry, j, lam, mu):
     its end), and a before that column.
     """
     rows, s = delta.shape
-    sq = math.sqrt(profiles.shape[1])
-    q_cols = profiles.take(q, axis=0).T[:, :, None]
-    old = q_cols[j]
-    t_u = sender_cols[j]
-    d = sender_cols[0] - q_cols[0]
-    acc = d * d
-    for i in range(1, q_cols.shape[0]):
-        np.subtract(sender_cols[i], q_cols[i], out=d)
-        d *= d
-        acc += d
-    same = t_u == old
-    # |t_u - old| is |old - t_u|: IEEE subtraction is exactly antisymmetric
-    diff = np.abs(t_u - old)
-    f = np.where(diff <= 0.5, lam, mu)
-    f[same | (old == 0.5)] = 1.0
-    p = (delta * (sq / (sq + np.sqrt(acc)))) * f
+    p, diff, same = _influence(profiles.take(q, axis=0).T[:, :, None],
+                               sender_cols, j, delta, lam, mu)
     y = np.zeros((rows, s))
     np.divide(diff * p - same * p, k, out=y, where=carry)
     movable = carry & ~same
@@ -382,10 +386,10 @@ class _NadjPass:
         A one-row :func:`_scan_rows` delivers the messages that cannot move
         q's stance; the message that may move it goes through the scalar
         :func:`deliver`, and the scan restarts after it with q's new stance.
-        An unknown receiver moves on any message, so its messages go through
-        :func:`deliver` while it is unknown. The messages before
+        An unknown receiver moves on its first message, as every sender is
+        known, so ``scan_from`` starts past that message. The messages before
         ``scan_from``, and the next ``_SHORT_HOLD`` after a hold shorter than
-        that, go through :func:`deliver` too.
+        that, go through :func:`deliver`.
         """
         q = self.receivers[i:i + 1]
         qi = q.item()
@@ -410,11 +414,13 @@ class _NadjPass:
         k = np.arange(first, first + n)
         carry = np.ones(n, dtype=np.bool_)
         unknown = profiles.item(qi, j) == -1.0
+        if unknown:
+            scan_from = max(scan_from, start + 1)
         at = self.starts.item(i)
         ev_node, ev_src, ev_old, ev_new, ev_p = self.events
         one_by_one = 0
         while start < n:
-            if start >= scan_from and profiles.item(qi, j) != -1.0:
+            if start >= scan_from:
                 p, stop, a = _scan_rows(
                     profiles, avals, q, sender_cols[:, start:],
                     delta[None, start:], k[None, start:], carry[None, start:],
@@ -474,34 +480,20 @@ class _NadjPass:
         return list(zip(i[early].tolist(), delta[early], first.tolist(),
                         scan_from.tolist()))
 
-    def _first_messages(self, i, delta):
-        """Deliver senders[0]'s message to each unknown receiver i (none of
-        them a sender) as whole arrays; returns whether each is still
-        unknown after it."""
-        q = self.receivers[i]
-        at = self.starts[i]
-        ev_node, ev_src, ev_old, ev_new, ev_p = self.events
-        ev_node[at] = q
-        ev_src[at] = self.senders[0]
-        ev_old[at], ev_new[at], ev_p[at] = _deliver_many(
-            self.profiles, self.avals, self.counts, q,
-            self.senders[:1].repeat(q.shape[0]), self.j, delta, self.lam,
-            self.mu, self.tie_eps)
-        return ev_new[at] == -1.0
-
     def plan(self, r, end):
         """Deliver the messages of receivers r:end as one plan; returns
         whether each receiver it took held to its end (without a message
         that may move it). The plan halts after the first receiver that is
-        also a sender and may move (an unknown one always does), as later
-        rows must hear its new stance."""
+        also a sender and may move, as later rows must hear its new stance.
+        An unknown receiver is no sender, so its first message, which moves
+        it, is delivered within the plan."""
         s = self.senders.shape[0]
         j = self.j
         profiles = self.profiles
         q = self.receivers[r:end]
         own = self.own[r:end]
         sender_cols = profiles.T.take(self.senders, axis=1)
-        unknown = profiles[q, j] == -1.0
+        unknown = profiles[q, j] == -1.0  # none of them a sender
         is_sender = own < s
         cols = np.arange(s)
 
@@ -515,17 +507,15 @@ class _NadjPass:
                 profiles, self.avals, q[rows], sender_cols, delta, k, carry, j,
                 self.lam, self.mu)
 
-        halt = np.flatnonzero(is_sender & unknown)
-        last = int(halt[0]) if halt.shape[0] else q.shape[0]
-        # the known receivers that are also senders are scanned first, in
-        # chunks that start at about one scan's cost and double, so that a
-        # plan that halts early has scanned at most about twice the rows it
-        # took
+        last = q.shape[0]
+        # the receivers that are also senders are scanned first, in chunks
+        # that start at about one scan's cost and double, so that a plan that
+        # halts early has scanned at most about twice the rows it took
         scans = []
-        known = np.flatnonzero(is_sender[:last] & ~unknown[:last])
+        both = np.flatnonzero(is_sender)
         size = max(1, _SCAN_CELLS // s)
-        while known.shape[0]:
-            rows, known = known[:size], known[size:]
+        while both.shape[0]:
+            rows, both = both[:size], both[size:]
             scans.append(scan(rows, np.zeros(rows.shape[0], dtype=np.int64),
                               self.deltas(r + rows)))
             hits = np.flatnonzero(scans[-1][5] < s)
@@ -533,24 +523,25 @@ class _NadjPass:
                 last = int(rows[hits[0]])
                 break
             size *= 2
-        finish = []
-        if last < q.shape[0] and unknown[last]:
-            finish.append((r + last, None, 0, 0))
-
-        # an unknown receiver before ``last`` is no sender, so its first
-        # message comes from senders[0]; its row is scanned after that
-        # message, as the similarity includes q's own stance on topic j
+        # an unknown receiver is no sender, so its first message comes from
+        # senders[0] and moves it; its row is scanned after that message, as
+        # the similarity includes q's own stance on topic j
         rows = np.flatnonzero(~is_sender[:last])
         if rows.shape[0]:
             delta = self.deltas(r + rows)
             first = np.flatnonzero(unknown[rows])
             if first.shape[0]:
-                still = self._first_messages(r + rows[first], delta[first, 0])
-                finish += [(r + rows[e], delta[e], 1, 1) for e in first[still]]
-                rows = np.delete(rows, first[still])
-                delta = np.delete(delta, first[still], axis=0)
+                at = self.starts[r + rows[first]]
+                ev_node, ev_src, ev_old, ev_new, ev_p = self.events
+                ev_node[at] = q[rows[first]]
+                ev_src[at] = self.senders[0]
+                ev_old[at], ev_new[at], ev_p[at] = _deliver_many(
+                    profiles, self.avals, self.counts, ev_node[at],
+                    ev_src[at], j, delta[first, 0], self.lam, self.mu,
+                    self.tie_eps)
             scans.append(scan(rows, unknown[rows].astype(np.int64), delta))
 
+        finish = []
         for rows, *arrays in scans:
             # rows ascend, and the last chunk may run past ``last``
             keep = np.searchsorted(rows, last, side="right")
@@ -574,7 +565,9 @@ def nadj_pass(in_indptr, in_indices, profiles, avals, counts, receivers, senders
     messages left. delta is delta_adj when the pair is an edge v -> q (v
     in the in-row of q), delta_nonadj otherwise. The receivers are
     distinct, and so are the senders (the engine samples both without
-    replacement). Returns the event count.
+    replacement). Every sender's stance on topic j is known (the engine
+    samples them among the spreaders), so a receiver that is also a sender
+    is known too. Returns the event count.
 
     The receivers are planned a window at a time (see the module
     docstring): at most ``_PLAN_CELLS`` cells, and up to twice as many

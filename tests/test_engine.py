@@ -297,24 +297,29 @@ def test_persistent_long_runs_on_dense_graphs_match_naive(handed):
 
 # -- high churn ---------------------------------------------------------------
 
-def churn_run(tmp_path, n, m, z, rounds_K):
+def churn_run(tmp_path, n, m, z, rounds_K, a0):
     """A generated bundle whose passes move many receivers, so the
     non-adjacent kernel plans often and spends most of its time in the
-    per-receiver loop; returns (graph, params, seeds)."""
+    per-receiver loop; returns (graph, params, seeds). At A0 = 0.9 the hold
+    scans clamp a at 1 again and again."""
     bundle = io_formats.generate_synthetic(
         n, m, z, [0.4, 0.2, 0.2, 0.2], 3, tmp_path)
     g, symbols = io_formats.load_graph(bundle.edges_path,
                                           bundle.profiles_path)
     seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
-    params = sc.SimParams(r1=0.5, r2=0.5, initial_persistence_A0=0.05,
+    params = sc.SimParams(r1=0.5, r2=0.5, initial_persistence_A0=a0,
                           rounds_K=rounds_K, rng_seed=7)
     return g, params, seeds
 
 
-def test_high_churn_run_matches_naive(tmp_path):
-    g, params, seeds = churn_run(tmp_path, 300, 900, 3, 3)
+@pytest.mark.parametrize("a0", [0.05, 0.9])
+def test_high_churn_run_matches_naive(tmp_path, a0):
+    g, params, seeds = churn_run(tmp_path, 300, 900, 3, 3, a0)
     trace, state = run_quiet(g, params, seeds)
     assert trace.ev_node.shape[0] == 13806
+    if a0 == 0.9:
+        # cells that end at exactly a = 1 went through clamp restarts
+        assert (state.avals == 1.0).any()
     edges = [(u, int(v)) for u in range(g.n)
              for v in g.indices[g.indptr[u]:g.indptr[u + 1]]]
     ref = NaiveTsa(g.n, g.z, edges, g.profiles.tolist(), params, seeds).run()
@@ -333,10 +338,29 @@ HIGH_CHURN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("z", sorted(HIGH_CHURN_SHA256))
-def test_high_churn_trace_pinned(tmp_path, z):
-    g, params, seeds = churn_run(tmp_path, 1000, 3000, z, 4)
+# the same at A0 = 0.9, where the hold scans clamp at a = 1 (1,257-2,847
+# restart passes a run); recorded before the kernels shared one influence
+# function
+HIGH_CHURN_CLAMP_SHA256 = {
+    1: "81d66212843f526c84ef28736cfe5da20a0dec9bbc9bf10fa99ba7d8528389b2",
+    2: "bff613c8701884f695b086c43579a6dda2d85456b35e0412b7848573d466ea55",
+    3: "ace0e18889aaea33c4e63449cccbe4cf510a7b071659491c5e9a324b78ee209e",
+    4: "9198a0871a87efcb05d0ccd1293a4541a1e1e16062ce7902703877fb3cbae019",
+}
+
+
+def churn_trace_sha256(tmp_path, z, a0):
+    g, params, seeds = churn_run(tmp_path, 1000, 3000, z, 4, a0)
     trace, _ = run_quiet(g, params, seeds)
     io_formats.write_trace(trace, tmp_path / "trace.jsonl")
-    digest = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes())
-    assert digest.hexdigest() == HIGH_CHURN_SHA256[z]
+    return hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("z", sorted(HIGH_CHURN_SHA256))
+def test_high_churn_trace_pinned(tmp_path, z):
+    assert churn_trace_sha256(tmp_path, z, 0.05) == HIGH_CHURN_SHA256[z]
+
+
+@pytest.mark.parametrize("z", sorted(HIGH_CHURN_CLAMP_SHA256))
+def test_high_churn_clamping_trace_pinned(tmp_path, z):
+    assert churn_trace_sha256(tmp_path, z, 0.9) == HIGH_CHURN_CLAMP_SHA256[z]

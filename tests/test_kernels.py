@@ -359,24 +359,6 @@ def test_nadj_pass_unknown_receivers(z):
         assert np.array_equal(activated, np.arange(30))
 
 
-def test_nadj_pass_unknown_receivers_that_are_senders():
-    # the engine samples senders among known nodes only, but the kernel
-    # takes any: an unknown receiver that is also a sender moves on its
-    # first message, so the rows after it are planned again
-    rng = np.random.default_rng(8)
-    n = 200
-    g, profiles = random_graph(rng, n, 2, 2000)
-    j = 1
-    profiles[:100, j] = rng.choice([0.0, 0.5, 1.0], size=100)
-    profiles[[3, 17, 40], j] = -1.0
-    receivers = np.arange(60)
-    senders = np.sort(np.concatenate([[3, 17, 40], np.arange(100, 180)]))
-    node, src, old, new, p = run_both_nadj(
-        g, profiles, np.full((n, 2), 0.5), np.zeros((n, 2), dtype=np.int64),
-        receivers, senders, j, 0.8, 0.2, 0.7, 0.2, 0.0)
-    assert {3, 17, 40} <= set(node[(old == -1.0) & (new != -1.0)].tolist())
-
-
 def test_nadj_pass_receiver_whose_only_sender_is_itself():
     rng = np.random.default_rng(5)
     n = 40

@@ -23,7 +23,7 @@ import stancecast as sc
 from stancecast import io_formats
 from stancecast.dynamics import CHANNELS
 from stancecast.engine import _EVENT_DTYPES
-from stancecast.errors import ParseError
+from stancecast.errors import ParseError, StancecastError
 from test_metrics import simulated_case
 
 # Probabilities whose text is easy to get wrong: the smallest subnormal,
@@ -137,6 +137,17 @@ def test_writer_matches_reference_on_single_valued_columns(tmp_path, row, count)
     assert_same_bytes({name: np.full(count, values[row % len(values)],
                                      dtype=_EVENT_DTYPES[name])
                        for name, values in ODD_VALUES.items()}, tmp_path)
+
+
+@pytest.mark.parametrize("code", [-1, 2])
+def test_writer_refuses_a_channel_code_outside_the_channels(tmp_path, code):
+    # -1 would index CHANNELS from the end, and 2 past it
+    trace = hand_built(2)
+    trace.ev_channel[1] = code
+    with pytest.raises(StancecastError,
+                       match=f"^trace event 1 has channel code {code}, "):
+        io_formats.write_trace(trace, tmp_path / "t.jsonl")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writer_memory_is_bounded_by_a_slice(tmp_path):
