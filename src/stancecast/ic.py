@@ -17,12 +17,20 @@ outcomes are those of one draw per attempt.
 A round is array code over the CSR slots of the frontier's out-edges
 (:func:`kernels.out_slots`): the candidates are the slots whose target is
 inactive when the round starts, and :func:`_coin_flips` finds which of them
-fire. Only a target that repeats among a round's candidates needs a pass in
-candidate order.
+fire. It walks only the uniforms below the round's largest probability and
+the skips that their fires cause, so its Python steps grow with p: at
+p = 0.1, round 1 of the seed-7 edges-10k network has 10,006 candidates,
+7,508 of them on a target that repeats, but 991 uniforms below p and 663
+skips. The other exact way, a pass in candidate order over the candidates
+on repeated targets, does not grow with p. Against such a pass, edges-10k
+cascades took 0.43 / 0.62 / 1.01 / 1.26 / 1.59 of the time at p = 0.02 /
+0.1 / 0.3 / 0.5 / 0.9 (medians of 7 in-process pairs). The benchmark runs
+IC at p = 0.1 only.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,16 +85,12 @@ class IcTrace:
 
 def run_ic(g: SocialGraph, params: IcParams, seeds, run_index: int = 0) -> IcTrace:
     """One cascade from the seed set; deterministic given the seed stream."""
-    seed_list = sorted({int(v) for v in seeds})
-    if seed_list and not (seed_list[0] >= 0 and seed_list[-1] < g.n):
-        v = next(v for v in seed_list if not 0 <= v < g.n)
-        raise IdOutOfRangeError(f"seed node {v} outside [0, {g.n})")
+    frontier = _seed_frontier(seeds, g.n)
     rng = Rng(params.rng_seed, run_index)
     edge_p = _edge_probabilities(g, params)
-    frontier = np.fromiter(seed_list, dtype=np.int64, count=len(seed_list))
     active = np.zeros(g.n, dtype=np.bool_)
     active[frontier] = True
-    trace = IcTrace(rounds=[seed_list])
+    trace = IcTrace(rounds=[frontier.tolist()])
     spare = np.empty(0)  # uniforms drawn but not yet used
     rounds_left = params.max_rounds
     while frontier.shape[0] and (rounds_left is None or rounds_left > 0):
@@ -109,6 +113,26 @@ def run_ic(g: SocialGraph, params: IcParams, seeds, run_index: int = 0) -> IcTra
     return trace
 
 
+def _seed_frontier(seeds, n: int) -> np.ndarray:
+    """The distinct seed ids, ascending, as int64; ``int(v)`` of each."""
+    if iter(seeds) is seeds:  # one pass only; the error path reads it again
+        seeds = list(seeds)
+    try:
+        frontier = np.fromiter(seeds, dtype=np.int64)
+        frontier.sort()
+        inside = not frontier.shape[0] or (frontier[0] >= 0
+                                           and frontier[-1] < n)
+    except OverflowError:  # an id outside int64
+        inside = False
+    if not inside:
+        v = next(v for v in sorted({int(v) for v in seeds}) if not 0 <= v < n)
+        raise IdOutOfRangeError(f"seed node {v} outside [0, {n})")
+    # np.unique took 16 times as long on the 2,739 edges-10k seeds (numpy 2.4)
+    keep = np.ones(frontier.shape[0], dtype=np.bool_)
+    np.not_equal(frontier[1:], frontier[:-1], out=keep[1:])
+    return frontier[keep]
+
+
 def _edge_probabilities(g: SocialGraph, params: IcParams) -> np.ndarray:
     """Each CSR slot's activation probability; overrides of pairs that are
     not edges are never used."""
@@ -129,37 +153,56 @@ def _coin_flips(targets: np.ndarray, uniforms: np.ndarray, p: np.ndarray):
 
     Candidate i, in order, is skipped when an earlier candidate of the round
     activated its target, and otherwise tests the uniform at i minus the
-    number of candidates skipped before it. Only a target that repeats in
-    the round can be skipped or cause a skip, so those candidates alone
-    take a pass in order; the skips they find place everyone's uniform.
+    number of candidates skipped before it. That count changes only at a
+    skip, and the skips follow from the fires of candidates whose target
+    comes again later in the round; a fire needs a uniform below max(p). So
+    the walk visits only the uniforms below max(p), in order, and the skips
+    they cause, which wait in a heap of candidate positions: O(low uniforms
+    + skips) steps, whatever the number of candidates on repeated targets.
     """
     c = targets.shape[0]
-    skipped = []
-    if c > 1:  # a lone candidate cannot repeat
-        at = np.flatnonzero(np.bincount(targets)[targets] > 1)
-        if at.shape[0]:
-            u = uniforms[:c].tolist()
-            done = set()
-            n_skipped = 0
-            for i, t, q in zip(at.tolist(), targets[at].tolist(),
-                               p[at].tolist()):
-                if t in done:
-                    skipped.append(i)
-                    n_skipped += 1
-                elif u[i - n_skipped] < q:
-                    done.add(t)
-    if not skipped:
-        return uniforms[:c] < p, c
-    skipped = np.asarray(skipped)
-    pos = np.arange(c)
-    fired = uniforms[pos - np.searchsorted(skipped, pos)] < p
-    fired[skipped] = False
-    return fired, c - skipped.shape[0]
+    u = uniforms[:c]
+    key = np.sort(targets * c + np.arange(c))  # by target, then position
+    target = key // c
+    pos = key - target * c
+    again = target[1:] == target[:-1]
+    if not again.any():  # no target repeats, so nothing is skipped
+        return u < p, c
+    nxt = np.full(c, c)  # the next candidate on the same target, or c
+    nxt[pos[:-1]] = np.where(again, pos[1:], c)
+    after = nxt.item
+    sure = float(p.min())  # NaN if some p is: then no uniform is sure
+    low = np.flatnonzero(u < np.fmax.reduce(p))  # fmax passes over a NaN p
+    heappop, heappush = heapq.heappop, heapq.heappush
+    fired = []
+    pending = []  # the candidates known to be skipped, not yet passed
+    skips = 0
+    # a last uniform at c stands for the end: every pending skip comes first
+    for k, x in zip(low.tolist() + [c], u[low].tolist() + [1.0]):
+        i = k + skips  # the candidate that uniform k goes to
+        while pending and pending[0] <= i:
+            j = after(heappop(pending))
+            skips += 1
+            i += 1
+            if j < c:
+                heappush(pending, j)
+        if i >= c:
+            break
+        if x < sure or x < p[i]:
+            fired.append(i)
+            j = after(i)
+            if j < c:
+                heappush(pending, j)
+    out = np.zeros(c, dtype=np.bool_)
+    out[fired] = True
+    return out, c - skips
 
 
 def mean_final_active(g: SocialGraph, params: IcParams, seeds,
                       runs: int) -> tuple[float, list[int]]:
     """Monte Carlo mean of the final active count over ``runs`` cascades."""
+    if runs < 1:
+        raise RangeViolationError("runs", runs, "integers >= 1")
     counts = [run_ic(g, params, seeds, run_index=i).final_count
               for i in range(runs)]
     return float(np.mean(counts)), counts

@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 import stancecast as sc
+from stancecast import ic
 from reference_ic import run_ic as reference_run_ic
 from stancecast.cli import main
 from stancecast.errors import IdOutOfRangeError, RangeViolationError
@@ -187,3 +189,106 @@ def test_baseline_ic_counts_are_pinned(tmp_path):
     assert out.read_text() == (
         '{"runs":[48,44,50,41,61,38,44,66,57,51,61,48,56,49,51,49,59,49,'
         '44,98],"mean":53.2}\n')
+
+
+# -- the coin flips of one round, against the draw contract stated plainly --
+
+def contract_coin_flips(targets, uniforms, p):
+    """Candidates in order: one whose target an earlier candidate of the
+    round activated is skipped and takes no uniform; any other takes the
+    next uniform and fires when it is below its p."""
+    done, fired, used = set(), [], 0
+    for t, q in zip(targets, p):
+        hit = t not in done and uniforms[used] < q
+        used += t not in done
+        if hit:
+            done.add(t)
+        fired.append(hit)
+    return fired, used
+
+
+def random_round(rng):
+    c = int(rng.choice([0, 1, 2, int(rng.integers(3, 60))]))
+    kinds = int(rng.integers(1, c + 2))  # 1: every candidate on one target
+    targets = rng.integers(0, kinds, c) * 3 + 5
+    pick = int(rng.integers(0, 4))
+    if pick == 0:  # one p for the round, as a uniform edge probability
+        p = np.full(c, rng.choice([0.0, 0.1, 0.5, 1.0, rng.random()]))
+    elif pick == 1:  # 0 and 1 among per-candidate values
+        p = rng.choice([0.0, 1.0, 0.3, rng.random()], size=c)
+    elif pick == 2:  # an unvalidated NaN fires nothing
+        p = rng.choice([np.nan, 0.2, 0.9], size=c)
+    else:
+        p = rng.random(c)
+    uniforms = rng.random(c + int(rng.integers(0, 4)))
+    return targets, uniforms, p
+
+
+def test_coin_flips_follow_the_draw_contract():
+    rng = np.random.default_rng(23)
+    repeated = skipped = one_target = 0
+    for _ in range(3000):
+        targets, uniforms, p = random_round(rng)
+        fired, used = ic._coin_flips(targets, uniforms, p)
+        expected, expected_used = contract_coin_flips(
+            targets.tolist(), uniforms.tolist(), p.tolist())
+        assert fired.dtype == np.bool_ and fired.tolist() == expected
+        assert used == expected_used
+        kinds = len(set(targets.tolist()))
+        repeated += kinds < len(targets)
+        skipped += used < len(targets)
+        one_target += kinds == 1 and len(targets) > 2
+    assert repeated > 1000 and skipped > 500 and one_target > 20
+
+
+# -- seed boundary and the Monte Carlo run count --------------------------
+
+@pytest.mark.parametrize("seeds, bad", [
+    ([0, 2**70], 2**70),
+    ([-(2**70), 1], -(2**70)),
+    ([np.uint64(2**63 + 5)], 2**63 + 5),
+    (iter([1, 2**70, 0]), 2**70),
+])
+def test_seeds_outside_int64_are_out_of_range(path3_plain, seeds, bad):
+    with pytest.raises(IdOutOfRangeError) as err:
+        sc.run_ic(path3_plain, sc.IcParams(), seeds)
+    assert str(err.value) == f"seed node {bad} outside [0, 3)"
+
+
+def test_seeds_are_taken_as_int(path3_plain):
+    params = sc.IcParams(edge_probability=1.0)
+    assert sc.run_ic(path3_plain, params, [2.7]).rounds == [[2]]
+    assert sc.run_ic(path3_plain, params, [True]).rounds == [[1], [2]]
+    assert sc.run_ic(path3_plain, params, iter([1, 0, 1])).rounds == \
+        [[0, 1], [2]]
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+def test_mean_final_active_rejects_runs_below_one(path3_plain, runs):
+    # seed 7 is out of range, so a cascade run first would raise that error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeViolationError) as err:
+            sc.mean_final_active(path3_plain, sc.IcParams(), [7], runs)
+    assert (err.value.key, err.value.value) == ("runs", runs)
+
+
+def test_baseline_ic_counts_are_pinned_on_a_dense_network(tmp_path):
+    # round 1 has 1,835 candidates on 1,141 targets, with 91 skips at
+    # p = 0.1 and 388 at p = 0.5; round 2 at p = 0.5 has 2,074
+    data = tmp_path / "data"
+    assert main(["generate", "--nodes", "2000", "--edges", "20000",
+                 "--topics", "1", "--seed", "11", "--out-dir", str(data)]) == 0
+    pinned = {
+        "0.1": '{"runs":[778,774,748,746,747,787,773,807,753,782,898,754,783,'
+               '763,818,688,813,788,930,876],"mean":790.3}\n',
+        "0.5": '{"runs":[1987,1992,1988,1989,1990,1988,1982,1992,1990,1986,'
+               '1987,1987,1991,1987,1984,1982,1993,1989,1992,1991],'
+               '"mean":1988.35}\n',
+    }
+    for p, text in pinned.items():
+        out = tmp_path / f"ic-{p}.json"
+        assert main(["baseline-ic", "--graph", str(data / "edges.tsv"),
+                     "--seeds", str(data / "seeds.csv"), "--p", p,
+                     "--runs", "20", "--out", str(out), "--seed", "5"]) == 0
+        assert out.read_text() == text
