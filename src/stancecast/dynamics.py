@@ -23,6 +23,7 @@ from .graph import (
     KNOWN_STANCES,
     STANCE_UNKNOWN,
     SocialGraph,
+    _sorted_distinct,
     is_stance,
 )
 from .params import SimParams
@@ -90,7 +91,7 @@ def _overlay_topic(g: SocialGraph, profiles, j, stances) -> None:
     if (nodes is None
             or not ((nodes >= 0) & (nodes < g.n)).all()
             or not np.isin(values, KNOWN_STANCES).all()
-            or np.unique(nodes).shape[0] != nodes.shape[0]):
+            or _sorted_distinct(nodes).shape[0] != nodes.shape[0]):
         _overlay_seeds_one_by_one(g, profiles, j, stances)
         return
     profiles[nodes, int(j)] = values

@@ -69,7 +69,7 @@ from .errors import (
     StancecastError,
 )
 from .graph import (STANCE_UNKNOWN, SocialGraph, _is_stance_code, _repeats,
-                    build_graph)
+                    _sorted_distinct, build_graph)
 from .params import SimParams
 
 TRACE_SCHEMA = "tsa-trace/1"
@@ -465,7 +465,7 @@ def load_seed_nodes(path, symbols: SymbolTable) -> list[int]:
                  rows.error)
     if not len(node):
         warnings.warn(f"{path}: no seed stances", EmptySeedsWarning, stacklevel=2)
-    return np.unique(node).tolist()
+    return _sorted_distinct(node).tolist()
 
 
 def write_seeds(path, seeds: dict[int, dict[int, float]],
@@ -540,10 +540,7 @@ def _distinct(values: np.ndarray):
         if values.min() >= 0 and high < values.size + 256:
             return range(high + 1), values.astype(np.intp)
     keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
-    ordered = np.sort(keys)
-    first = np.ones(ordered.shape, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
+    distinct = _sorted_distinct(keys)
     return distinct.view(values.dtype).tolist(), np.searchsorted(distinct, keys)
 
 

@@ -379,9 +379,9 @@ class _NadjPass:
 
     def finish(self, i, delta, start, scan_from):
         """Deliver receiver i's messages from its ``start``-th on in the
-        per-receiver loop, given its row of delta (None: look it up here);
-        returns whether it held to its end, as a planned row may (only an
-        unknown receiver's first message went one by one).
+        per-receiver loop, given its row of delta; returns whether it held
+        to its end, as a planned row may (only an unknown receiver's first
+        message went one by one).
 
         A one-row :func:`_scan_rows` delivers the messages that cannot move
         q's stance; the message that may move it goes through the scalar
@@ -396,11 +396,6 @@ class _NadjPass:
         profiles, avals, counts, j = self.profiles, self.avals, self.counts, self.j
         sv = self.senders
         s = sv.shape[0]
-        if delta is None:  # one in-row: :meth:`deltas` costs 3x as much
-            delta = np.full(s, self.delta_nonadj)
-            ins = self.in_indices[self.in_indptr[qi]:self.in_indptr[qi + 1]]
-            col = self.col_of[ins]
-            delta[col[col < s]] = self.delta_adj
         own = self.own[i]
         if own < s:
             sv = np.concatenate((sv[:own], sv[own + 1:]))
@@ -591,7 +586,8 @@ def nadj_pass(in_indptr, in_indices, profiles, avals, counts, receivers, senders
     while r < n_rows:
         end = min(n_rows, r + cap, r + 2 * streak)
         if end - r < need:
-            streak = streak + 1 if ps.finish(r, None, 0, 0) else 0
+            delta = ps.deltas(np.arange(r, r + 1))[0]
+            streak = streak + 1 if ps.finish(r, delta, 0, 0) else 0
             r += 1
             continue
         held = ps.plan(r, end)

@@ -250,6 +250,7 @@ def test_bad_seed_raises_as_the_loop_did(case, after):
     {0: {}},
     {1: {np.int64(2): 1, 4: np.float64(0.5)}, 0: {0: 0.0, 3: -0.0}},
     {0: {True: 1.0, 2.0: 0.5}},
+    {0: {2: 0.0, 2.7: 1.0}},
 ])
 def test_valid_seeds_overlay_as_the_loop_did(seeds):
     outcome = overlay_outcome(state_overlay, SEED_GRAPH, seeds)
