@@ -59,7 +59,10 @@ def _cmd_simulate(args) -> int:
     _at_least(1, runs=args.runs, workers=args.workers)
     params = io_formats.load_config(args.config)
     if args.run_seed_base is not None:
-        params = params.with_seed(args.run_seed_base)
+        try:
+            params = params.with_seed(args.run_seed_base).validate()
+        except RangeViolationError as exc:
+            raise _option_error("--run-seed-base", exc) from None
     graph, symbols = io_formats.load_graph(args.graph, args.profiles)
     seeds = io_formats.load_seeds(args.seeds, symbols)
     payloads = [(graph, params, seeds, _trace_path(args.out_trace, i, args.runs), i)
@@ -111,12 +114,14 @@ def _cmd_generate(args) -> int:
         print(f"error: --stance-mix is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:
+        # the config's range first: every bundle must load in simulate
+        params = io_formats.SimParams(rng_seed=args.seed).validate()
         bundle = io_formats.generate_synthetic(
             args.nodes, args.edges, args.topics, mix, args.seed, args.out_dir
         )
     except RangeViolationError as exc:  # the counts are checked above
-        raise _option_error("--stance-mix", exc) from None
-    params = io_formats.SimParams(rng_seed=args.seed)
+        option = "--stance-mix" if exc.key == "stance_mix" else "--seed"
+        raise _option_error(option, exc) from None
     config_path = Path(args.out_dir) / "config.json"
     io_formats.write_config(config_path, params)
     for path in (bundle.edges_path, bundle.profiles_path, bundle.seeds_path,

@@ -14,10 +14,12 @@ import numpy as np
 from . import kernels
 from .errors import (
     BadStanceValueError,
+    IdOutOfRangeError,
     InvalidSeedStanceError,
     ProbabilityOutOfRangeError,
     SameNodeError,
     UnknownSenderError,
+    _raise_first,
 )
 from .graph import (
     KNOWN_STANCES,
@@ -60,40 +62,31 @@ class StanceChange:
     round: int
 
 
-def _overlay_seeds_one_by_one(g: SocialGraph, profiles, j, stances) -> None:
-    """Write the seed stances of topic j one at a time, checking each; the
-    first bad seed raises."""
-    for node, stance in stances.items():
-        g.check_node(int(node))
-        stance = float(stance)
-        if stance not in KNOWN_STANCES:
-            raise InvalidSeedStanceError(
-                f"seed stance {stance!r} for node {node}, topic {j} "
-                "must be 0, 0.5 or 1"
-            )
-        profiles[int(node), int(j)] = stance
-
-
 def _overlay_topic(g: SocialGraph, profiles, j, stances) -> None:
-    """Write the seed stances ``{node: stance}`` of topic j as arrays.
-
-    Seeds that are not all distinct in-range nodes with known stances, or
-    that numpy does not read as such, go through
-    :func:`_overlay_seeds_one_by_one`, which raises the first bad seed's
-    error in dict order.
-    """
+    """Write the seed stances ``{node: stance}`` of topic j as arrays. Keys
+    and values are read as ``int()`` and ``float()`` read them, so one that
+    is not a number raises first; then the first seed in dict order whose
+    node is outside the graph, or else whose stance is not 0, 0.5 or 1,
+    raises. A node seeded twice is written once, with its last stance."""
+    count = len(stances)
     try:
-        nodes = np.fromiter(stances.keys(), dtype=np.int64, count=len(stances))
-        values = np.fromiter(stances.values(), dtype=np.float64,
-                             count=len(stances))
-    except (TypeError, ValueError, OverflowError):
-        nodes = values = None
-    if (nodes is None
-            or not ((nodes >= 0) & (nodes < g.n)).all()
-            or not np.isin(values, KNOWN_STANCES).all()
-            or _sorted_distinct(nodes).shape[0] != nodes.shape[0]):
-        _overlay_seeds_one_by_one(g, profiles, j, stances)
-        return
+        nodes = np.fromiter(stances, dtype=np.int64, count=count)
+    except OverflowError:  # a key outside int64, so outside the graph
+        nodes = np.fromiter(map(int, stances), dtype=object, count=count)
+    values = np.fromiter(stances.values(), dtype=np.float64, count=count)
+    unknown = ~np.isin(values, KNOWN_STANCES)
+    if unknown.any():  # np.fromiter reads None as NaN; float() refuses it
+        values = np.fromiter(map(float, stances.values()), np.float64, count)
+    _raise_first([
+        ((nodes < 0) | (nodes >= g.n), lambda k: IdOutOfRangeError(
+            f"node id {nodes[k]} outside [0, {g.n})")),
+        (unknown, lambda k: InvalidSeedStanceError(
+            f"seed stance {float(values[k])!r} for node {list(stances)[k]}, "
+            f"topic {j} must be 0, 0.5 or 1")),
+    ])
+    if _sorted_distinct(nodes).shape[0] != count:  # numpy fixes no order of repeats
+        last = count - 1 - np.unique(nodes[::-1], return_index=True)[1]
+        nodes, values = nodes[last], values[last]
     profiles[nodes, int(j)] = values
 
 

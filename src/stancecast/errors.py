@@ -127,3 +127,18 @@ class MissingTruthEntryError(StancecastError):
 
 class EmptySeedsWarning(UserWarning):
     """No seed stances were provided; the run will produce no events."""
+
+
+def _raise_first(checks, pending: StancecastError | None = None) -> None:
+    """Raise the error of the first row that fails a check, else ``pending``.
+
+    ``checks`` pairs a mask over the rows with a function from a row index
+    to its error, in the order in which one row is checked.
+    """
+    failing = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks)
+               if mask.any()]
+    if failing:
+        row, k = min(failing)
+        raise checks[k][1](row)
+    if pending is not None:
+        raise pending

@@ -22,6 +22,7 @@ from .errors import (
     IdOutOfRangeError,
     ProfileLengthMismatchError,
     SelfLoopError,
+    _raise_first,
 )
 
 #: The four-valued stance domain.
@@ -108,17 +109,12 @@ def build_graph(node_count, topic_count, edge_list, profiles) -> SocialGraph:
 
     ends = _edge_array(edge_list)
     u, v = ends[:, 0], ends[:, 1]
-    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    loops = u == v
-    bad = outside | loops | _repeats(u * n + v)
-    if bad.any():
-        k = int(np.argmax(bad))
-        uk, vk = int(u[k]), int(v[k])
-        if outside[k]:
-            raise IdOutOfRangeError(f"edge ({uk}, {vk}) references id outside [0, {n})")
-        if loops[k]:
-            raise SelfLoopError(f"self-loop at node {uk}", k)
-        raise DuplicateEdgeError(f"duplicate edge ({uk}, {vk})", k)
+    _raise_first([
+        ((u < 0) | (u >= n) | (v < 0) | (v >= n), lambda k: IdOutOfRangeError(
+            f"edge ({u[k]}, {v[k]}) references id outside [0, {n})")),
+        (u == v, lambda k: SelfLoopError(f"self-loop at node {u[k]}", k)),
+        (_repeats(u * n + v), lambda k: DuplicateEdgeError(
+            f"duplicate edge ({u[k]}, {v[k]})", k))])
 
     prof = _profile_array(profiles, n, z)
     indptr, indices = _compressed(u, v, n)

@@ -67,6 +67,7 @@ from .errors import (
     SchemaVersionMismatchError,
     SelfLoopError,
     StancecastError,
+    _raise_first,
 )
 from .graph import (STANCE_UNKNOWN, SocialGraph, _is_stance_code, _repeats,
                     _sorted_distinct, build_graph)
@@ -249,21 +250,6 @@ def _csv_rows(path, header: str) -> _Rows:
 
     return _first_bad_row(tokens, data + 2, ~three | empty.any(axis=1), error,
                           stand_in)
-
-
-def _raise_first(checks, pending: StancecastError | None = None) -> None:
-    """Raise the error of the first row that fails a check, else ``pending``.
-
-    ``checks`` pairs a mask over the rows with a function from a row index
-    to its error, in the order in which one row is checked.
-    """
-    failing = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks)
-               if mask.any()]
-    if failing:
-        row, k = min(failing)
-        raise checks[k][1](row)
-    if pending is not None:
-        raise pending
 
 
 def _float_or_nan(token: str) -> float:
@@ -607,13 +593,10 @@ def write_trace(trace: SimTrace, path) -> None:
     rendered and written one slice of events at a time. A channel code
     outside ``range(len(CHANNELS))`` raises a :class:`StancecastError`
     before anything is written."""
-    bad = np.flatnonzero((trace.ev_channel < 0)
-                         | (trace.ev_channel >= len(CHANNELS)))
-    if bad.shape[0]:
-        i = int(bad[0])
-        raise StancecastError(f"trace event {i} has channel code "
-                              f"{int(trace.ev_channel[i])}, not one of "
-                              f"0..{len(CHANNELS) - 1}")
+    codes = trace.ev_channel
+    _raise_first([((codes < 0) | (codes >= len(CHANNELS)), lambda i: StancecastError(
+        f"trace event {i} has channel code {codes[i]}, not one of "
+        f"0..{len(CHANNELS) - 1}"))])
     header = {
         "schema": TRACE_SCHEMA,
         "n": trace.n,
@@ -772,7 +755,8 @@ def _distinct_pieces(raw: np.ndarray, starts, ends, widest: int):
     keyed by its bytes, packed into zero-padded uint64 words, and grouped by
     the hash of its words and length; None if a piece is empty or longer
     than ``widest``, or if a piece differs from the first of its group (a
-    hash collision)."""
+    hash collision). Texts decode as latin-1, so a non-ASCII piece is read
+    and then fails its comparison with the writer's ASCII text."""
     fields = _fields(raw, starts, ends, widest, fill=0)
     if fields is None:
         return None
@@ -782,7 +766,7 @@ def _distinct_pieces(raw: np.ndarray, starts, ends, widest: int):
     same = first[index]
     if not ((lengths == lengths[same]).all() and (words == words[same]).all()):
         return None
-    return [raw[s:e].tobytes().decode()
+    return [raw[s:e].tobytes().decode("latin-1")
             for s, e in zip(starts[first].tolist(), ends[first].tolist())], index
 
 
@@ -862,7 +846,7 @@ def _canonical_trace(path, data: bytes) -> SimTrace | None:
     as ``repr`` round-trips, ``json.loads`` reads the same values from them:
     the result equals that of the per-line loop in :func:`load_trace`.
     """
-    if not (data.isascii() and data.endswith(b"\n")):
+    if not data.endswith(b"\n"):
         return None
     head_end = data.index(b"\n")
     try:
@@ -959,12 +943,10 @@ def load_trace(path) -> SimTrace:
         for name, mask, message in _event_rules(columns, n, z, params.rounds_K)])
     for name, dtype in _EVENT_DTYPES.items():
         columns[name] = columns[name].astype(dtype, copy=False)
-    back = np.flatnonzero(np.diff(columns["round"]) < 0)
-    if back.shape[0]:
-        i = int(back[0]) + 1
-        raise ParseError(path, line_nos[i], 1,
-                         f"event round {columns['round'][i]} after round "
-                         f"{columns['round'][i - 1]}: events out of round order")
+    rounds = columns["round"]
+    _raise_first([(np.diff(rounds) < 0, lambda i: ParseError(
+        path, line_nos[i + 1], 1, f"event round {rounds[i + 1]} after round "
+        f"{rounds[i]}: events out of round order"))])
     return SimTrace(n, z, params, columns, summaries)
 
 
@@ -981,6 +963,8 @@ def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,
     """
     if z < 1:
         raise RangeViolationError("z", z, "integers >= 1")
+    if seed < 0:  # np.random.default_rng takes no negative seed
+        raise RangeViolationError("seed", seed, "integers >= 0")
     if n < 0 or m < 0:
         raise InfeasibleEdgeCountError("n and m must be non-negative")
     if m > n * (n - 1):

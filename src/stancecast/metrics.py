@@ -9,7 +9,7 @@ import numpy as np
 
 from .engine import SimTrace, _round_summaries
 from .errors import (InconsistentIdsError, MissingTruthEntryError,
-                     SummaryMismatchError)
+                     SummaryMismatchError, _raise_first)
 from .graph import STANCE_UNKNOWN, STANCE_VALUES
 from .io_formats import _atomic_write
 
@@ -110,11 +110,8 @@ def _truth_table(truth: dict, n: int, z: int) -> np.ndarray:
     covered = np.zeros((n, z), dtype=bool)
     table[keys[inside, 0], keys[inside, 1]] = values[inside]
     covered[keys[inside, 0], keys[inside, 1]] = True
-    if not covered.all():
-        node, topic = divmod(int(np.argmin(covered.reshape(-1))), z)
-        raise MissingTruthEntryError(
-            f"ground truth missing entry for node {node}, topic {topic}"
-        )
+    _raise_first([(~covered.reshape(-1), lambda k: MissingTruthEntryError(
+        "ground truth missing entry for node %d, topic %d" % divmod(k, z)))])
     return table
 
 

@@ -450,6 +450,35 @@ def test_generate_negative_count_exit_1(tmp_path, capsys, option):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+def test_generate_seed_outside_config_range_exit_1(tmp_path, capsys, seed):
+    # the seed becomes the bundle's config rng_seed, which simulate reads
+    rc = main(["generate", "--nodes", "30", "--edges", "60", "--topics", "2",
+               f"--seed={seed}", "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --seed = {seed} outside allowed ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_largest_seed_bundle_simulates(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["generate", "--nodes", "30", "--edges", "60", "--topics", "2",
+                 "--seed", str(2**64 - 1), "--out-dir", str(data)]) == 0
+    assert main(simulate_args(data, tmp_path / "trace.jsonl")) == 0
+
+
+def test_run_seed_base_outside_config_range_exit_1(bundle_dir, tmp_path, capsys):
+    out = tmp_path / "trace.jsonl"
+    rc = main(simulate_args(bundle_dir, out,
+                            ["--run-seed-base", "18446744073709551616"]))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --run-seed-base = 18446744073709551616 outside allowed "
+        "64-bit integer\n")
+    assert not list(tmp_path.glob("trace*"))
+
+
 @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
 def test_baseline_ic_bad_p_exit_1(bundle_dir, tmp_path, capsys, p):
     rc = main(["baseline-ic", "--graph", str(bundle_dir / "edges.tsv"),

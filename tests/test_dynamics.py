@@ -227,6 +227,10 @@ BAD_SEEDS = {
     "stance integer": {1: {1: 2}},
     "stance first": {1: {1: 0.75, 7: 1.0}},
     "node first": {1: {7: 1.0, 1: 0.75}},
+    "node past int64": {1: {2**70: 1.0}},
+    "node below int64": {1: {-(2**70): 0.5}},
+    "stance before a node past int64": {1: {1: 0.75, 2**70: 1.0}},
+    "node past int64 first": {1: {2**70: 1.0, 1: 0.75}},
 }
 
 
@@ -251,8 +255,22 @@ def test_bad_seed_raises_as_the_loop_did(case, after):
     {1: {np.int64(2): 1, 4: np.float64(0.5)}, 0: {0: 0.0, 3: -0.0}},
     {0: {True: 1.0, 2.0: 0.5}},
     {0: {2: 0.0, 2.7: 1.0}},
+    {0: {2: 0.0, 2.7: 1.0, True: 0.5, 1: 1.0}},
 ])
 def test_valid_seeds_overlay_as_the_loop_did(seeds):
     outcome = overlay_outcome(state_overlay, SEED_GRAPH, seeds)
     assert outcome[0] == "ok"
     assert outcome == overlay_outcome(reference_overlay, SEED_GRAPH, seeds)
+
+
+@pytest.mark.parametrize("seeds, error", [
+    ({1: {"x": 1.0}}, ValueError),
+    ({1: {1: None}}, TypeError),
+    ({1: {1: 0.75, None: 1.0}}, TypeError),
+])
+def test_a_seed_that_is_not_a_number_raises_first(seeds, error):
+    """Keys and values are read as int() and float() read them, before any
+    seed is checked: the last seed's TypeError comes ahead of the first
+    seed's bad stance."""
+    with pytest.raises(error):
+        state_overlay(SEED_GRAPH, seeds)

@@ -510,6 +510,30 @@ def test_a_colon_moved_to_the_next_line_loads_as_reference(tmp_path, line):
     assert assert_same_load(path)[:2] == ("error", ParseError)
 
 
+# line -> (bytes, replacement): each piece of an event line must equal the
+# writer's ASCII text, and the header what json.dumps writes, which escapes
+# every character beyond ASCII
+NON_ASCII = {
+    "0xff in a head": (250, b'{"round":', b'{\xff"round":'),
+    "0xff in a tail": (250, b'"}', b'"\xff}'),
+    "channel": (250, b'adjacent"}', 'adjacént"}'.encode()),
+    "node id digit": (250, b'"node":', '"node":٣'.encode()),
+    "header key": (0, b'{"schema":', '{"ké":0,"schema":'.encode()),
+}
+
+
+@pytest.mark.parametrize("case", NON_ASCII)
+def test_non_ascii_bytes_load_as_reference(tmp_path, case):
+    line, old, new = NON_ASCII[case]
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(hand_built(500, seed=9), path)
+    lines = path.read_bytes().split(b"\n")
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new, 1)
+    path.write_bytes(b"\n".join(lines))
+    assert_same_load(path)
+
+
 def test_the_widest_tail_ends_the_file(tmp_path, json_loads_calls):
     """The longest tail a valid event has, at the very end of the file,
     loads on the array path: no fixed-width read passes the end."""
