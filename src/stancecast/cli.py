@@ -95,7 +95,8 @@ def _cmd_baseline_ic(args) -> int:
     try:
         params = ic.IcParams(edge_probability=args.p, rng_seed=args.seed).validate()
     except RangeViolationError as exc:
-        raise _option_error("--p", exc) from None
+        option = "--seed" if exc.key == "rng_seed" else "--p"
+        raise _option_error(option, exc) from None
     mean, counts = ic.mean_final_active(graph, params, seed_nodes, args.runs)
     io_formats._atomic_write(
         args.out,

@@ -38,6 +38,7 @@ import numpy as np
 from . import kernels
 from .errors import IdOutOfRangeError, RangeViolationError
 from .graph import SocialGraph, _sorted_distinct
+from .params import _check_rng_seed
 from .rng import Rng
 
 
@@ -60,6 +61,7 @@ class IcParams:
         if self.max_rounds is not None and self.max_rounds < 1:
             raise RangeViolationError("max_rounds", self.max_rounds,
                                       "positive integer or null")
+        _check_rng_seed(self.rng_seed)
         return self
 
     def probability(self, u: int, v: int) -> float:

@@ -28,7 +28,9 @@ Formats (all UTF-8, line oriented):
 
 External ids are arbitrary strings; dense internal ids are assigned by
 sorting them by Unicode code point (as ``sorted`` does), so loading never
-depends on file row order. The loaders tokenize each file once into numpy
+depends on file row order. The ids are sorted by packed code-point keys
+(:func:`_intern`), integers that order as the strings do, and no string
+sort runs. The loaders tokenize each file once into numpy
 string arrays and check the rows as arrays; a malformed line, an unknown
 id, a repeated row or a bad stance is reported at its ``file:line``, the
 first malformed line found by the masks that accept good lines. In a file
@@ -252,6 +254,96 @@ def _csv_rows(path, header: str) -> _Rows:
                           stand_in)
 
 
+def _code_points(tokens: np.ndarray):
+    """(flat, starts, lengths) of the 1-D ``U`` or ``StringDType`` array
+    ``tokens``: every code point in one flat uint32 array, which may be read
+    past the end of any token, the index in it of each token's first code
+    point, and each token's length."""
+    if tokens.dtype.kind == "U":
+        width = tokens.dtype.itemsize // 4
+        # a U item ends at its last code point that is not NUL
+        return (np.ascontiguousarray(tokens).view(np.uint32),
+                np.arange(0, len(tokens) * width, width),
+                np.strings.str_len(tokens))
+    items = tokens.tolist()
+    joined = "".join(items)
+    lengths = np.strings.str_len(tokens)
+    if lengths.sum() != len(joined):
+        # str_len does not count a trailing NUL of a variable-width item
+        lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+    padded = joined + "\x00" * int(lengths.max(initial=0))
+    return (np.frombuffer(padded.encode("utf-32-le"), dtype=np.uint32),
+            np.cumsum(lengths) - lengths, lengths)
+
+
+def _pack(key, flat, starts, lengths, start: int, k: int, bits: int):
+    """``key`` with code points ``start`` to ``start + k`` of each token
+    (given as :func:`_code_points` gives them), each plus 1, ORed into its
+    low ``k * bits`` bits, the first one highest; 0 past a token's end."""
+    shortest = int(lengths.min(initial=0))
+    for j in range(start, min(start + k, int(lengths.max(initial=0)))):
+        c = flat[starts + j].astype(np.uint64)
+        c += 1
+        if j >= shortest:
+            c *= lengths > j
+        c <<= np.uint64(bits * (start + k - 1 - j))
+        key |= c
+    return key
+
+
+def _sorted_keys(key):
+    """The order that sorts ``key``, and the mask of the sorted positions
+    whose key differs from the one before."""
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return order, new
+
+
+def _intern(tokens: np.ndarray):
+    """(distinct, inverse), as ``np.unique(tokens, return_inverse=True)``
+    gives them for the 1-D ``U`` or ``StringDType`` array ``tokens``, by
+    sorting integer keys instead of strings.
+
+    A key packs code points, each plus 1, at the bit width of the largest
+    one into a uint64, the first one highest, with 0 past a token's end:
+    so a NUL counts as a character and a prefix sorts first, as in
+    ``sorted`` (``'a' < 'a\\x00' < 'a\\x00b' < 'ab'``). The first key holds
+    as many code points as fit in 64 bits. Groups of two or more tokens
+    that tie on their keys while one of them goes on are sorted again, on
+    their next code points under their group's rank, until no group ties.
+    """
+    flat, starts, lengths = _code_points(tokens)
+    bits = (int(flat.max(initial=0)) + 1).bit_length()
+    width = int(lengths.max(initial=0))
+    n, k = len(tokens), 64 // bits
+    # order: the tokens by their keys so far; new: the sorted positions
+    # that start a group of equal keys; pos: those of the groups still tied
+    order, new = _sorted_keys(_pack(np.zeros(n, dtype=np.uint64), flat,
+                                    starts, lengths, 0, k, bits))
+    pos, start = np.arange(n), k
+    while start < width:
+        group = np.cumsum(new[pos]) - 1
+        tied = ((np.bincount(group) > 1)
+                & (np.bincount(group, lengths[order[pos]] > start) > 0))
+        pos = pos[tied[group]]
+        if not pos.size:
+            break
+        rank = np.cumsum(new[pos], dtype=np.uint64) - 1
+        k = (64 - int(rank[-1]).bit_length()) // bits
+        tok = order[pos]
+        sub, new_sub = _sorted_keys(_pack(rank << np.uint64(k * bits), flat,
+                                          starts[tok], lengths[tok], start, k,
+                                          bits))
+        order[pos] = tok[sub]
+        new[pos[1:]] = new_sub[1:]
+        start += k
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return tokens[order[new]], inverse
+
+
 def _float_or_nan(token: str) -> float:
     try:
         return float(token)
@@ -263,7 +355,7 @@ def _stance_values(tokens: np.ndarray, allow_unknown: bool = True):
     """The stance of each token and the mask of the tokens that are no
     stance code. ``float`` runs once per distinct token, so every spelling
     it accepts ("1", "1.0", " +1e0") is accepted."""
-    distinct, inverse = np.unique(tokens, return_inverse=True)
+    distinct, inverse = _intern(tokens)
     values = np.array([_float_or_nan(t) for t in distinct.tolist()],
                       dtype=np.float64)[inverse]
     bad = ~_is_stance_code(values)
@@ -300,17 +392,11 @@ def _unknown_error(path, rows: _Rows, i: int, column: int):
 def _dense_ids(names: tuple, tokens: np.ndarray) -> np.ndarray:
     """Index of each token in ``names`` (the last one if a name repeats),
     or -1 for a token not in ``names``."""
-    if not names:
-        return np.full(len(tokens), -1, dtype=np.int64)
-    table = _strings(list(names))
-    if "T" in (table.dtype.kind, tokens.dtype.kind):
-        # searchsorted does not mix fixed and variable width
-        table, tokens = (a.astype(StringDType(), copy=False)
-                         for a in (table, tokens))
-    order = np.argsort(table, kind="stable")
-    pos = np.searchsorted(table, tokens, side="right", sorter=order) - 1
-    ids = order[np.maximum(pos, 0)]
-    return np.where((pos >= 0) & (table[ids] == tokens), ids, -1)
+    _, inverse = _intern(np.concatenate([_strings(list(names)), tokens]))
+    ids = np.full(inverse.max(initial=-1) + 1, -1, dtype=np.int64)
+    # a ufunc, not a write to a repeated index, whose order numpy leaves open
+    np.maximum.at(ids, inverse[:len(names)], np.arange(len(names)))
+    return ids[inverse[len(names):]]
 
 
 def _row_ids(path, rows: _Rows, symbols: SymbolTable):
@@ -342,8 +428,8 @@ def load_graph(edges_path, profiles_path=None,
     names = [edges.tokens.ravel(), profiles.tokens[:, 0]]
     if seeds_path is not None:
         names.append(_csv_rows(seeds_path, _PROFILE_HEADER).complete().tokens[:, 0])
-    node_ids, node = np.unique(np.concatenate(names), return_inverse=True)
-    topic_ids, topic = np.unique(profiles.tokens[:, 1], return_inverse=True)
+    node_ids, node = _intern(np.concatenate(names))
+    topic_ids, topic = _intern(profiles.tokens[:, 1])
     symbols = SymbolTable(tuple(node_ids.tolist()), tuple(topic_ids.tolist()))
 
     m = len(edges.tokens)
@@ -407,8 +493,8 @@ def load_profiles(path) -> tuple[np.ndarray, SymbolTable]:
     present in this file. A second row for one pair is an error at its line.
     """
     rows = _csv_rows(path, _PROFILE_HEADER).complete()
-    node_ids, node = np.unique(rows.tokens[:, 0], return_inverse=True)
-    topic_ids, topic = np.unique(rows.tokens[:, 1], return_inverse=True)
+    node_ids, node = _intern(rows.tokens[:, 0])
+    topic_ids, topic = _intern(rows.tokens[:, 1])
     symbols = SymbolTable(tuple(node_ids.tolist()), tuple(topic_ids.tolist()))
     return _profiles_table(path, rows, node, topic, len(node_ids),
                            len(topic_ids)), symbols

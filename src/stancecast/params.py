@@ -17,6 +17,14 @@ EPSILON_TIE_MODES = ("zero", "one")
 _U64_MASK = (1 << 64) - 1
 
 
+def _check_rng_seed(seed) -> None:
+    """Raise :class:`RangeViolationError` for ``rng_seed`` unless ``seed`` is
+    an integer in ``[-(2**63), 2**64)``: a signed or an unsigned 64-bit
+    value. The one range rule of every seeded parameter set."""
+    if not (isinstance(seed, int) and -(1 << 63) <= seed < (1 << 64)):
+        raise RangeViolationError("rng_seed", seed, "64-bit integer")
+
+
 @dataclass(frozen=True)
 class SimParams:
     """All tunables of a cascade run.
@@ -70,9 +78,7 @@ class SimParams:
               isinstance(p.rounds_K, int) and p.rounds_K >= 1, "positive integer")
         check("initial_persistence_A0", p.initial_persistence_A0,
               0.0 <= p.initial_persistence_A0 <= 1.0, "[0, 1]")
-        check("rng_seed", p.rng_seed,
-              isinstance(p.rng_seed, int) and -(1 << 63) <= p.rng_seed < (1 << 64),
-              "64-bit integer")
+        _check_rng_seed(p.rng_seed)
         check("adjacency_memory", p.adjacency_memory,
               p.adjacency_memory in ADJACENCY_MEMORY_MODES,
               f"one of {ADJACENCY_MEMORY_MODES}")

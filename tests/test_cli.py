@@ -490,6 +490,30 @@ def test_baseline_ic_bad_p_exit_1(bundle_dir, tmp_path, capsys, p):
     assert not (tmp_path / "ic.json").exists()
 
 
+def baseline_ic_args(bundle, out, seed):
+    return ["baseline-ic", "--graph", str(bundle / "edges.tsv"), "--seeds",
+            str(bundle / "seeds.csv"), "--p", "0.3", "--runs", "3",
+            "--seed", str(seed), "--out", str(out)]
+
+
+@pytest.mark.parametrize("seed", [2**64, -(2**63) - 1],
+                         ids=["2**64", "below -(2**63)"])
+def test_baseline_ic_seed_outside_config_range_exit_1(bundle_dir, tmp_path,
+                                                      capsys, seed):
+    # the stream would reduce it modulo 2**64 and run another seed
+    rc = main(baseline_ic_args(bundle_dir, tmp_path / "ic.json", seed))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --seed = {seed} outside allowed 64-bit integer\n")
+    assert not (tmp_path / "ic.json").exists()
+
+
+def test_baseline_ic_largest_seed_runs(bundle_dir, tmp_path):
+    out = tmp_path / "ic.json"
+    assert main(baseline_ic_args(bundle_dir, out, 2**64 - 1)) == 0
+    assert len(json.loads(out.read_text())["runs"]) == 3
+
+
 @pytest.mark.parametrize("command", ["simulate", "simulate-workers",
                                      "baseline-ic"])
 def test_no_seed_stances_warns_in_one_line(tmp_path, capfd, command):

@@ -20,6 +20,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.dtypes import StringDType
 
 import reference_loaders as ref
 import stancecast as sc
@@ -220,6 +223,136 @@ def test_nul_files_with_a_malformed_line_load_identically(tmp_path, kind,
     paths[kind].write_text(CSV_HEAD.get(kind, "") + text, encoding="utf-8")
     results = [assert_same(loader, paths, *ids)[0] for loader in LOADERS]
     assert "error" in results
+
+
+# Ids that tie on their first packed key: nine ASCII code points fill it.
+TIED = "x" * 9
+ASTRAL = "\U0001F600"
+
+
+def write_tied_bundle(tmp_path, long_lines):
+    """A bundle whose ids hold an astral-plane code point, tie on their
+    first packed key, or are a prefix of another. Long lines (a 2000-
+    character comment, a 300-character id) make the tokens variable-width."""
+    nodes = ["a", "ab", ASTRAL, "a" + ASTRAL, TIED, TIED + "a", TIED + "b",
+             TIED * 2 + "a"] + (["L" * 300] if long_lines else [])
+    topics = ["t", "t" + ASTRAL, TIED + "t"]
+    edges = [f"{u}\t{v}" for u, v in zip(nodes, nodes[1:] + nodes[:1])]
+    edges.append(f"{TIED}b\t{TIED}")
+    if long_lines:
+        edges.insert(1, "#" + "c" * 2000)
+    stances = ["1", "0", "0.5", "-1"]
+    rows = {"edges": edges,
+            "profiles": [f"{u},{t},{stances[(i + j) % 4]}"
+                         for i, u in enumerate(nodes)
+                         for j, t in enumerate(topics)],
+            "seeds": [f"{TIED}a,t,1", f"{ASTRAL},t{ASTRAL},0",
+                      f"ab,{TIED}t,0.5", f"{nodes[-1]},t,1"],
+            "truth": [f"{TIED},t,1", f"a,t{ASTRAL},-1", f"{TIED}b,{TIED}t,0",
+                      f"{TIED * 2}a,t,0.5"]}
+    paths = {}
+    for kind, lines in rows.items():
+        paths[kind] = tmp_path / f"{kind}.txt"
+        paths[kind].write_text(CSV_HEAD.get(kind, "") + "\n".join(lines)
+                               + "\n", encoding="utf-8")
+    return paths, nodes, topics
+
+
+@pytest.mark.parametrize("long_lines", [False, True],
+                         ids=["fixed-width", "variable-width"])
+def test_ids_that_tie_on_a_packed_key_load_identically(tmp_path, long_lines):
+    paths, nodes, topics = write_tied_bundle(tmp_path, long_lines)
+    ids = bundle_ids(paths)
+    assert ids == (tuple(sorted(nodes)), tuple(sorted(topics)))
+    for loader in LOADERS:
+        assert assert_same(loader, paths, *ids)[0] == "ok"
+
+
+# An id that ties with known ones on its first packed key, or extends or
+# shortens one, is unknown.
+UNKNOWN_TIED_ROWS = [f"{TIED}c,t,1", f"{TIED * 2},t,1", f"a{ASTRAL}{ASTRAL},t,1",
+                     f"a,{TIED},1", f"a,t{ASTRAL}{ASTRAL},0"]
+
+
+@pytest.mark.parametrize("kind", ["seeds", "truth"])
+@pytest.mark.parametrize("row", UNKNOWN_TIED_ROWS)
+def test_unknown_ids_that_tie_on_a_packed_key_load_identically(tmp_path, kind,
+                                                               row):
+    paths, _, _ = write_tied_bundle(tmp_path, long_lines=False)
+    ids = bundle_ids(paths)
+    lines = paths[kind].read_text(encoding="utf-8").splitlines()
+    paths[kind].write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n",
+                           encoding="utf-8")
+    results = {loader: assert_same(loader, paths, *ids)[0]
+               for loader in LOADERS}
+    assert results["load_ground_truth" if kind == "truth" else "load_seeds"] \
+        == "error"
+
+
+# Code points that a U array can hold, and the ids that tie on a packed key
+INTERN_CHARS = ["a", "b", "x", "é", ASTRAL, ","]
+INTERN_TIES = [TIED + "a", TIED + "b", TIED, TIED * 2 + "a", TIED * 2]
+
+
+def interned_ids(chars):
+    return st.lists(st.one_of(st.text(st.sampled_from(chars), max_size=40),
+                              st.sampled_from(INTERN_TIES)), max_size=50)
+
+
+def unique_by_sorted(items):
+    """(distinct, inverse) of ``items`` by Python's ``sorted``."""
+    distinct = sorted(set(items))
+    index = {item: i for i, item in enumerate(distinct)}
+    return distinct, [index[item] for item in items]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(interned_ids(INTERN_CHARS), interned_ids(INTERN_CHARS + ["\x00"]))
+@example([], [])
+@example(["x"], ["\x00"])
+@example(["a", "ab", "", "a"], ["a", "a\x00", "a\x00b", "ab", "", "\x00"])
+@example([], ["\x00a", "\x00,", "a\x00a", "a\x00,", "a"])
+def test_intern_matches_np_unique(fixed, variable):
+    """A U array cannot hold a trailing NUL, so only the variable-width
+    ids draw it. numpy (2.4) compares variable-width strings only up to a
+    NUL, so ``np.unique`` takes ``'\\x00a'`` and ``'\\x00,'`` for one id;
+    ids that hold a NUL are checked against ``sorted`` alone."""
+    for items, dtype in ((fixed, str), (variable, StringDType())):
+        tokens = np.array(items, dtype=dtype)
+        distinct, inverse = io_formats._intern(tokens)
+        assert distinct.dtype == tokens.dtype and inverse.dtype == np.intp
+        got = distinct.tolist(), inverse.tolist()
+        assert got == unique_by_sorted(items)
+        if not any("\x00" in item for item in items):
+            want = np.unique(tokens, return_inverse=True)
+            assert distinct.dtype == want[0].dtype
+            assert got == (want[0].tolist(), want[1].tolist())
+
+
+def test_ids_that_differ_after_a_nul_load_identically(tmp_path):
+    """numpy compares variable-width strings only up to a NUL, so sorting
+    the id strings took '<NUL>a' and '<NUL>b' for one node."""
+    paths = write_nul_bundle(tmp_path)
+    paths["edges"].write_text("\x00a\tb\n\x00b\tb\na\x00x\ta\x00y\n",
+                              encoding="utf-8")
+    paths["profiles"].write_text(
+        "node_id,topic_id,stance\n\x00a,t\x00x,1\n\x00b,t\x00y,0\n"
+        "a\x00x,t\x00x,0.5\n", encoding="utf-8")
+    paths["seeds"].write_text("node_id,topic_id,stance\n\x00b,t\x00y,1\n"
+                              "a\x00y,t\x00x,0\n", encoding="utf-8")
+    paths["truth"].write_text("node_id,topic_id,final_stance\n"
+                              "\x00b,t\x00x,1\n\x00a,t\x00x,1\n",
+                              encoding="utf-8")
+    ids = bundle_ids(paths)
+    assert ids == (("\x00a", "\x00b", "a\x00x", "a\x00y", "b"),
+                   ("t\x00x", "t\x00y"))
+    for loader in LOADERS:
+        assert assert_same(loader, paths, *ids)[0] == "ok"
+    # a seed id that is known only up to its NUL is unknown
+    paths["seeds"].write_text("node_id,topic_id,stance\n\x00c,t\x00y,1\n",
+                              encoding="utf-8")
+    for loader in ("load_seeds", "load_seed_nodes"):
+        assert assert_same(loader, paths, *ids)[0] == "error"
 
 
 # Characters a mutation may insert: delimiters, comment and sign marks,
