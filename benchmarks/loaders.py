@@ -10,8 +10,12 @@ The configs are the networks of the perfbench workloads
 ``generate_synthetic`` writes it, with a ground-truth file of every node and
 topic. A fourth, untidy config is the edges-10k network with each node id
 rewritten from ``n`` plus 4 digits to ``user_`` plus 12 digits, wider than
-one packed sort key, and a 2,000-character comment line in its edges file,
-which makes the loaders' tokens variable-width (``StringDType``).
+one packed sort key, and a 2,000-character comment line in its edges file.
+Its files are ASCII, so they load on the byte path. A fifth, non-ASCII
+config is the untidy copy with each node id spelled ``usér_`` plus 12
+digits: its files load on the str path, which it times and checks, and its
+comment line is what made that path's edge tokens variable-width
+(``StringDType``).
 
 Each config times three stages, each the best of ``REPEAT`` calls:
 ``setup`` is ``load_graph`` of the edges and profiles plus ``load_seeds``
@@ -40,14 +44,14 @@ REPEAT = 5
 GRAPH_ARRAYS = ("indptr", "indices", "in_indptr", "in_indices", "profiles")
 
 
-def untidy(bundle, out_dir: Path):
+def untidy(bundle, out_dir: Path, prefix: str = "user_"):
     """A copy of ``bundle``'s files in ``out_dir`` with every node id
-    ``n<digits>`` rewritten to ``user_`` plus 12 digits, and a
+    ``n<digits>`` rewritten to ``prefix`` plus 12 digits, and a
     2,000-character comment line after the edges file's header."""
     out_dir.mkdir()
     paths = []
     for path in (bundle.edges_path, bundle.profiles_path, bundle.seeds_path):
-        text = re.sub(r"\bn(\d+)\b", lambda m: f"user_{int(m[1]):012d}",
+        text = re.sub(r"\bn(\d+)\b", lambda m: f"{prefix}{int(m[1]):012d}",
                       path.read_text(encoding="utf-8"))
         if path == bundle.edges_path:
             header, rest = text.split("\n", 1)
@@ -101,6 +105,8 @@ def worker(seed: int) -> None:
                 w.nodes, w.edges, w.topics, STANCE_MIX, network, Path(tmp) / name)
         bundles["edges-10k untidy"] = untidy(bundles["edges-10k"],
                                              Path(tmp) / "untidy")
+        bundles["edges-10k non-ascii"] = untidy(
+            bundles["edges-10k"], Path(tmp) / "non-ascii", prefix="usér_")
         for name, bundle in bundles.items():
             truth_path = Path(tmp) / f"{name}-truth.csv"
             g, symbols, _ = setup(bundle)

@@ -17,6 +17,7 @@ on purpose:
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,3 +445,99 @@ def test_build_graph_matches_reference():
             new = outcome(lambda: sc.build_graph(n, z, edge_arg, profile_arg))
             old = outcome(lambda: ref.build_graph(n, z, edges, profile_arg))
             assert new == old, (n, z, edges, rows)
+
+
+def byte_and_str_outcomes(monkeypatch, loader, paths, ids):
+    """(outcome with the str tokenizers made to fail, outcome with the byte
+    tokenizer refusing every file)."""
+    def fail(*args):
+        raise AssertionError("the str tokenizer ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(io_formats, "_edge_rows", fail)
+        mp.setattr(io_formats, "_csv_rows", fail)
+        on_bytes = outcome(lambda: call(io_formats, loader, paths, *ids))
+    with monkeypatch.context() as mp:
+        mp.setattr(io_formats, "_byte_rows", lambda data, header: None)
+        on_str = outcome(lambda: call(io_formats, loader, paths, *ids))
+    return on_bytes, on_str
+
+
+@pytest.mark.parametrize("n,m,z", [(24, 60, 2), (300, 900, 3), (7, 0, 1)])
+def test_written_files_load_on_the_byte_path(tmp_path, monkeypatch, n, m, z):
+    """Every file the writers write, and the untidy benchmark copy, loads
+    without the str tokenizers, as the str path alone loads it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                     / "benchmarks"))
+    from loaders import untidy
+
+    paths = make_bundle(tmp_path / "generated", n, m, z, seed=n)
+    g, symbols = io_formats.load_graph(paths["edges"], paths["profiles"])
+    seeds = io_formats.load_seeds(paths["seeds"], symbols)
+    rewritten = {kind: tmp_path / f"rewritten-{path.name}"
+                 for kind, path in paths.items()}
+    io_formats.write_graph(g, symbols, rewritten["edges"], rewritten["profiles"])
+    io_formats.write_seeds(rewritten["seeds"], seeds, symbols)
+    io_formats.write_ground_truth(
+        rewritten["truth"],
+        io_formats.load_ground_truth(paths["truth"], symbols), symbols)
+    no_seeds = dict(paths, seeds=tmp_path / "no-seeds.csv")
+    io_formats.write_seeds(no_seeds["seeds"], {}, symbols)
+    copy = untidy(io_formats.DatasetBundle(paths["edges"], paths["profiles"],
+                                           paths["seeds"]), tmp_path / "untidy")
+    untidy_paths = {"edges": copy.edges_path, "profiles": copy.profiles_path,
+                    "seeds": copy.seeds_path, "truth": paths["truth"]}
+    for bundle in (paths, rewritten, no_seeds, untidy_paths):
+        ids = bundle_ids(bundle)
+        for loader in LOADERS:
+            if bundle is untidy_paths and loader == "load_ground_truth":
+                continue  # its truth names the generated ids
+            on_bytes, on_str = byte_and_str_outcomes(monkeypatch, loader,
+                                                     bundle, ids)
+            assert on_bytes[0] == "ok", (loader, bundle, on_bytes)
+            assert on_bytes == on_str, (loader, bundle)
+
+
+def boundary_edits():
+    """(name, edit of one line list) for the ASCII characters at which a
+    reader of bytes can part from ``str.splitlines`` and ``str.strip``."""
+    def insert(text):
+        def edit(lines, rng):
+            i = int(rng.integers(0, len(lines)))
+            k = int(rng.integers(0, len(lines[i]) + 1))
+            lines[i] = lines[i][:k] + text + lines[i][k:]
+        return edit
+
+    def append(text):
+        def edit(lines, rng):
+            i = int(rng.integers(0, len(lines)))
+            lines[i] += text
+        return edit
+
+    def new_line(text):
+        def edit(lines, rng):
+            lines.insert(int(rng.integers(0, len(lines) + 1)), text)
+        return edit
+
+    breaks = ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"]
+    return ([(repr(c), insert(c)) for c in breaks]
+            + [("space at the end", append(" ")), ("tab at the end", append("\t")),
+               ("blank line", new_line("")), ("# mid-line", insert("#")),
+               ("# line", new_line("#"))])
+
+
+@pytest.mark.parametrize("name,edit", boundary_edits(),
+                         ids=[name for name, _ in boundary_edits()])
+def test_ascii_boundary_mutations_match_reference(tmp_path, name, edit):
+    paths = make_bundle(tmp_path / "clean")
+    ids = bundle_ids(paths)
+    rng = np.random.default_rng(len(name))
+    for case in range(12):
+        kind = ("edges", "profiles", "seeds", "truth")[case % 4]
+        mutated = dict(paths)
+        mutated[kind] = tmp_path / f"{case}-{paths[kind].name}"
+        lines = paths[kind].read_text(encoding="utf-8").splitlines()
+        edit(lines, rng)
+        mutated[kind].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for loader in LOADERS:
+            assert_same(loader, mutated, *ids)
