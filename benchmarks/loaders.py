@@ -11,11 +11,10 @@ The configs are the networks of the perfbench workloads
 topic. A fourth, untidy config is the edges-10k network with each node id
 rewritten from ``n`` plus 4 digits to ``user_`` plus 12 digits, wider than
 one packed sort key, and a 2,000-character comment line in its edges file.
-Its files are ASCII, so they load on the byte path. A fifth, non-ASCII
-config is the untidy copy with each node id spelled ``usér_`` plus 12
-digits: its files load on the str path, which it times and checks, and its
-comment line is what made that path's edge tokens variable-width
-(``StringDType``).
+Its files are ASCII, so the tokenizer reads them as their bytes. A fifth,
+non-ASCII config is the untidy copy with each node id spelled ``usér_``
+plus 12 digits: it times the same tokenizer over the files' code points
+as uint32.
 
 Each config times three stages, each the best of ``REPEAT`` calls:
 ``setup`` is ``load_graph`` of the edges and profiles plus ``load_seeds``

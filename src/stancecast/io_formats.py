@@ -30,26 +30,17 @@ External ids are arbitrary strings; dense internal ids are assigned by
 sorting them by Unicode code point (as ``sorted`` does), so loading never
 depends on file row order. The ids are sorted by packed code-point keys
 (:func:`_intern`), integers that order as the strings do, and no string
-sort runs. An edge, profiles, seeds or truth file in the form the writers
-here write (ASCII, no control byte but its separator and newline, no blank
-line, no line or field padded with spaces or tabs; an edge file's ``#``
-comment lines allowed) is read on the byte path (:func:`_byte_rows`): one
-pass over its bytes finds the separators and newlines, each field is a
-span of those bytes (:class:`_Spans`), the rows are checked as arrays, and
-a Python str is made only for each distinct id and stance token. On the
-edges-10k benchmark network the edge file reads in about 4 ms there,
-against 16 ms on the str path. Every other file goes through the str path
-(:func:`_edge_rows`, :func:`_csv_rows`), which decodes the text, splits it
-with ``str.splitlines`` and tokenizes the lines as numpy string arrays;
-and a load that raises on the byte path runs again on the str path alone
-(:func:`_bytes_first`), so every error comes from the str path. There a
-malformed line, an unknown id, a repeated row or a bad stance is reported
-at its ``file:line``, the first malformed line found by the masks that
-accept good lines. In a file that holds a NUL, which numpy's string
-functions take for the end of a string, each NUL is swapped for a code
-point the file lacks while the lines are split, and back in the tokens.
-Writers go through a temp file and rename, so failures leave no partial
-output and no temp file, and an error names the path given.
+sort runs. An edge, profiles, seeds or truth file is read by one
+tokenizer (:func:`_rows`) as its code points: its bytes when it is ASCII
+with no CR, else the code points of its text. One pass finds the line
+breaks, separators and whitespace; the lines split and strip as
+``str.splitlines`` and ``str.strip`` do, each field is a span of the code
+points (:class:`_Spans`), the rows are checked as arrays, and a Python str
+is made only for each distinct id and stance token. A malformed line, an
+unknown id, a repeated row or a bad stance is reported at its
+``file:line``, the first malformed line found by the masks that accept
+good lines. Writers go through a temp file and rename, so failures leave
+no partial output and no temp file, and an error names the path given.
 """
 
 from __future__ import annotations
@@ -64,7 +55,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.dtypes import StringDType
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import CHANNELS
@@ -152,10 +142,9 @@ def _decode_text(path, data: bytes) -> str:
 
 class _Spans:
     """Tokens, each a span of one flat array of code points: token ``i`` is
-    ``flat[starts[i]:starts[i] + lengths[i]]``. ``flat`` (uint8 or uint32)
-    may be read up to the longest token's length past any token's start.
+    ``flat[starts[i]:starts[i] + lengths[i]]``, ``flat`` uint8 or uint32.
     Spans index and ravel as ``starts`` does, and 1-D spans give their
-    tokens as Python strs by ``tolist``, as a numpy string array would."""
+    tokens as Python strs by ``tolist``."""
 
     def __init__(self, flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
         self.flat, self.starts, self.lengths = flat, starts, lengths
@@ -176,13 +165,14 @@ class _Spans:
         width = int(self.lengths.max(initial=0))
         if not width:
             return [""] * len(self)
-        if not _fits_fixed_width(width, len(self), int(self.lengths.sum())):
+        if width * len(self) > 4 * int(self.lengths.sum()) + 64:
             text = self.flat.tobytes().decode(
                 "utf-32-le" if self.flat.itemsize == 4 else "latin-1")
             return [text[s:s + k] for s, k in zip(self.starts.tolist(),
                                                   self.lengths.tolist())]
         columns = np.arange(width)
-        table = self.flat[self.starts[:, None] + columns].astype(np.uint32)
+        table = self.flat.take(self.starts[:, None] + columns,
+                               mode="clip").astype(np.uint32)
         table[columns >= self.lengths[:, None]] = 0
         texts = table.view(f"U{width}")[:, 0].tolist()
         # a U item drops its trailing NULs; put them back
@@ -192,32 +182,33 @@ class _Spans:
         return texts
 
 
+def _str_spans(items: list) -> _Spans:
+    """The strs ``items`` as spans of one flat array of their code points:
+    uint8 if they are ASCII, else uint32."""
+    joined = "".join(items)
+    flat = (np.frombuffer(joined.encode(), dtype=np.uint8) if joined.isascii()
+            else np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32))
+    lengths = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
+    return _Spans(flat, np.cumsum(lengths) - lengths, lengths)
+
+
 def _extent(spans: _Spans) -> tuple[int, int]:
-    """The bounds of the part of ``spans.flat`` that its tokens may read:
-    from the first token's start to the last start plus the longest
-    length."""
+    """The bounds of the part of ``spans.flat`` that its tokens read."""
     if not len(spans):
         return 0, 0
-    return (int(spans.starts.min()),
-            int(spans.starts.max()) + int(spans.lengths.max()))
+    return int(spans.starts.min()), int((spans.starts + spans.lengths).max())
 
 
-def _joined(parts: list):
-    """The 1-D tokens ``parts``, each spans or a numpy string array, one
-    after another: a numpy string array if every part that holds a token
-    is one, else spans over one flat array of the parts of their flats
-    that they read (:func:`_extent`)."""
+def _joined(parts: list) -> _Spans:
+    """The 1-D spans ``parts`` one after another, as spans over one flat
+    array of the parts of their flats that they read (:func:`_extent`)."""
     parts = [p for p in parts if len(p)] or parts[:1]
     if len(parts) == 1:
         return parts[0]
-    if all(isinstance(p, np.ndarray) for p in parts):
-        return np.concatenate(parts)
-    parts = [_code_points(p) if isinstance(p, np.ndarray) else p for p in parts]
     extents = [_extent(p) for p in parts]
     flats = [p.flat[lo:hi] for p, (lo, hi) in zip(parts, extents)]
     offsets = np.cumsum([0] + [len(f) for f in flats])
-    width = max(int(p.lengths.max(initial=0)) for p in parts)
-    return _Spans(np.concatenate(flats + [np.zeros(width, dtype=np.uint8)]),
+    return _Spans(np.concatenate(flats),
                   np.concatenate([p.starts + (o - lo) for p, o, (lo, _)
                                   in zip(parts, offsets, extents)]),
                   np.concatenate([p.lengths for p in parts]))
@@ -225,11 +216,10 @@ def _joined(parts: list):
 
 class _Rows(NamedTuple):
     """The data lines of a file up to its first malformed one: ``tokens``
-    holds a row of fields per line (spans on the byte path, a numpy string
-    array on the str path), ``line_nos`` the line numbers,
+    holds a row of fields per line, ``line_nos`` the line numbers,
     ``error`` the :class:`ParseError` of the malformed line, or None."""
 
-    tokens: _Spans | np.ndarray
+    tokens: _Spans
     line_nos: np.ndarray
     error: ParseError | None
 
@@ -244,223 +234,177 @@ class _Rows(NamedTuple):
         return self
 
 
-_NO_ROWS = _Rows(np.empty((0, 3), dtype="U1"), np.empty(0, dtype=np.int64), None)
+_NO_ROWS = _Rows(_Spans(np.empty(0, dtype=np.uint8), np.empty((0, 3), dtype=np.intp),
+                        np.empty((0, 3), dtype=np.intp)),
+                 np.empty(0, dtype=np.intp), None)
 
 
-def _fits_fixed_width(width: int, count: int, chars: int) -> bool:
-    """Whether ``count`` strings of ``chars`` characters in all, the longest
-    of ``width``, fit a fixed-width array: whether padding each one to the
-    longest costs at most four times the characters."""
-    return width * count <= 4 * chars + 64
+# The class of each code point as :func:`_rows` reads lines: a line break of
+# ``str.splitlines`` (CR is translated before), other whitespace of
+# ``str.isspace``, or neither (0), as is every code point from the last index
+_SPACE, _BREAK = 1, 2
+_CLASS = np.zeros(0x3002, dtype=np.uint8)
+_CLASS[[c for c in range(len(_CLASS)) if chr(c).isspace()]] = _SPACE
+_CLASS[[ord(c) for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"]] = _BREAK
+_LAST_CLASSED = np.uint32(len(_CLASS) - 1)
 
 
-def _strings(items: list) -> np.ndarray:
-    """``items`` as a numpy string array. Fixed width (``U``) pads every item
-    to the longest one and drops trailing NULs, so it is used only when the
-    items fit it (:func:`_fits_fixed_width`) and no item holds a NUL; else
-    variable width. Both compare and sort by code point, as ``sorted`` does.
+def _classes(code_points: np.ndarray) -> np.ndarray:
+    """The class (:data:`_CLASS`) of each of ``code_points``."""
+    if code_points.dtype != np.uint8:
+        code_points = np.minimum(code_points, _LAST_CLASSED)
+    return _CLASS.take(code_points)
+
+
+def _side_by_side(*columns) -> np.ndarray:
+    """The 1-D arrays ``columns`` as the columns of one array: a copy of
+    each in turn, where ``np.stack(columns, axis=1)`` copies an item at a
+    time and takes several times as long."""
+    out = np.empty((len(columns[0]), len(columns)), dtype=np.intp)
+    for j, column in enumerate(columns):
+        out[:, j] = column
+    return out
+
+
+def _stripped(flat, near, spaced, starts, ends):
+    """(starts, ends, changed): the spans ``starts:ends`` of ``flat``
+    (arrays of one shape, none holding a line break) once stripped as
+    ``str.strip`` strips, and the raveled indices of the spans that changed.
+    ``near`` holds the positions of ``flat`` that may be whitespace, in
+    order, and ``spaced`` marks those that are and break no line. Only the
+    spans that start or end with whitespace are looked up, each in the runs
+    of adjacent whitespace positions."""
+    if not spaced.any():
+        return starts, ends, np.empty(0, dtype=np.intp)
+    shape, starts, ends = starts.shape, starts.ravel(), ends.ravel()
+    full = ends > starts
+    lead = full & (_classes(flat.take(starts, mode="clip")) == _SPACE)
+    trail = full & (_classes(flat.take(ends - 1, mode="clip")) == _SPACE)
+    changed = np.flatnonzero(lead | trail)
+    if changed.size:
+        # per whitespace position, the first and last position of its run
+        spaces = near[spaced]
+        gaps = np.flatnonzero(np.diff(spaces) != 1)
+        run = np.searchsorted(gaps, np.arange(len(spaces)))
+        firsts = spaces[np.append(0, gaps + 1)][run]
+        lasts = spaces[np.append(gaps, len(spaces) - 1)][run]
+        starts, ends = starts.copy(), ends.copy()
+        s, e = starts[changed], ends[changed]
+        s = np.where(lead[changed], np.minimum(
+            lasts.take(np.searchsorted(spaces, s), mode="clip") + 1, e), s)
+        ends[changed] = np.where(trail[changed], np.maximum(
+            firsts.take(np.searchsorted(spaces, e - 1), mode="clip"), s), e)
+        starts[changed] = s
+    return starts.reshape(shape), ends.reshape(shape), changed
+
+
+def _rows(path, header: str | None) -> _Rows:
+    """The rows of the edge file (``header`` None) or 3-column CSV with
+    ``header`` at ``path``, as spans of its code points: its bytes if it is
+    ASCII with no CR, else the code points of its text
+    (:func:`_decode_text`).
+
+    Lines split as ``str.splitlines`` splits them, and lines and fields
+    strip as ``str.strip`` strips. In an edge file a line that strips to
+    nothing or to a ``#`` comment is skipped, and every other line strips to
+    ``source<TAB>target``. A CSV's first line strips to ``header`` (else
+    this raises), a blank line is skipped, and every other line holds 3
+    comma-separated fields, each one non-empty once stripped.
+
+    One pass finds the line breaks, separators and whitespace. A line's
+    marks (its separators and the break that ends it) follow each other in
+    ``bounds``, so a line with k marks holds k fields, each between two of
+    them. Only a line or field that starts or ends with whitespace is
+    stripped (:func:`_stripped`), and only a stripped edge line has its tabs
+    counted again.
     """
-    joined = "".join(items)
-    width = max(map(len, items), default=0)
-    if "\x00" in joined or not _fits_fixed_width(width, len(items), len(joined)):
-        return np.array(items, dtype=StringDType())
-    return np.array(items, dtype=f"U{max(width, 1)}")
-
-
-def _partition(a: np.ndarray, sep: str):
-    """``np.strings.partition`` with ``sep`` in ``a``'s dtype, which
-    variable-width strings need; it fails on an empty fixed-width array."""
-    if not a.size:
-        return a, a, a
-    return np.strings.partition(a, np.array(sep, dtype=a.dtype))
-
-
-def _nul_free(text: str):
-    """``text`` with each NUL swapped for a code point it lacks, and that
-    code point (None when ``text`` holds no NUL). numpy's string functions
-    take NUL for the end of a string, so they get the swapped text, and
-    :func:`_first_bad_row` swaps the NULs back into the tokens."""
-    if "\x00" not in text:
-        return text, None
-    stand_in = next(c for c in map(chr, range(0xE000, 0x110000))
-                    if c not in text)
-    return text.replace("\x00", stand_in), stand_in
-
-
-def _first_bad_row(tokens, line_nos, bad, error, stand_in) -> _Rows:
-    """The rows before the first one that ``bad`` marks, with the error that
-    ``error`` gives for that row's index and line number (None when no row
-    is bad)."""
-    stop = int(np.argmax(bad)) if bad.any() else len(bad)
-    rows = tokens[:stop]
-    if stand_in is not None:
-        # np.strings.replace drops the NUL it puts back
-        rows = np.array([t.replace(stand_in, "\x00")
-                         for t in rows.ravel().tolist()],
-                        dtype=StringDType()).reshape(rows.shape)
-    return _Rows(rows, line_nos[:stop],
-                 error(stop, int(line_nos[stop])) if stop < len(bad) else None)
-
-
-def _edge_rows(path, text: str) -> _Rows:
-    """Tokenize the text of an edge file: ``source<TAB>target`` per line once
-    stripped of whitespace; blank lines and lines starting with ``#`` are
-    skipped."""
-    text, stand_in = _nul_free(text)
-    stripped = np.strings.strip(_strings(text.splitlines()))
-    lengths = np.strings.str_len(stripped)
-    data = np.flatnonzero((lengths > 0) & ~np.strings.startswith(stripped, "#"))
-    lines, lengths = stripped[data], lengths[data]
-    width = int(lengths.max(initial=1))
-    if lines.dtype.kind != "U" and _fits_fixed_width(width, len(lines),
-                                                     int(lengths.sum())):
-        # the skipped lines alone were too long for fixed width
-        lines = lines.astype(f"U{width}")
-    source, tab, target = _partition(lines, "\t")
-    # a stripped line neither starts nor ends with a tab, so one tab
-    # leaves two non-empty fields
-    bad = (tab != "\t") | (np.strings.find(target, "\t") >= 0)
-    return _first_bad_row(np.stack([source, target], axis=1), data + 1, bad,
-                          lambda i, line_no: ParseError(
-                              path, line_no, 1, "expected 'source<TAB>target'"),
-                          stand_in)
-
-
-def _csv_rows(path, text: str, header: str) -> _Rows:
-    """Tokenize the text of a 3-column CSV with a fixed header row: blank
-    lines are skipped, every other line holds 3 comma-separated fields, each
-    one non-empty once stripped of whitespace. A wrong header raises."""
-    text, stand_in = _nul_free(text)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != header:
-        raise ParseError(path, 1, 1, f"expected header {header!r}")
-    body = _strings(lines[1:])
-    data = np.flatnonzero(np.strings.str_len(np.strings.strip(body)) > 0)
-    first, comma1, rest = _partition(body[data], ",")
-    second, comma2, third = _partition(rest, ",")
-    tokens = np.strings.strip(np.stack([first, second, third], axis=1))
-    three = (comma1 == ",") & (comma2 == ",") & (np.strings.find(third, ",") < 0)
-    empty = np.strings.str_len(tokens) == 0
-
-    def error(i, line_no):
-        if not three[i]:
-            return ParseError(path, line_no, 1, "expected 3 comma-separated "
-                              f"fields, got {lines[line_no - 1].count(',') + 1}")
-        return ParseError(path, line_no, int(np.argmax(empty[i])) + 1,
-                          "empty field")
-
-    return _first_bad_row(tokens, data + 2, ~three | empty.any(axis=1), error,
-                          stand_in)
-
-
-def _byte_rows(data: bytes, header: str | None) -> _Rows | None:
-    """The rows of an edge file (``header`` None) or of a CSV with
-    ``header``, read from its bytes ``data`` as spans of them; None unless
-    :func:`_edge_rows` or :func:`_csv_rows` would read the same rows, and
-    no malformed line, from its text.
-
-    So the bytes must be ASCII, with no NUL and no control byte but newline
-    and the separator (a tab, or a CSV's comma), and so no line break but
-    newline. A CSV starts with its header line as it is, and each other line
-    holds 3 fields, none empty or starting or ending with a space or tab. A
-    line of an edge file that starts with ``#`` is skipped; each other line
-    holds 2 fields and does not start or end with a space or tab. So no
-    line is blank, and no line is split as ``str.splitlines`` would not.
-
-    The separators and newlines are found in one pass, and the lines are
-    checked as arrays: each row line holds k - 1 separators, so its k
-    fields end at the k separators and newline before its own newline.
-    """
-    if not data.isascii():
-        return None
-    raw = np.frombuffer(data, dtype=np.uint8)
+    content = Path(path).read_bytes()
+    if content.isascii() and b"\r" not in content:
+        flat = np.frombuffer(content, dtype=np.uint8)
+    else:
+        flat = np.frombuffer(_decode_text(path, content).encode("utf-32-le"),
+                             dtype=np.uint32)
     sep, k = (ord("\t"), 2) if header is None else (ord(","), 3)
-    marks = np.flatnonzero((raw < 0x20) | (raw == sep))
-    kinds = raw[marks]
-    newline = kinds == ord("\n")
-    if not (newline | (kinds == sep)).all():
-        return None
-    # bounds: a newline before the first line, the marks, and one after a
-    # last line that has none; lines[i]: the index in bounds of the newline
+    near = (flat <= ord(" ")) | (flat == sep)
+    if flat.itemsize > 1:
+        near |= (flat >= 0x85) & (flat <= _LAST_CLASSED)
+    near = np.flatnonzero(near)
+    kinds = flat[near]
+    classes = _classes(kinds)
+    spaced = classes == _SPACE
+    is_mark = (classes == _BREAK) | (kinds == sep)
+    marks, mark_classes = near, classes
+    if not is_mark.all():
+        marks, mark_classes = near[is_mark], classes[is_mark]
+    # bounds: a break before the first line, the marks, and a break after a
+    # last line that has none; lines[i]: the index in bounds of the break
     # before line i
     bounds = np.concatenate([[-1], marks])
-    lines = np.concatenate([[0], 1 + np.flatnonzero(newline)])
-    if data and not data.endswith(b"\n"):
-        bounds = np.append(bounds, len(raw))
+    lines = np.concatenate([[0], 1 + np.flatnonzero(mark_classes == _BREAK)])
+    if len(flat) and bounds[lines[-1]] != len(flat) - 1:
+        bounds = np.append(bounds, len(flat))
         lines = np.append(lines, len(bounds) - 1)
-    starts = bounds[lines[:-1]] + 1
+    starts, ends, count = bounds[lines[:-1]] + 1, bounds[lines[1:]], np.diff(lines)
+
     if header is None:
-        rows = np.flatnonzero(raw[starts] != ord("#"))
+        left, right, again = _stripped(flat, near, spaced, starts, ends)
+        tab = bounds[lines[:-1] + 1]  # a line's first mark
+        if again.size:
+            tabs = np.append(marks[mark_classes != _BREAK], len(flat))
+            low = np.searchsorted(tabs, left[again])
+            count[again] = np.searchsorted(tabs, right[again]) - low + 1
+            tab[again] = tabs[low]
+        data = np.flatnonzero((right > left)
+                              & (flat.take(left, mode="clip") != ord("#")))
+        bad = count[data] != k
+        left, right, tab = left[data], right[data], tab[data]
+        tokens = _Spans(flat, _side_by_side(left, tab + 1),
+                        _side_by_side(tab - left, right - tab - 1))
+
+        def error(i):
+            return ParseError(path, int(data[i]) + 1, 1,
+                              "expected 'source<TAB>target'")
     else:
-        if len(starts) == 0 or data[:bounds[lines[1]]] != header.encode():
-            return None
-        rows = np.arange(1, len(starts))
-    if (np.diff(lines)[rows] != k).any():
-        return None
-    fields = lines[rows, None] + np.arange(k)
-    left, right = bounds[fields] + 1, bounds[fields + 1]
-    lengths = right - left
-    if header is None:  # an edge line is stripped as a whole, not by field
-        outer = np.concatenate([raw[left[:, 0]], raw[right[:, -1] - 1]])
-    else:
-        outer = np.concatenate([raw[left].ravel(), raw[right - 1].ravel()])
-    if (lengths < 1).any() or ((outer == ord(" ")) | (outer == ord("\t"))).any():
-        return None
-    flat = np.concatenate([raw, np.zeros(int(lengths.max(initial=0)), dtype=np.uint8)])
-    return _Rows(_Spans(flat, left, lengths), rows + 1, None)
+        left, right, _ = _stripped(flat, near, spaced, starts[:1], ends[:1])
+        if not len(starts) or flat[left[0]:right[0]].tolist() != list(map(ord, header)):
+            raise ParseError(path, 1, 1, f"expected header {header!r}")
+        # a line with no comma is blank if it strips to nothing
+        lone = 1 + np.flatnonzero(count[1:] == 1)
+        left, right, _ = _stripped(flat, near, spaced, starts[lone], ends[lone])
+        data = np.ones(len(starts), dtype=bool)
+        data[0] = False
+        data[lone[right == left]] = False
+        data = np.flatnonzero(data)
+        three = count[data] == k
+        fields = lines[data[three], None] + np.arange(k)
+        left, right, _ = _stripped(flat, near, spaced, bounds[fields] + 1,
+                                   bounds[fields + 1])
+        empty = right == left
+        bad = ~three
+        if empty.any():  # one test of the whole table is much the faster
+            bad[three] = empty.any(axis=1)
+        # the rows before the first bad one are all rows of three fields
+        tokens = _Spans(flat, left, right - left)
 
-
-def _read_rows(path, header: str | None, bytes_first: bool) -> _Rows:
-    """The rows of the edge file (``header`` None) or CSV with ``header`` at
-    ``path``: from :func:`_byte_rows` if ``bytes_first`` and it reads the
-    file, else from :func:`_edge_rows` or :func:`_csv_rows`."""
-    data = Path(path).read_bytes()
-    rows = _byte_rows(data, header) if bytes_first else None
-    if rows is None:
-        text = _decode_text(path, data)
-        rows = (_edge_rows(path, text) if header is None
-                else _csv_rows(path, text, header))
-    return rows
-
-
-def _bytes_first(load, *args):
-    """``load(True, *args)``, whose first argument lets it read its files
-    on the byte path (:func:`_read_rows`); if that raises a
-    :class:`StancecastError`, ``load(False, *args)``, so every error comes
-    from the str path alone."""
-    try:
-        return load(True, *args)
-    except StancecastError:
-        return load(False, *args)
-
-
-def _code_points(tokens: np.ndarray) -> _Spans:
-    """The 1-D ``U`` or ``StringDType`` array ``tokens`` as spans of its
-    code points, in one flat uint32 array."""
-    if tokens.dtype.kind == "U":
-        width = tokens.dtype.itemsize // 4
-        # a U item ends at its last code point that is not NUL
-        return _Spans(np.ascontiguousarray(tokens).view(np.uint32),
-                      np.arange(0, len(tokens) * width, width),
-                      np.strings.str_len(tokens))
-    items = tokens.tolist()
-    joined = "".join(items)
-    lengths = np.strings.str_len(tokens)
-    if lengths.sum() != len(joined):
-        # str_len does not count a trailing NUL of a variable-width item
-        lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
-    padded = joined + "\x00" * int(lengths.max(initial=0))
-    return _Spans(np.frombuffer(padded.encode("utf-32-le"), dtype=np.uint32),
-                  np.cumsum(lengths) - lengths, lengths)
+        def error(i):
+            if not three[i]:
+                return ParseError(path, int(data[i]) + 1, 1, "expected 3 comma-"
+                                  f"separated fields, got {int(count[data[i]])}")
+            return ParseError(path, int(data[i]) + 1, int(np.argmax(empty[i])) + 1,
+                              "empty field")
+    stop = int(np.argmax(bad)) if bad.any() else len(bad)
+    return _Rows(tokens[:stop], data[:stop] + 1,
+                 error(stop) if stop < len(bad) else None)
 
 
 def _pack(key, flat, starts, lengths, start: int, k: int, bits: int):
     """``key`` with code points ``start`` to ``start + k`` of each token
     (given as spans), each plus 1, ORed into its low ``k * bits`` bits, the
-    first one highest; 0 past a token's end."""
+    first one highest; 0 past a token's end, where ``flat`` is read clipped
+    to its bounds."""
     shortest = int(lengths.min(initial=0))
     for j in range(start, min(start + k, int(lengths.max(initial=0)))):
-        c = flat[starts + j].astype(np.uint64)
+        c = flat.take(starts + j, mode="clip").astype(np.uint64)
         c += 1
         if j >= shortest:
             c *= lengths > j
@@ -479,11 +423,10 @@ def _sorted_keys(key):
     return order, new
 
 
-def _intern(tokens):
-    """(distinct, inverse), as ``np.unique(tokens, return_inverse=True)``
-    gives them for the 1-D ``U`` or ``StringDType`` array ``tokens``, by
-    sorting integer keys instead of strings. For 1-D :class:`_Spans`
-    ``tokens``, ``distinct`` is spans too.
+def _intern(tokens: _Spans):
+    """(distinct, inverse) of the 1-D spans ``tokens``, as ``np.unique(...,
+    return_inverse=True)`` gives them for an array of the same strs, by
+    sorting integer keys instead of strings; ``distinct`` is spans too.
 
     A key packs code points, each plus 1, at the bit width of the largest
     one into a uint64, the first one highest, with 0 past a token's end:
@@ -493,9 +436,8 @@ def _intern(tokens):
     that tie on their keys while one of them goes on are sorted again, on
     their next code points under their group's rank, until no group ties.
     """
-    spans = _code_points(tokens) if isinstance(tokens, np.ndarray) else tokens
-    flat, starts, lengths = spans.flat, spans.starts, spans.lengths
-    low, high = _extent(spans)
+    flat, starts, lengths = tokens.flat, tokens.starts, tokens.lengths
+    low, high = _extent(tokens)
     bits = (int(flat[low:high].max(initial=0)) + 1).bit_length()
     width = int(lengths.max(initial=0))
     n, k = len(tokens), 64 // bits
@@ -573,7 +515,7 @@ def _unknown_error(path, rows: _Rows, i: int, column: int):
 def _dense_ids(names: tuple, tokens) -> np.ndarray:
     """Index of each token in ``names`` (the last one if a name repeats),
     or -1 for a token not in ``names``."""
-    _, inverse = _intern(_joined([_strings(list(names)), tokens]))
+    _, inverse = _intern(_joined([_str_spans(list(names)), tokens]))
     ids = np.full(inverse.max(initial=-1) + 1, -1, dtype=np.int64)
     # a ufunc, not a write to a repeated index, whose order numpy leaves open
     np.maximum.at(ids, inverse[:len(names)], np.arange(len(names)))
@@ -603,17 +545,12 @@ def load_graph(edges_path, profiles_path=None,
     its node ids, so a seed on no edge is a node. Malformed lines, self-
     loops, repeated edges and repeated profile rows fail at their line.
     """
-    return _bytes_first(_load_graph, edges_path, profiles_path, seeds_path)
-
-
-def _load_graph(bytes_first: bool, edges_path, profiles_path, seeds_path):
-    edges = _read_rows(edges_path, None, bytes_first).complete()
+    edges = _rows(edges_path, None).complete()
     profiles = (_NO_ROWS if profiles_path is None else
-                _read_rows(profiles_path, _PROFILE_HEADER, bytes_first).complete())
+                _rows(profiles_path, _PROFILE_HEADER).complete())
     names = [edges.tokens.ravel(), profiles.tokens[:, 0]]
     if seeds_path is not None:
-        names.append(_read_rows(seeds_path, _PROFILE_HEADER,
-                                bytes_first).complete().tokens[:, 0])
+        names.append(_rows(seeds_path, _PROFILE_HEADER).complete().tokens[:, 0])
     node_ids, node = _intern(_joined(names))
     topic_ids, topic = _intern(profiles.tokens[:, 1])
     symbols = SymbolTable(tuple(node_ids.tolist()), tuple(topic_ids.tolist()))
@@ -678,11 +615,7 @@ def load_profiles(path) -> tuple[np.ndarray, SymbolTable]:
     package always do); node and topic ids are assigned by sorting the ids
     present in this file. A second row for one pair is an error at its line.
     """
-    return _bytes_first(_load_profiles, path)
-
-
-def _load_profiles(bytes_first: bool, path):
-    rows = _read_rows(path, _PROFILE_HEADER, bytes_first).complete()
+    rows = _rows(path, _PROFILE_HEADER).complete()
     node_ids, node = _intern(rows.tokens[:, 0])
     topic_ids, topic = _intern(rows.tokens[:, 1])
     symbols = SymbolTable(tuple(node_ids.tolist()), tuple(topic_ids.tolist()))
@@ -698,7 +631,14 @@ def load_seeds(path, symbols: SymbolTable) -> dict[int, dict[int, float]]:
     known stance (0, 0.5 or 1), and a (node, topic) pair not seen before.
     The first row that fails is reported at its line.
     """
-    node, topic, stances = _bytes_first(_seed_rows, path, symbols)
+    rows = _rows(path, _PROFILE_HEADER)
+    node, topic, checks = _row_ids(path, rows, symbols)
+    stances, bad = _stance_values(rows.tokens[:, 2], allow_unknown=False)
+    _raise_first(checks + [
+        (bad, lambda i: _stance_error(path, rows, i, allow_unknown=False)),
+        (_repeats(node * len(symbols.topic_ids) + topic),
+         lambda i: _repeat_error(path, rows, i, "seed")),
+    ], rows.error)
     if not len(node):
         warnings.warn(f"{path}: no seed stances", EmptySeedsWarning, stacklevel=2)
     seeds: dict[int, dict[int, float]] = {}
@@ -709,37 +649,18 @@ def load_seeds(path, symbols: SymbolTable) -> dict[int, dict[int, float]]:
     return seeds
 
 
-def _seed_rows(bytes_first: bool, path, symbols: SymbolTable):
-    """Node, topic and stance of each row of a seeds file, checked."""
-    rows = _read_rows(path, _PROFILE_HEADER, bytes_first)
-    node, topic, checks = _row_ids(path, rows, symbols)
-    stances, bad = _stance_values(rows.tokens[:, 2], allow_unknown=False)
-    _raise_first(checks + [
-        (bad, lambda i: _stance_error(path, rows, i, allow_unknown=False)),
-        (_repeats(node * len(symbols.topic_ids) + topic),
-         lambda i: _repeat_error(path, rows, i, "seed")),
-    ], rows.error)
-    return node, topic, stances
-
-
 def load_seed_nodes(path, symbols: SymbolTable) -> list[int]:
     """Distinct seed node ids from a seeds CSV, ignoring topic and stance.
 
     Used by the IC baseline, which has no topic dimension.
     """
-    node = _bytes_first(_seed_node_rows, path, symbols)
-    if not len(node):
-        warnings.warn(f"{path}: no seed stances", EmptySeedsWarning, stacklevel=2)
-    return _sorted_distinct(node).tolist()
-
-
-def _seed_node_rows(bytes_first: bool, path, symbols: SymbolTable):
-    """The node of each row of a seeds file, checked."""
-    rows = _read_rows(path, _PROFILE_HEADER, bytes_first)
+    rows = _rows(path, _PROFILE_HEADER)
     node = _dense_ids(symbols.node_ids, rows.tokens[:, 0])
     _raise_first([(node < 0, lambda i: _unknown_error(path, rows, i, 0))],
                  rows.error)
-    return node
+    if not len(node):
+        warnings.warn(f"{path}: no seed stances", EmptySeedsWarning, stacklevel=2)
+    return _sorted_distinct(node).tolist()
 
 
 def write_seeds(path, seeds: dict[int, dict[int, float]],
@@ -756,11 +677,7 @@ def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float
     pair not seen before, and a stance code. The first row that fails is
     reported at its line.
     """
-    return _bytes_first(_load_ground_truth, path, symbols)
-
-
-def _load_ground_truth(bytes_first: bool, path, symbols: SymbolTable):
-    rows = _read_rows(path, _TRUTH_HEADER, bytes_first)
+    rows = _rows(path, _TRUTH_HEADER)
     node, topic, checks = _row_ids(path, rows, symbols)
     stances, bad = _stance_values(rows.tokens[:, 2])
     _raise_first(checks + [

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.dtypes import StringDType
 
 import reference_loaders as ref
 import stancecast as sc
@@ -290,7 +289,7 @@ def test_unknown_ids_that_tie_on_a_packed_key_load_identically(tmp_path, kind,
         == "error"
 
 
-# Code points that a U array can hold, and the ids that tie on a packed key
+# Code points of ids, and the ids that tie on a packed key
 INTERN_CHARS = ["a", "b", "x", "é", ASTRAL, ","]
 INTERN_TIES = [TIED + "a", TIED + "b", TIED, TIED * 2 + "a", TIED * 2]
 
@@ -313,20 +312,18 @@ def unique_by_sorted(items):
 @example(["x"], ["\x00"])
 @example(["a", "ab", "", "a"], ["a", "a\x00", "a\x00b", "ab", "", "\x00"])
 @example([], ["\x00a", "\x00,", "a\x00a", "a\x00,", "a"])
-def test_intern_matches_np_unique(fixed, variable):
-    """A U array cannot hold a trailing NUL, so only the variable-width
-    ids draw it. numpy (2.4) compares variable-width strings only up to a
-    NUL, so ``np.unique`` takes ``'\\x00a'`` and ``'\\x00,'`` for one id;
-    ids that hold a NUL are checked against ``sorted`` alone."""
-    for items, dtype in ((fixed, str), (variable, StringDType())):
-        tokens = np.array(items, dtype=dtype)
-        distinct, inverse = io_formats._intern(tokens)
-        assert distinct.dtype == tokens.dtype and inverse.dtype == np.intp
+def test_intern_matches_np_unique(plain, with_nul):
+    """Only the second list draws NUL. A U array drops a trailing NUL, and
+    numpy (2.4) compares variable-width strings only up to a NUL, so
+    ``np.unique`` takes ``'\\x00a'`` and ``'\\x00,'`` for one id; ids that
+    hold a NUL are checked against ``sorted`` alone."""
+    for items in (plain, with_nul):
+        distinct, inverse = io_formats._intern(io_formats._str_spans(items))
+        assert inverse.dtype == np.intp
         got = distinct.tolist(), inverse.tolist()
         assert got == unique_by_sorted(items)
         if not any("\x00" in item for item in items):
-            want = np.unique(tokens, return_inverse=True)
-            assert distinct.dtype == want[0].dtype
+            want = np.unique(np.array(items, dtype=str), return_inverse=True)
             assert got == (want[0].tolist(), want[1].tolist())
 
 
@@ -447,26 +444,10 @@ def test_build_graph_matches_reference():
             assert new == old, (n, z, edges, rows)
 
 
-def byte_and_str_outcomes(monkeypatch, loader, paths, ids):
-    """(outcome with the str tokenizers made to fail, outcome with the byte
-    tokenizer refusing every file)."""
-    def fail(*args):
-        raise AssertionError("the str tokenizer ran")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(io_formats, "_edge_rows", fail)
-        mp.setattr(io_formats, "_csv_rows", fail)
-        on_bytes = outcome(lambda: call(io_formats, loader, paths, *ids))
-    with monkeypatch.context() as mp:
-        mp.setattr(io_formats, "_byte_rows", lambda data, header: None)
-        on_str = outcome(lambda: call(io_formats, loader, paths, *ids))
-    return on_bytes, on_str
-
-
 @pytest.mark.parametrize("n,m,z", [(24, 60, 2), (300, 900, 3), (7, 0, 1)])
-def test_written_files_load_on_the_byte_path(tmp_path, monkeypatch, n, m, z):
-    """Every file the writers write, and the untidy benchmark copy, loads
-    without the str tokenizers, as the str path alone loads it."""
+def test_written_files_load_as_reference(tmp_path, monkeypatch, n, m, z):
+    """Every file the writers write, and the untidy and non-ASCII benchmark
+    copies, loads as the reference loads it."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                      / "benchmarks"))
     from loaders import untidy
@@ -483,24 +464,24 @@ def test_written_files_load_on_the_byte_path(tmp_path, monkeypatch, n, m, z):
         io_formats.load_ground_truth(paths["truth"], symbols), symbols)
     no_seeds = dict(paths, seeds=tmp_path / "no-seeds.csv")
     io_formats.write_seeds(no_seeds["seeds"], {}, symbols)
-    copy = untidy(io_formats.DatasetBundle(paths["edges"], paths["profiles"],
-                                           paths["seeds"]), tmp_path / "untidy")
-    untidy_paths = {"edges": copy.edges_path, "profiles": copy.profiles_path,
-                    "seeds": copy.seeds_path, "truth": paths["truth"]}
-    for bundle in (paths, rewritten, no_seeds, untidy_paths):
+    generated = io_formats.DatasetBundle(paths["edges"], paths["profiles"],
+                                         paths["seeds"])
+    copies = []
+    for prefix in ("user_", "usér_"):
+        copy = untidy(generated, tmp_path / prefix, prefix)
+        copies.append({"edges": copy.edges_path, "profiles": copy.profiles_path,
+                       "seeds": copy.seeds_path, "truth": paths["truth"]})
+    for bundle in [paths, rewritten, no_seeds] + copies:
         ids = bundle_ids(bundle)
         for loader in LOADERS:
-            if bundle is untidy_paths and loader == "load_ground_truth":
+            if bundle in copies and loader == "load_ground_truth":
                 continue  # its truth names the generated ids
-            on_bytes, on_str = byte_and_str_outcomes(monkeypatch, loader,
-                                                     bundle, ids)
-            assert on_bytes[0] == "ok", (loader, bundle, on_bytes)
-            assert on_bytes == on_str, (loader, bundle)
+            assert assert_same(loader, bundle, *ids)[0] == "ok", (loader, bundle)
 
 
 def boundary_edits():
-    """(name, edit of one line list) for the ASCII characters at which a
-    reader of bytes can part from ``str.splitlines`` and ``str.strip``."""
+    """(name, edit of one line list) for the characters at which a reader of
+    code points can part from ``str.splitlines`` and ``str.strip``."""
     def insert(text):
         def edit(lines, rng):
             i = int(rng.integers(0, len(lines)))
@@ -519,16 +500,30 @@ def boundary_edits():
             lines.insert(int(rng.integers(0, len(lines) + 1)), text)
         return edit
 
-    breaks = ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"]
-    return ([(repr(c), insert(c)) for c in breaks]
+    def pad(run):
+        def edit(lines, rng):
+            i = int(rng.integers(0, len(lines)))
+            spots = [0, len(lines[i])] + [k + side for k, c in enumerate(lines[i])
+                                          if c in "\t," for side in (0, 1)]
+            k = int(rng.choice(spots))
+            lines[i] = lines[i][:k] + run + lines[i][k:]
+        return edit
+
+    # line breaks, and whitespace that breaks no line
+    chars = ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",
+             "\x85", "\xa0", "\u1680", "\u2028", "\u2029", "\u3000"]
+    # whitespace that neither breaks a line nor separates fields
+    run = (" \x1f\xa0\u1680\u2000\u202f\u205f\u3000" * 1250)[:10_000]
+    return ([(repr(c), insert(c)) for c in chars]
             + [("space at the end", append(" ")), ("tab at the end", append("\t")),
                ("blank line", new_line("")), ("# mid-line", insert("#")),
-               ("# line", new_line("#"))])
+               ("# line", new_line("#")),
+               ("10,000-character whitespace run", pad(run))])
 
 
 @pytest.mark.parametrize("name,edit", boundary_edits(),
                          ids=[name for name, _ in boundary_edits()])
-def test_ascii_boundary_mutations_match_reference(tmp_path, name, edit):
+def test_boundary_mutations_match_reference(tmp_path, name, edit):
     paths = make_bundle(tmp_path / "clean")
     ids = bundle_ids(paths)
     rng = np.random.default_rng(len(name))
