@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Time ``simulate --runs R`` batches of two source trees against each other.
+
+Run from the repository root, with the ``src`` directory of each side:
+
+    python3 benchmarks/batch.py PARENT_SRC CHANGE_SRC --pairs 11
+
+The configs are the batches of the perfbench workloads
+(``perfbench/run.py``) at ``--seed``: each workload's first network (seeds
+7, 7 and 21 at the default) with its config, run through ``cli.main`` as
+``simulate --runs R --workers 2``, as the benchmark's batch runs it, and as
+``--workers 1``. R is the workload's batch size (2, 2 and 16 runs).
+
+``benchmarks/pairs.py`` runs the pairs and reports. A process generates the
+networks untimed, then takes the best of ``REPEAT`` timed batches per
+config; its digest is the sha256 over the R trace files, so that serial and
+parallel batches, and both trees, are checked to write the same traces.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from pairs import main
+
+ROOT = Path(__file__).resolve().parent.parent
+# Timed batches per config and process; the best of them counts
+REPEAT = 5
+WORKERS = (2, 1)
+
+
+def worker(seed: int) -> None:
+    """Run every config's batches with the stancecast on ``sys.path``; print
+    one JSON object {config: [best seconds, traces sha256]}."""
+    from stancecast import cli, io_formats
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import STANCE_MIX, WORKLOADS
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, w in WORKLOADS.items():
+            network = seed * w.datasets  # the workload's first network
+            data = Path(tmp) / name
+            bundle = io_formats.generate_synthetic(
+                w.nodes, w.edges, w.topics, STANCE_MIX, network, data)
+            config = data / "config.json"
+            io_formats.write_config(
+                config, io_formats.SimParams(rng_seed=network, **w.params))
+            for workers in WORKERS:
+                trace = Path(tmp) / f"{name}-w{workers}" / "trace.jsonl"
+                trace.parent.mkdir()
+                argv = ["simulate", "--graph", bundle.edges_path,
+                        "--profiles", bundle.profiles_path,
+                        "--seeds", bundle.seeds_path, "--config", config,
+                        "--out-trace", trace, "--runs", w.batch_runs,
+                        "--workers", workers]
+                seconds = []
+                for _ in range(REPEAT):
+                    t0 = time.perf_counter()
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli.main([str(a) for a in argv])
+                    seconds.append(time.perf_counter() - t0)
+                    if code:
+                        sys.exit(f"{name} --workers {workers}: simulate "
+                                 f"exited with status {code}")
+                digest = hashlib.sha256()
+                for i in range(w.batch_runs):
+                    digest.update(cli._trace_path(trace, i, w.batch_runs)
+                                  .read_bytes())
+                out[f"{name} workers={workers}"] = [min(seconds),
+                                                    digest.hexdigest()]
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main(__doc__, worker, ("--seed", 7, None), "traces")

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +42,10 @@ def _option_error(option: str, exc: RangeViolationError) -> StancecastError:
     return StancecastError(f"{option} = {exc.value!r} outside allowed {exc.allowed}")
 
 
-def _simulate_one(payload) -> list[engine.RoundSummary]:
-    """Run one seeded simulation and write its trace (worker-safe); returns
-    the final round's summaries."""
-    graph, params, seeds, out_path, run_index = payload
+def _simulate_one(graph, params, seeds, out_path,
+                  run_index: int) -> list[engine.RoundSummary]:
+    """Run one seeded simulation and write its trace; returns the final
+    round's summaries."""
     with warnings.catch_warnings():
         # a run without a known stance had no seeds row, and the seeds
         # loader has warned of that once already
@@ -53,6 +53,43 @@ def _simulate_one(payload) -> list[engine.RoundSummary]:
         trace, _state = engine.run_simulation(graph, params, seeds, run_index)
     io_formats.write_trace(trace, out_path)
     return [s for s in trace.round_summaries if s.round == params.rounds_K]
+
+
+def _run_share(graph, params, seeds, out_trace, runs: int, first: int, step: int):
+    """Runs ``first``, ``first + step``, ... of a batch of ``runs``, in order.
+
+    Returns the final-round summaries of each run up to the first failing
+    one, and that run's (index, exception), or None when every run succeeded.
+    """
+    done = []
+    for i in range(first, runs, step):
+        try:
+            done.append(_simulate_one(graph, params, seeds,
+                                      _trace_path(out_trace, i, runs), i))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _send_share(send, *share) -> None:
+    """A forked worker: send :func:`_run_share`'s result to the parent. A
+    failing run's traceback goes along as a note, since an exception pickles
+    without it."""
+    done, failure = _run_share(*share)
+    if failure is not None:
+        exc = failure[1]
+        exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                         "".join(traceback.format_exception(exc)).rstrip()]
+    with send:
+        send.send((done, failure))
+
+
+def _receive(receive):
+    """What a worker sent, or None when it exited without sending."""
+    try:
+        return receive.recv()
+    except EOFError:
+        return None
 
 
 def _cmd_simulate(args) -> int:
@@ -65,18 +102,39 @@ def _cmd_simulate(args) -> int:
             raise _option_error("--run-seed-base", exc) from None
     graph, symbols = io_formats.load_graph(args.graph, args.profiles)
     seeds = io_formats.load_seeds(args.seeds, symbols)
-    payloads = [(graph, params, seeds, _trace_path(args.out_trace, i, args.runs), i)
-                for i in range(args.runs)]
-    # a fork pool starts all its workers at once, so it gets no more than
-    # there are runs
+    # share k holds runs k, k + W, ...; the parent runs share 0 and a forked
+    # child, which inherits the loaded inputs, each other share
     workers = min(args.workers, args.runs)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_one, payloads))
-    else:
-        results = [_simulate_one(p) for p in payloads]
-    for i, rows in enumerate(results):
-        for s in rows:
+    batch = (graph, params, seeds, args.out_trace, args.runs)
+    children = []
+    try:
+        for k in range(1, workers):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(
+                target=_send_share, args=(send, *batch, k, workers))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        shares = [_run_share(*batch, 0, workers)]
+        shares += [_receive(receive) for _, receive in children]
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    for (child, _), share in zip(children, shares[1:]):
+        if share is None:
+            raise RuntimeError(f"a simulate worker exited with code "
+                               f"{child.exitcode} before sending its runs")
+    # the lowest-numbered failing run is the one a serial batch stops at
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    for i in range(args.runs):
+        for s in shares[i % workers][0][i // workers]:
             print(f"run {i} topic {symbols.topic_ids[s.topic]}: "
                   f"unknown={s.unknown} oppose={s.oppose} neutral={s.neutral} "
                   f"support={s.support}")

@@ -4,8 +4,8 @@ All library errors derive from :class:`StancecastError` so callers can catch
 one base class at API boundaries. Input/validation problems and internal
 invariant violations are kept distinct for CLI exit-code mapping. An error
 that carries fields keeps them all in ``args`` and formats its message in
-``__str__``, so it pickles: a worker process of ``simulate --workers`` can
-raise it and the parent still reports it.
+``__str__``, so it pickles: a forked worker of ``simulate --workers`` sends
+it back to the parent, which reports it.
 """
 
 

@@ -644,7 +644,8 @@ def test_simulate_loads_inputs_once(bundle_dir, tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("t.run*.jsonl"))) == 3
 
 
-@pytest.mark.parametrize("runs,started", [(1, 0), (2, 2)])
+# the parent runs one share of the runs itself
+@pytest.mark.parametrize("runs,started", [(1, 0), (2, 1), (3, 2)])
 def test_simulate_starts_no_more_workers_than_runs(bundle_dir, tmp_path,
                                                    monkeypatch, runs, started):
     starts = []
@@ -666,6 +667,29 @@ def test_simulate_starts_no_more_workers_than_runs(bundle_dir, tmp_path,
     for name in names:
         assert (tmp_path / name).read_bytes() == \
             (tmp_path / name.replace("w3", "w1")).read_bytes()
+
+
+@pytest.mark.parametrize("blocked", [("t.run001.jsonl", "t.run002.jsonl"),
+                                     ("t.run002.jsonl",)])
+def test_failing_run_reports_as_serial(bundle_dir, tmp_path, capsys, blocked):
+    """A run whose trace path is a directory fails. Under ``--workers 2``
+    run 1 falls in the forked child's share and run 2 in the parent's; the
+    error is the lowest-numbered failing run's, as under ``--workers 1``,
+    and every child is joined even when only the parent's share failed."""
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        for name in blocked:
+            (out / name).mkdir(parents=True)
+        reports.append((main(simulate_args(bundle_dir, out / "t.jsonl",
+                                           ["--runs", "4", "--workers", workers])),
+                        capsys.readouterr().err.replace(str(out), "OUT")))
+        assert not list(out.glob("*.tmp"))
+        assert multiprocessing.active_children() == []
+    assert reports[0] == reports[1]
+    code, err = reports[0]
+    assert code == 1
+    assert err.startswith("error: ") and f"OUT/{blocked[0]}" in err
 
 
 @pytest.mark.parametrize("name", ["edges.tsv", "profiles.csv", "seeds.csv",

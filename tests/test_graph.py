@@ -112,7 +112,7 @@ def test_graph_arrays_immutable():
 
 
 def test_pickled_graph_stays_immutable():
-    # simulate --workers sends the graph to its workers pickled
+    # a library caller may send a graph to another process pickled
     g = sc.build_graph(3, 2, [(0, 1), (2, 1), (1, 0)],
                        [[1.0, -1.0], [0.5, 0.0], [-1.0, 1.0]])
     back = pickle.loads(pickle.dumps(g))
