@@ -20,64 +20,46 @@ parallel batches, and both trees, are checked to write the same traces.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
-import json
 import sys
-import tempfile
-import time
-from pathlib import Path
 
-from pairs import main
+from pairs import best, main, networks, sha256
 
-ROOT = Path(__file__).resolve().parent.parent
 # Timed batches per config and process; the best of them counts
 REPEAT = 5
 WORKERS = (2, 1)
 
 
-def worker(seed: int) -> None:
-    """Run every config's batches with the stancecast on ``sys.path``; print
-    one JSON object {config: [best seconds, traces sha256]}."""
+def worker(seed: int, tmp) -> dict:
+    """{config: [best seconds, traces sha256]} of every config's batches,
+    run with the stancecast on ``sys.path``."""
     from stancecast import cli, io_formats
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import STANCE_MIX, WORKLOADS
-
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, w in WORKLOADS.items():
-            network = seed * w.datasets  # the workload's first network
-            data = Path(tmp) / name
-            bundle = io_formats.generate_synthetic(
-                w.nodes, w.edges, w.topics, STANCE_MIX, network, data)
-            config = data / "config.json"
-            io_formats.write_config(
-                config, io_formats.SimParams(rng_seed=network, **w.params))
-            for workers in WORKERS:
-                trace = Path(tmp) / f"{name}-w{workers}" / "trace.jsonl"
-                trace.parent.mkdir()
-                argv = ["simulate", "--graph", bundle.edges_path,
-                        "--profiles", bundle.profiles_path,
-                        "--seeds", bundle.seeds_path, "--config", config,
-                        "--out-trace", trace, "--runs", w.batch_runs,
-                        "--workers", workers]
-                seconds = []
-                for _ in range(REPEAT):
-                    t0 = time.perf_counter()
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = cli.main([str(a) for a in argv])
-                    seconds.append(time.perf_counter() - t0)
-                    if code:
+    for name, (w, network, bundle) in networks(seed, tmp).items():
+        config = bundle.edges_path.parent / "config.json"
+        io_formats.write_config(
+            config, io_formats.SimParams(rng_seed=network, **w.params))
+        for workers in WORKERS:
+            trace = tmp / f"{name}-w{workers}" / "trace.jsonl"
+            trace.parent.mkdir()
+            argv = ["simulate", "--graph", bundle.edges_path,
+                    "--profiles", bundle.profiles_path,
+                    "--seeds", bundle.seeds_path, "--config", config,
+                    "--out-trace", trace, "--runs", w.batch_runs,
+                    "--workers", workers]
+
+            def batch():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if code := cli.main([str(a) for a in argv]):
                         sys.exit(f"{name} --workers {workers}: simulate "
                                  f"exited with status {code}")
-                digest = hashlib.sha256()
-                for i in range(w.batch_runs):
-                    digest.update(cli._trace_path(trace, i, w.batch_runs)
-                                  .read_bytes())
-                out[f"{name} workers={workers}"] = [min(seconds),
-                                                    digest.hexdigest()]
-    print(json.dumps(out))
+
+            seconds, _ = best(batch, REPEAT)
+            out[f"{name} workers={workers}"] = [seconds, sha256(*(
+                cli._trace_path(trace, i, w.batch_runs).read_bytes()
+                for i in range(w.batch_runs)))]
+    return out
 
 
 if __name__ == "__main__":

@@ -21,16 +21,8 @@ the cascades are checked to agree in the same run.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import sys
-import tempfile
-import time
-from pathlib import Path
+from pairs import best, main, networks, sha256
 
-from pairs import main
-
-ROOT = Path(__file__).resolve().parent.parent
 # Timed calls per config and process; the best of them counts
 REPEAT = 3
 # The edge probabilities each workload's network is run at
@@ -38,36 +30,22 @@ CONFIGS = {"cascade-4k": (0.1,), "edges-10k": (0.1, 0.5),
            "montecarlo-2k": (0.1,)}
 
 
-def worker(seed: int) -> None:
-    """Run every config's cascades with the stancecast on ``sys.path``; print
-    one JSON object {config: [best seconds, counts sha256]}."""
+def worker(seed: int, tmp) -> dict:
+    """{config: [best seconds, counts sha256]} of every config's cascades,
+    run with the stancecast on ``sys.path``."""
     from stancecast import ic, io_formats
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import STANCE_MIX, WORKLOADS
-
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, probabilities in CONFIGS.items():
-            w = WORKLOADS[name]
-            network = seed * w.datasets  # the workload's first network
-            bundle = io_formats.generate_synthetic(
-                w.nodes, w.edges, w.topics, STANCE_MIX, network, Path(tmp) / name)
-            g, symbols = io_formats.load_graph(bundle.edges_path,
-                                               bundle.profiles_path)
-            seeds = io_formats.load_seed_nodes(bundle.seeds_path, symbols)
-            for p in probabilities:
-                params = ic.IcParams(edge_probability=p,
-                                     rng_seed=network).validate()
-                seconds = []
-                for _ in range(REPEAT):
-                    t0 = time.perf_counter()
-                    _mean, counts = ic.mean_final_active(g, params, seeds,
-                                                         w.ic_runs)
-                    seconds.append(time.perf_counter() - t0)
-                digest = hashlib.sha256(json.dumps(counts).encode())
-                out[f"{name} p={p}"] = [min(seconds), digest.hexdigest()]
-    print(json.dumps(out))
+    for name, (w, network, bundle) in networks(seed, tmp).items():
+        g, symbols = io_formats.load_graph(bundle.edges_path,
+                                           bundle.profiles_path)
+        seeds = io_formats.load_seed_nodes(bundle.seeds_path, symbols)
+        for p in CONFIGS[name]:
+            params = ic.IcParams(edge_probability=p, rng_seed=network).validate()
+            seconds, (_mean, counts) = best(
+                lambda: ic.mean_final_active(g, params, seeds, w.ic_runs), REPEAT)
+            out[f"{name} p={p}"] = [seconds, sha256(counts)]
+    return out
 
 
 if __name__ == "__main__":

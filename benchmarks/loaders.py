@@ -27,17 +27,11 @@ truth, so that the loads are checked to agree in the same run.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
-import sys
-import tempfile
-import time
 from pathlib import Path
 
-from pairs import main
+from pairs import best, main, networks, sha256
 
-ROOT = Path(__file__).resolve().parent.parent
 # Timed calls per stage and process; the best of them counts
 REPEAT = 5
 GRAPH_ARRAYS = ("indptr", "indices", "in_indptr", "in_indices", "profiles")
@@ -60,71 +54,41 @@ def untidy(bundle, out_dir: Path, prefix: str = "user_"):
     return type(bundle)(*paths)
 
 
-def sha256(*parts) -> str:
-    """The sha256 over ``parts``: arrays by dtype and bytes, anything else
-    as JSON."""
-    digest = hashlib.sha256()
-    for part in parts:
-        if hasattr(part, "tobytes"):
-            digest.update(part.dtype.str.encode() + part.tobytes())
-        else:
-            digest.update(json.dumps(part).encode())
-    return digest.hexdigest()
-
-
-def best(call):
-    """(best seconds of ``REPEAT`` calls of ``call``, its last result)."""
-    seconds = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        result = call()
-        seconds.append(time.perf_counter() - t0)
-    return min(seconds), result
-
-
-def worker(seed: int) -> None:
-    """Time every config's loads with the stancecast on ``sys.path``; print
-    one JSON object {"<config> <stage>": [best seconds, sha256]}."""
+def worker(seed: int, tmp) -> dict:
+    """{"<config> <stage>": [best seconds, sha256]} of every config's loads,
+    made with the stancecast on ``sys.path``."""
     from stancecast import io_formats
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import STANCE_MIX, WORKLOADS
 
     def setup(bundle):
         g, symbols = io_formats.load_graph(bundle.edges_path,
                                            bundle.profiles_path)
         return g, symbols, io_formats.load_seeds(bundle.seeds_path, symbols)
 
+    bundles = {name: bundle for name, (_, _, bundle)
+               in networks(seed, tmp).items()}
+    bundles["edges-10k untidy"] = untidy(bundles["edges-10k"], tmp / "untidy")
+    bundles["edges-10k non-ascii"] = untidy(
+        bundles["edges-10k"], tmp / "non-ascii", prefix="usér_")
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        bundles = {}
-        for name, w in WORKLOADS.items():
-            network = seed * w.datasets  # the workload's first network
-            bundles[name] = io_formats.generate_synthetic(
-                w.nodes, w.edges, w.topics, STANCE_MIX, network, Path(tmp) / name)
-        bundles["edges-10k untidy"] = untidy(bundles["edges-10k"],
-                                             Path(tmp) / "untidy")
-        bundles["edges-10k non-ascii"] = untidy(
-            bundles["edges-10k"], Path(tmp) / "non-ascii", prefix="usér_")
-        for name, bundle in bundles.items():
-            truth_path = Path(tmp) / f"{name}-truth.csv"
-            g, symbols, _ = setup(bundle)
-            io_formats.write_ground_truth(
-                truth_path, {(u, j): float(g.profiles[u, j])
-                             for u in range(g.n) for j in range(g.z)}, symbols)
+    for name, bundle in bundles.items():
+        truth_path = tmp / f"{name}-truth.csv"
+        g, symbols, _ = setup(bundle)
+        io_formats.write_ground_truth(
+            truth_path, {(u, j): float(g.profiles[u, j])
+                         for u in range(g.n) for j in range(g.z)}, symbols)
 
-            seconds, (g, symbols, seeds) = best(lambda: setup(bundle))
-            out[f"{name} setup"] = [seconds, sha256(
-                *(getattr(g, a) for a in GRAPH_ARRAYS), symbols.node_ids,
-                symbols.topic_ids, [[j, list(s.items())] for j, s in seeds.items()])]
-            seconds, (initial, symbols) = best(
-                lambda: io_formats.load_profiles(bundle.profiles_path))
-            out[f"{name} profiles"] = [seconds, sha256(
-                initial, symbols.node_ids, symbols.topic_ids)]
-            seconds, truth = best(
-                lambda: io_formats.load_ground_truth(truth_path, symbols))
-            out[f"{name} truth"] = [seconds, sha256(list(truth.items()))]
-    print(json.dumps(out))
+        seconds, (g, symbols, seeds) = best(lambda: setup(bundle), REPEAT)
+        out[f"{name} setup"] = [seconds, sha256(
+            *(getattr(g, a) for a in GRAPH_ARRAYS), symbols.node_ids,
+            symbols.topic_ids, [[j, list(s.items())] for j, s in seeds.items()])]
+        seconds, (initial, symbols) = best(
+            lambda: io_formats.load_profiles(bundle.profiles_path), REPEAT)
+        out[f"{name} profiles"] = [seconds, sha256(
+            initial, symbols.node_ids, symbols.topic_ids)]
+        seconds, truth = best(
+            lambda: io_formats.load_ground_truth(truth_path, symbols), REPEAT)
+        out[f"{name} truth"] = [seconds, sha256(list(truth.items()))]
+    return out
 
 
 if __name__ == "__main__":

@@ -21,46 +21,34 @@ digest is the trace's sha256, so that exactness is checked in the same run.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import tempfile
-import time
-from pathlib import Path
-
-from pairs import main
+from pairs import best, main, sha256
 
 TOPICS = (1, 2, 3, 4)
 PERSISTENCES = (0.05, 0.9)
 
 
-def worker(repeat: int) -> None:
-    """Run every config with the stancecast on ``sys.path``; print one JSON
-    object {config: [best seconds, trace sha256]}."""
+def worker(repeat: int, tmp) -> dict:
+    """{config: [best seconds, trace sha256]} of every config, run with the
+    stancecast on ``sys.path``."""
     import stancecast as sc
     from stancecast import io_formats
 
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for z in TOPICS:
-            bundle = io_formats.generate_synthetic(
-                1000, 3000, z, [0.4, 0.2, 0.2, 0.2], 3, Path(tmp) / f"z{z}")
-            g, symbols = io_formats.load_graph(bundle.edges_path,
-                                               bundle.profiles_path)
-            seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
-            for a0 in PERSISTENCES:
-                params = sc.SimParams(r1=0.5, r2=0.5,
-                                      initial_persistence_A0=a0,
-                                      rounds_K=4, rng_seed=7)
-                seconds = []
-                for _ in range(repeat):
-                    t0 = time.perf_counter()
-                    trace, _ = sc.run_simulation(g, params, seeds)
-                    seconds.append(time.perf_counter() - t0)
-                path = Path(tmp) / "trace.jsonl"
-                io_formats.write_trace(trace, path)
-                out[f"A0={a0} z={z}"] = [
-                    min(seconds), hashlib.sha256(path.read_bytes()).hexdigest()]
-    print(json.dumps(out))
+    for z in TOPICS:
+        bundle = io_formats.generate_synthetic(
+            1000, 3000, z, [0.4, 0.2, 0.2, 0.2], 3, tmp / f"z{z}")
+        g, symbols = io_formats.load_graph(bundle.edges_path,
+                                           bundle.profiles_path)
+        seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
+        for a0 in PERSISTENCES:
+            params = sc.SimParams(r1=0.5, r2=0.5, initial_persistence_A0=a0,
+                                  rounds_K=4, rng_seed=7)
+            seconds, (trace, _) = best(
+                lambda: sc.run_simulation(g, params, seeds), repeat)
+            path = tmp / "trace.jsonl"
+            io_formats.write_trace(trace, path)
+            out[f"A0={a0} z={z}"] = [seconds, sha256(path.read_bytes())]
+    return out
 
 
 if __name__ == "__main__":

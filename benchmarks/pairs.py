@@ -1,24 +1,72 @@
-"""Fresh-process pairs of two source trees: the one driver of the scripts in
-this directory.
+"""Fresh-process pairs of two source trees: the one driver and fixture of the
+scripts in this directory.
 
-A script keeps its configs and a ``worker(value)`` that runs them with the
-stancecast on ``sys.path`` and prints one JSON object {config: [seconds,
-digest]} as its last line; it calls :func:`main`, which runs the script again
-with ``--worker`` and the ``src`` directory of one side on ``PYTHONPATH``.
+A script keeps its configs and a ``worker(value, tmp)`` that runs them with
+the stancecast on ``sys.path``, in the scratch directory ``tmp``, and returns
+{config: [seconds, digest]}; it calls :func:`main`, which runs the script
+again with ``--worker`` and the ``src`` directory of one side on
+``PYTHONPATH``. The worker builds its inputs with :func:`networks`, times its
+calls with :func:`best` and makes its digests with :func:`sha256`.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def networks(seed: int, out_dir: Path) -> dict:
+    """{workload: (workload, network seed, bundle)} for each perfbench
+    workload (``perfbench/run.py``) at ``seed``: its first network, seed
+    ``seed * w.datasets``, as ``generate_synthetic`` writes it to
+    ``out_dir / workload``."""
+    from stancecast import io_formats
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import STANCE_MIX, WORKLOADS
+
+    out = {}
+    for name, w in WORKLOADS.items():
+        network = seed * w.datasets
+        out[name] = w, network, io_formats.generate_synthetic(
+            w.nodes, w.edges, w.topics, STANCE_MIX, network, out_dir / name)
+    return out
+
+
+def best(call, repeat: int):
+    """(best seconds of ``repeat`` calls of ``call``, its last result)."""
+    seconds = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = call()
+        seconds.append(time.perf_counter() - t0)
+    return min(seconds), result
+
+
+def sha256(*parts) -> str:
+    """The sha256 over ``parts``: ``bytes`` as they are, an array by its
+    dtype and bytes, anything else as JSON."""
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, bytes):
+            digest.update(part)
+        elif hasattr(part, "tobytes"):
+            digest.update(part.dtype.str.encode() + part.tobytes())
+        else:
+            digest.update(json.dumps(part).encode())
+    return digest.hexdigest()
 
 
 def run_side(script: str, src: str, argv: list) -> dict:
@@ -80,9 +128,10 @@ def report(runs: dict, word: str) -> None:
 def main(doc: str, worker, option: tuple, word: str) -> None:
     """The command line of a script: ``PARENT_SRC CHANGE_SRC [--pairs N]``
     runs ``worker`` in :func:`run_pairs` and prints the :func:`report` with
-    ``word``; the hidden ``--worker`` calls ``worker`` in this process.
-    ``option`` is the script's one integer option, (flag, default, least
-    value or None), and ``worker`` gets its value."""
+    ``word``; the hidden ``--worker`` calls ``worker`` in this process and
+    prints its result as one JSON line. ``option`` is the script's one
+    integer option, (flag, default, least value or None), and ``worker``
+    gets its value and a scratch directory."""
     flag, default, least = option
     ap = argparse.ArgumentParser(
         description=doc, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -96,7 +145,8 @@ def main(doc: str, worker, option: tuple, word: str) -> None:
     if least is not None and value < least:
         ap.error(f"{flag} must be at least {least}")
     if args.worker:
-        worker(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            print(json.dumps(worker(value, Path(tmp))))
         return
     srcs = {"parent": args.parent_src, "change": args.change_src}
     if None in srcs.values():

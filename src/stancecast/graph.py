@@ -61,7 +61,8 @@ class SocialGraph:
     profiles: np.ndarray
 
     def __setstate__(self, state: dict) -> None:
-        # unpickled arrays come back writeable, as in a simulate worker
+        # unpickled arrays come back writeable: a graph that a library
+        # caller pickles to another process stays read-only there
         for value in state.values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

@@ -7,7 +7,7 @@ tests can build deliberately odd instances (e.g. zero rounds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import MissingKeyError, RangeViolationError
 
@@ -15,6 +15,20 @@ ADJACENCY_MEMORY_MODES = ("persistent", "per_round")
 EPSILON_TIE_MODES = ("zero", "one")
 
 _U64_MASK = (1 << 64) - 1
+# (field type, accepted types, allowed) of the type checks of a config, in
+# the order they run; a bool passes neither. A field's type is its annotation
+# as a string, under ``from __future__ import annotations``
+_TYPE_CHECKS = (("int", int, "integer"), ("float", (int, float), "number"))
+
+
+def _optional(default):
+    """A field that a config may leave out; it falls back to ``default``."""
+    return field(default=default, metadata={"optional": True})
+
+
+def _key(name: str) -> str:
+    """The config key of the field ``name``."""
+    return "lambda" if name == "lambda_" else name
 
 
 def _check_rng_seed(seed) -> None:
@@ -45,10 +59,10 @@ class SimParams:
     mix_r: float = 0.7
     mix_a: float = 0.3
     rounds_K: int = 10
-    initial_persistence_A0: float = 0.5
+    initial_persistence_A0: float = _optional(0.5)
     rng_seed: int = 0
-    adjacency_memory: str = "persistent"
-    epsilon_tie: str = "zero"
+    adjacency_memory: str = _optional("persistent")
+    epsilon_tie: str = _optional("zero")
 
     @property
     def tie_epsilon(self) -> float:
@@ -94,21 +108,8 @@ class SimParams:
         return replace(self, rng_seed=seed)
 
     def to_dict(self) -> dict:
-        return {
-            "delta_adjacent": self.delta_adjacent,
-            "delta_nonadjacent": self.delta_nonadjacent,
-            "lambda": self.lambda_,
-            "mu": self.mu,
-            "r1": self.r1,
-            "r2": self.r2,
-            "mix_r": self.mix_r,
-            "mix_a": self.mix_a,
-            "rounds_K": self.rounds_K,
-            "initial_persistence_A0": self.initial_persistence_A0,
-            "rng_seed": self.rng_seed,
-            "adjacency_memory": self.adjacency_memory,
-            "epsilon_tie": self.epsilon_tie,
-        }
+        """The config keys and values, in field order."""
+        return {_key(f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimParams":
@@ -117,34 +118,19 @@ class SimParams:
         The three plumbing keys (initial_persistence_A0, adjacency_memory,
         epsilon_tie) fall back to defaults; the model keys are required.
         """
-        required = [
-            "delta_adjacent", "delta_nonadjacent", "lambda", "mu",
-            "r1", "r2", "mix_r", "mix_a", "rounds_K", "rng_seed",
-        ]
-        optional = {
-            "initial_persistence_A0": cls.initial_persistence_A0,
-            "adjacency_memory": cls.adjacency_memory,
-            "epsilon_tie": cls.epsilon_tie,
-        }
-        known = set(required) | set(optional)
+        keys = {_key(f.name): f for f in fields(cls)}
         for key in data:
-            if key not in known:
+            if key not in keys:
                 raise RangeViolationError(key, data[key], "not a config key")
-        kwargs = {}
-        for key in required:
-            if key not in data:
+        for key, f in keys.items():
+            if key not in data and not f.metadata.get("optional"):
                 raise MissingKeyError(key)
-            kwargs["lambda_" if key == "lambda" else key] = data[key]
-        for key, default in optional.items():
-            kwargs[key] = data.get(key, default)
-        for key in ("rounds_K", "rng_seed"):
-            if not isinstance(kwargs[key], int) or isinstance(kwargs[key], bool):
-                raise RangeViolationError(key, kwargs[key], "integer")
-        for key in ("delta_adjacent", "delta_nonadjacent", "lambda_", "mu",
-                    "r1", "r2", "mix_r", "mix_a", "initial_persistence_A0"):
-            value = kwargs[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                json_key = "lambda" if key == "lambda_" else key
-                raise RangeViolationError(json_key, value, "number")
-            kwargs[key] = float(value)
-        return cls(**kwargs)
+        values = {key: data.get(key, f.default) for key, f in keys.items()}
+        for kind, types, allowed in _TYPE_CHECKS:
+            for key, f in keys.items():
+                value = values[key]
+                if f.type == kind and (isinstance(value, bool)
+                                       or not isinstance(value, types)):
+                    raise RangeViolationError(key, value, allowed)
+        return cls(**{f.name: float(values[key]) if f.type == "float"
+                      else values[key] for key, f in keys.items()})

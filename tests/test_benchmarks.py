@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -64,6 +65,23 @@ def test_refusals_exit_2_before_any_worker(monkeypatch, capsys, argv, message):
         pairs.main("Doc.", no_worker, ("--seed", 7, None), "counts")
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parts, digest", [
+    # an array by dtype and bytes, then JSON values: the loaders' digest
+    ((np.array([[1.0, -1.0], [0.5, 0.0]]),),
+     "828ca38ab8404ab24873f37e8289ea35aa556d3bcbb59c85b37fae14db183d35"),
+    ((np.arange(3, dtype=np.int32), ("n0", "n1"), [[0, [[1, 0.5]]]]),
+     "a624a08c372640506bd75c7cb3d256ed796413953970f5493ba6a585b50387ef"),
+    # bytes as they are, joined: the batch's digest of its trace files
+    ((b"trace 0\n", b"trace 1\n"),
+     "0e7716e3142a51fb652878761eea09350acd74124ecc7cd9cfbeab6afdc75612"),
+    # one JSON value: the IC cascades' digest of the final counts
+    (([12, 7, 9],),
+     "566b56aeaf38e8ecb49278b80d99d44f520fc96b82541c1ee3a53a71fd980654"),
+])
+def test_sha256_keeps_the_scripts_digests(parts, digest):
+    assert pairs.sha256(*parts) == digest
 
 
 @pytest.mark.parametrize("script", SCRIPTS)

@@ -14,6 +14,7 @@ from stancecast.errors import (
     ParseError,
     RangeViolationError,
     SchemaVersionMismatchError,
+    StancecastError,
 )
 
 
@@ -146,6 +147,44 @@ class TestConfig:
         assert params.initial_persistence_A0 == 0.5
         assert params.adjacency_memory == "persistent"
         assert params.epsilon_tie == "zero"
+
+    def test_key_order(self):
+        # every config file and trace header holds the keys in this order
+        assert list(sc.SimParams().to_dict()) == [
+            "delta_adjacent", "delta_nonadjacent", "lambda", "mu", "r1", "r2",
+            "mix_r", "mix_a", "rounds_K", "initial_persistence_A0", "rng_seed",
+            "adjacency_memory", "epsilon_tie"]
+
+    def test_first_fault_is_raised(self):
+        """Unknown keys, then missing keys, then integers, then numbers:
+        mending each fault in turn raises the next one."""
+        data = self.base()
+        del data["mu"]
+        data.update(typo_key=1, rounds_K=2.0, rng_seed="7", r1="x",
+                    delta_adjacent=True)
+        data["lambda"] = None
+        errors = [
+            (RangeViolationError, ("typo_key", 1, "not a config key"),
+             "typo_key", None),
+            (MissingKeyError, ("mu",), "mu", 0.2),
+            (RangeViolationError, ("rounds_K", 2.0, "integer"), "rounds_K", 2),
+            (RangeViolationError, ("rng_seed", "7", "integer"), "rng_seed", 7),
+            (RangeViolationError, ("delta_adjacent", True, "number"),
+             "delta_adjacent", 0.8),
+            (RangeViolationError, ("lambda", None, "number"), "lambda", 0.7),
+            (RangeViolationError, ("r1", "x", "number"), "r1", 1),
+        ]
+        for error, args, key, mended in errors:
+            with pytest.raises(StancecastError) as err:
+                sc.SimParams.from_dict(data)
+            assert (type(err.value), err.value.args) == (error, args)
+            if mended is None:
+                del data[key]
+            else:
+                data[key] = mended
+        params = sc.SimParams.from_dict(data)
+        assert params == sc.SimParams(rounds_K=2, rng_seed=7, r1=1.0)
+        assert type(params.r1) is float
 
 
 class TestSeedsAndTruth:
