@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time ``load_trace`` of two source trees against each other.
+"""Time ``write_trace`` and ``load_trace`` of two source trees against each
+other.
 
 Run from the repository root, with the ``src`` directory of each side:
 
@@ -11,23 +12,25 @@ and written with ``write_trace``, as the benchmark's ``evaluate`` and
 ``curves`` operations load them.
 
 ``benchmarks/pairs.py`` runs the pairs and reports. A process generates and
-writes the traces untimed, then takes the best of ``REPEAT`` timed
-``load_trace`` calls per trace; its digest is the sha256 over the loaded
-columns (dtype and bytes of each), so that the loads are checked to agree in
-the same run.
+runs the networks untimed, then takes the best of ``REPEAT`` timed
+``write_trace`` calls and of ``REPEAT`` timed ``load_trace`` calls per
+trace. A write's digest is the sha256 of the file it wrote, and a load's
+the sha256 over the loaded columns (dtype and bytes of each), so that the
+writes and loads are checked to agree in the same run.
 """
 
 from __future__ import annotations
 
 from pairs import best, main, networks, sha256
 
-# Timed loads per trace and process; the best of them counts
+# Timed writes and loads per trace and process; the best of them counts
 REPEAT = 5
 
 
 def worker(seed: int, tmp) -> dict:
-    """{workload: [best seconds, column sha256]} of every workload's trace,
-    written and loaded with the stancecast on ``sys.path``."""
+    """{"<workload> write" and "<workload> load": [best seconds, sha256]} of
+    every workload's trace, written and loaded with the stancecast on
+    ``sys.path``."""
     import stancecast as sc
     from stancecast import io_formats
     from stancecast.engine import _EVENT_DTYPES
@@ -40,12 +43,13 @@ def worker(seed: int, tmp) -> dict:
         params = sc.SimParams(rng_seed=network, **w.params)
         trace, _ = sc.run_simulation(g, params, seeds, run_index=0)
         path = tmp / f"{name}.jsonl"
-        io_formats.write_trace(trace, path)
+        seconds, _ = best(lambda: io_formats.write_trace(trace, path), REPEAT)
+        out[f"{name} write"] = [seconds, sha256(path.read_bytes())]
         seconds, loaded = best(lambda: io_formats.load_trace(path), REPEAT)
-        out[name] = [seconds, sha256(*(getattr(loaded, f"ev_{column}")
-                                       for column in _EVENT_DTYPES))]
+        out[f"{name} load"] = [seconds, sha256(*(
+            getattr(loaded, f"ev_{column}") for column in _EVENT_DTYPES))]
     return out
 
 
 if __name__ == "__main__":
-    main(__doc__, worker, ("--seed", 7, None), "columns")
+    main(__doc__, worker, ("--seed", 7, None), "outputs")

@@ -19,12 +19,14 @@ Formats (all UTF-8, line oriented):
   are defined once (:func:`_head_text`, :func:`_middle_text`,
   :func:`_tail_text`), each formatted from the ``repr`` of its two
   values. The writer, :func:`_render_events`, joins each line from them,
-  built once per distinct pair of values of a slice of events. A
-  canonical load checks each slice once by the same pieces
-  (:func:`_canonical_slice`): it finds them by the colons of each line,
-  reads the ids as arrays, and reads each distinct head, middle and tail
-  once, accepting it only when it equals the writer's text for its
-  values.
+  built once per distinct pair of values of a slice of events, and from
+  id texts built once per write. A canonical load reads the file in
+  blocks (:func:`_line_slices`) and checks each slice once by the same
+  pieces (:func:`_canonical_slice`): it finds them by the colons of each
+  line, reads the ids as arrays, and reads each distinct head, middle and
+  tail once, accepting it only when it equals the writer's text for its
+  values. Both ends work in slices of ``_SLICE_EVENTS`` lines, so each
+  holds one slice and the columns, never the whole file.
 
 External ids are arbitrary strings; dense internal ids are assigned by
 sorting them by Unicode code point (as ``sorted`` does), so loading never
@@ -50,7 +52,8 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -711,32 +714,47 @@ def write_config(path, params: SimParams) -> None:
     _atomic_write(path, json.dumps(params.to_dict(), indent=2) + "\n")
 
 
-# Events per rendered slice of a write: bounds the memory of writing a trace,
-# whatever its length. With 16,384-event slices, edges-10k's 20k-event write
-# took 1.15 times as long, from per-slice fixed costs such as the id-text
-# table, though cascade-4k and montecarlo-2k writes took 0.84-0.85 times as
-# long.
-_SLICE_EVENTS = 65536
+# Events per slice of a trace write or a canonical load: bounds the memory of
+# either end, whatever the trace's length. On the seed-7 perfbench traces,
+# against 65,536-event writes and whole-file loads, the tracemalloc peak of a
+# cascade-4k write fell from 20.5 to 5.4 MB and of its load from 19.8 to
+# 11.2 MB; in-process medians of 31 alternating calls: cascade-4k writes
+# took 0.75 times as long, edges-10k and montecarlo-2k writes 1.01-1.03
+# times, and loads 1.00-1.03 times.
+_SLICE_EVENTS = 16384
+
+
+def _keys(*columns):
+    """(keys, find): the distinct values of ``columns``, and a function that
+    gives each value of an array of them its index among the keys.
+
+    Non-negative integers whose maximum is below their count plus 256 are
+    their own index into ``range(max + 1)``, with no sort, and the keys hold
+    no more values than that. Any other values are sorted and each value is
+    found among the distinct ones by binary search: floats by their bits, so
+    0.0 and -0.0 keep their own text, and integers of any sign or size by
+    value. (A sort and a search take a fraction of the argsort that
+    ``np.unique`` needs for its inverse.)"""
+    kind = columns[0].dtype.kind
+    size = sum(column.size for column in columns)
+    if kind in "iu" and size:
+        high = max(int(column.max()) for column in columns)
+        if min(column.min() for column in columns) >= 0 and high < size + 256:
+            return range(high + 1), lambda values: values.astype(np.intp)
+
+    def bits(values):
+        return values.view(f"u{values.itemsize}") if kind == "f" else values
+
+    distinct = _sorted_distinct(np.concatenate([bits(column) for column in columns]))
+    return (distinct.view(columns[0].dtype).tolist(),
+            lambda values: np.searchsorted(distinct, bits(values)))
 
 
 def _distinct(values: np.ndarray):
-    """(keys, index): the distinct values of ``values``, and each value's
-    index among them.
-
-    A non-negative integer column whose maximum is below its length plus
-    256 is its own index into ``range(max + 1)``, with no sort, and its
-    table holds no more texts than that. Any other column is sorted and
-    each value found among the distinct ones by binary search: floats by
-    their bits, so 0.0 and -0.0 keep their own text, and integers of any
-    sign or size by value. (A sort and a search take a fraction of the
-    argsort that ``np.unique`` needs for its inverse.)"""
-    if values.dtype.kind in "iu" and values.size:
-        high = int(values.max())
-        if values.min() >= 0 and high < values.size + 256:
-            return range(high + 1), values.astype(np.intp)
-    keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
-    distinct = _sorted_distinct(keys)
-    return distinct.view(values.dtype).tolist(), np.searchsorted(distinct, keys)
+    """(keys, index): the distinct values of ``values`` (:func:`_keys`), and
+    each value's index among them."""
+    keys, find = _keys(values)
+    return keys, find(values)
 
 
 def _pair_texts(a: np.ndarray, b: np.ndarray, text):
@@ -766,7 +784,7 @@ def _tail_text(p, c) -> str:
     return f',"p":{p!r},"channel":"{CHANNELS[c]}"}}\n'
 
 
-def _render_events(columns: dict, start: int, stop: int) -> bytes:
+def _render_events(columns: dict, ids: tuple, start: int, stop: int) -> bytes:
     """The event lines ``start:stop`` of a trace file, as :func:`write_trace`
     writes them: compact separators, fixed key order, ``repr`` numbers and
     ``\\n`` endings.
@@ -774,32 +792,36 @@ def _render_events(columns: dict, start: int, stop: int) -> bytes:
     Each line is joined from five pieces: the text up to the node id for
     each (round, topic), the node id, the text up to the source id for each
     (old, new), the source id, and the rest of the line for each (p,
-    channel); node and source share one table of ids. A piece's text is
-    built once per distinct value, or pair of values, from the ``repr`` of
-    those values, so each line equals the one formatted field by field from
-    the ``repr`` of each value. The pieces are laid out as one (event,
-    piece) table, joined as ``str`` and then encoded: ``bytes.join`` would
-    hold a buffer per piece."""
+    channel). Node and source share the id texts ``ids``, (texts, find) as
+    :func:`_keys` gives them, built once per write. The other pieces' texts
+    are built once per distinct pair of values of the slice, from the
+    ``repr`` of those values, so each line equals the one formatted field by
+    field from the ``repr`` of each value. The pieces are laid out as one
+    (event, piece) table, joined as ``str`` and then encoded: ``bytes.join``
+    would hold a buffer per piece."""
     col = {name: values[start:stop] for name, values in columns.items()}
-    count = len(col["node"])
-    ids, index = _distinct(np.concatenate([col["node"], col["source"]]))
-    ids = np.array([repr(v) for v in ids], dtype=object)
+    texts, find = ids
     pieces = [
         _pair_texts(col["round"], col["topic"], _head_text),
-        (ids, index[:count]),
+        (texts, find(col["node"])),
         _pair_texts(col["old"], col["new"], _middle_text),
-        (ids, index[count:]),
+        (texts, find(col["source"])),
         _pair_texts(col["p"], col["channel"], _tail_text),
     ]
-    lines = np.empty((count, 5), dtype=object)
-    for j, (texts, index) in enumerate(pieces):
-        lines[:, j] = texts[index]
+    lines = np.empty((len(col["node"]), 5), dtype=object)
+    for j, (piece_texts, index) in enumerate(pieces):
+        lines[:, j] = piece_texts[index]
     return "".join(lines.ravel().tolist()).encode()
+
+
+# A round summary's fields in order, as a tuple (``astuple`` deep-copies
+# each field: 0.7 ms for the 42 rows of an 11 ms edges-10k write)
+_summary_row = attrgetter(*(f.name for f in fields(RoundSummary)))
 
 
 def write_trace(trace: SimTrace, path) -> None:
     """Serialize a trace: one header line, then one event object per line,
-    rendered and written one slice of events at a time. A channel code
+    rendered and written ``_SLICE_EVENTS`` events at a time. A channel code
     outside ``range(len(CHANNELS))`` raises a :class:`StancecastError`
     before anything is written."""
     codes = trace.ev_channel
@@ -811,13 +833,15 @@ def write_trace(trace: SimTrace, path) -> None:
         "n": trace.n,
         "z": trace.z,
         "params": trace.params.to_dict(),
-        "round_summaries": [list(astuple(s)) for s in trace.round_summaries],
+        "round_summaries": [list(_summary_row(s)) for s in trace.round_summaries],
     }
     columns = {name: getattr(trace, f"ev_{name}") for name in _EVENT_DTYPES}
+    keys, find = _keys(trace.ev_node, trace.ev_source)
+    ids = np.array([repr(v) for v in keys], dtype=object), find
     with _replacing(path) as out:
         out.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
         for start in range(0, len(trace.ev_node), _SLICE_EVENTS):
-            out.write(_render_events(columns, start, start + _SLICE_EVENTS))
+            out.write(_render_events(columns, ids, start, start + _SLICE_EVENTS))
 
 
 def _is_count(value) -> bool:
@@ -893,22 +917,61 @@ _PIECES = ((("round", "topic"), (int, int), _head_text),
            (("p", "channel"), (float, _channel_code), _tail_text))
 
 
-# Event lines per slice of a canonical load: with 8,192-line slices the
-# edges-10k load took up to 1.2 times as long, from per-slice fixed costs, and
-# 65,536-line slices raised a cascade-4k load's peak from 25 to 37 MB.
-_LOAD_LINES = 16384
-# Bytes per chunk in which a load finds the line ends, so that the mask is
-# a chunk's size, not the file's: finding them in 64 KiB chunks took 1.4
-# times as long on the 122 MB trace, and 4 MiB chunks saved under 3%.
-_SCAN_BYTES = 1 << 20
+# The fewest bytes of an event line that the writer writes
+_SHORTEST_LINE = (len(_head_text(0, 0)) + len(_middle_text(0.0, 0.0)) + 2
+                  + min(len(_tail_text(0.0, c)) for c in range(len(CHANNELS))))
+# Bytes per read of a canonical load; a read's line ends are found with a
+# mask of its size
+_READ_BYTES = 1 << 18
+# Bytes kept in front of the lines in the read buffer: a piece's fixed-width
+# read (:func:`_fields`) may start that far before its line
+_FRONT = -(-max(_PIECE_BYTES) // 8) * 8
 
 
-def _line_offsets(raw: np.ndarray, start: int) -> np.ndarray:
-    """The offsets in ``raw`` at which the lines from ``start`` on begin,
-    and the end of the last of them, found one chunk of bytes at a time."""
-    ends = [k + 1 + np.flatnonzero(raw[k:k + _SCAN_BYTES] == ord("\n"))
-            for k in range(start, raw.shape[0], _SCAN_BYTES)]
-    return np.concatenate([[start], *ends])
+def _line_slices(stream):
+    """The lines of the binary file ``stream``, read ``_READ_BYTES`` at a
+    time into one reused buffer: yields (raw, offsets) for the first line
+    alone, then for each run of ``_SLICE_EVENTS`` lines (fewer at the end),
+    where ``offsets`` holds the run's line starts in ``raw`` and the end of
+    its last line. A line keeps its ``\\n``; bytes after the last ``\\n``
+    are a last line without one. Only the lines not yet yielded are kept:
+    before each read for a run they move to the front of the buffer, which
+    grows only when a run does not fit."""
+    buffer = np.empty(_FRONT + _READ_BYTES, dtype=np.uint8)
+    start = end = _FRONT  # buffer[start:end] is not yet yielded
+    pending = np.empty(0, dtype=np.int64)  # ends of its complete lines
+    want, ended = 1, False
+    while True:
+        ends = [pending]
+        found = pending.shape[0]
+        while found < want and not ended:
+            if end + _READ_BYTES > buffer.shape[0]:
+                # room for a read and the lines still wanted, at the mean
+                # length of the lines found so far (twice the bytes if none)
+                more = ((want - found) * (end - start) // found if found
+                        else end - start)
+                grown = np.empty(end + _READ_BYTES + more, dtype=np.uint8)
+                grown[:end] = buffer[:end]
+                buffer = grown
+            got = stream.readinto(buffer[end:end + _READ_BYTES])
+            if got:
+                ends.append(end + 1 + np.flatnonzero(
+                    buffer[end:end + got] == ord("\n")))
+                end += got
+                found += ends[-1].shape[0]
+            else:
+                ended = True
+                if end > start and buffer[end - 1] != ord("\n"):
+                    ends.append(np.array([end]))
+        ends = np.concatenate(ends)
+        if not ends.shape[0]:
+            return
+        yield buffer, np.concatenate([[start], ends[:want]])
+        start, pending = int(ends[:want][-1]), ends[want:]
+        rest = end - start
+        buffer[_FRONT:_FRONT + rest] = buffer[start:end]
+        pending -= start - _FRONT
+        start, end, want = _FRONT, _FRONT + rest, _SLICE_EVENTS
 
 
 def _fields(raw: np.ndarray, starts, ends, widest: int, fill: int):
@@ -922,11 +985,15 @@ def _fields(raw: np.ndarray, starts, ends, widest: int, fill: int):
     # ends[i] < width only with a header shorter than any canonical one
     if lengths.min() < 1 or longest > widest or ends.min() < width:
         return None
-    front = np.arange(width) < np.arange(width + 1)[:, None]  # row k: k bytes
     pad = width - lengths
     words = sliding_window_view(raw, width)[ends - width].view(np.uint64)
-    words &= np.take((~front * np.uint8(0xFF)).view(np.uint64), pad, axis=0)
-    words |= np.take((front * np.uint8(fill)).view(np.uint64), pad, axis=0)
+    # only the words up to the longest pad hold filled bytes
+    front = np.arange(width) < np.arange(width + 1)[:, None]  # row k: k bytes
+    padded = words[:, :-(-int(pad.max()) // 8)]
+    padded &= np.take((~front * np.uint8(0xFF)).view(np.uint64)[:, :padded.shape[1]],
+                      pad, axis=0)
+    padded |= np.take((front * np.uint8(fill)).view(np.uint64)[:, :padded.shape[1]],
+                      pad, axis=0)
     return words, lengths
 
 
@@ -937,10 +1004,10 @@ def _decimal_ids(raw: np.ndarray, starts, ends):
     fields = _fields(raw, starts, ends, _ID_DIGITS, fill=ord("0"))
     if fields is None:
         return None
-    table, lengths = fields[0].view(np.uint8), fields[1]
-    digits = table - np.uint8(ord("0"))  # a byte below '0' wraps past 9
-    leading = table[np.arange(len(lengths)), table.shape[1] - lengths]
-    if (digits > 9).any() or ((leading == ord("0")) & (lengths > 1)).any():
+    digits, lengths = fields[0].view(np.uint8), fields[1]
+    leading = digits[np.arange(len(lengths)), digits.shape[1] - lengths]
+    digits -= np.uint8(ord("0"))  # a byte below '0' wraps past 9
+    if digits.max() > 9 or ((leading == ord("0")) & (lengths > 1)).any():
         return None
     values = np.zeros(len(lengths), dtype=np.uint64)
     for column in digits.T:
@@ -993,11 +1060,12 @@ def _piece_values(text: str, readers, render):
 
 def _canonical_slice(raw: np.ndarray, offsets, columns: dict, start: int,
                      stop: int, bounds: tuple) -> bool:
-    """Parse the event lines ``start:stop`` of ``raw`` into ``columns`` and
-    check them: True if each line is what :func:`write_trace` writes for
-    its parsed values, and every event keeps the rules of ``bounds`` (n, z,
-    rounds_K) and the round order, also across the last event before
-    ``start``.
+    """Parse the event lines that start at ``offsets[:-1]`` in ``raw``, the
+    last ending at ``offsets[-1]``, into the rows ``start:stop`` of
+    ``columns`` and check them: True if each line is what
+    :func:`write_trace` writes for its parsed values, and every event keeps
+    the rules of ``bounds`` (n, z, rounds_K) and the round order, also
+    across the last event before ``start``.
 
     A line is its five pieces: the head up to its third colon, the node id,
     which ends 6 bytes before its fourth colon, the middle, the source id,
@@ -1008,20 +1076,22 @@ def _canonical_slice(raw: np.ndarray, offsets, columns: dict, start: int,
     colon from its line's start to its third, and the writer's holds 3; a
     tail every colon from its first to its line's end, and the writer's 2."""
     count = stop - start
-    line_starts, line_ends = offsets[start:stop], offsets[start + 1:stop + 1]
+    line_starts, line_ends = offsets[:-1], offsets[1:]
     colons = line_starts[0] + np.flatnonzero(
         raw[line_starts[0]:line_ends[-1]] == ord(":"))
     if colons.shape[0] != 8 * count:
         return False
-    colons = colons.reshape(count, 8)
-    ids = _decimal_ids(raw, np.concatenate([colons[:, 2] + 1, colons[:, 5] + 1]),
-                       np.concatenate([colons[:, 3] - 6, colons[:, 6] - 4]))
-    if ids is None:
-        return False
-    columns["node"][start:stop] = ids[:count]
-    columns["source"][start:stop] = ids[count:]
-    spans = ((line_starts, colons[:, 2] + 1), (colons[:, 3] - 6, colons[:, 5] + 1),
-             (colons[:, 6] - 4, line_ends))
+    node_start, node_end, source_start, source_end = (
+        colons.reshape(count, 8)[:, [2, 3, 5, 6]] + [1, -6, 1, -4]).T
+    del colons
+    for name, span in (("node", (node_start, node_end)),
+                       ("source", (source_start, source_end))):
+        ids = _decimal_ids(raw, *span)
+        if ids is None:
+            return False
+        columns[name][start:stop] = ids
+    spans = ((line_starts, node_start), (node_end, source_start),
+             (source_end, line_ends))
     for (names, readers, render), span, widest in zip(_PIECES, spans, _PIECE_BYTES):
         found = _distinct_pieces(raw, *span, widest)
         if found is None:
@@ -1041,46 +1111,70 @@ def _canonical_slice(raw: np.ndarray, offsets, columns: dict, start: int,
                 or (np.diff(columns["round"][max(start - 1, 0):stop]) < 0).any())
 
 
-def _canonical_trace(path, data: bytes) -> SimTrace | None:
-    """The trace in ``data`` if it is valid and in the canonical form that
-    :func:`write_trace` writes; else None.
+def _column_views(capacity: int) -> dict:
+    """Event columns of ``capacity`` rows, each a view of one allocation,
+    the widest dtypes first so that every view is aligned.
 
-    The event lines are parsed and checked as arrays, one slice of
-    ``_LOAD_LINES`` lines at a time (:func:`_canonical_slice`), into columns
-    allocated once; the first slice that fails ends the load. Each slice is
-    checked once, by its pieces: every line must be joined from the
-    writer's own piece texts (:func:`_head_text`, :func:`_middle_text`,
-    :func:`_tail_text`) and ids for its parsed values. So a file is
-    accepted only when ``write_trace`` would write exactly those bytes, and
-    as ``repr`` round-trips, ``json.loads`` reads the same values from them:
-    the result equals that of the per-line loop in :func:`load_trace`.
+    A load then leaves one large block to free, which glibc's malloc takes
+    as the size to serve from its heap. With a block per column, the heap
+    was trimmed and faulted in again on every load: 3,107 against 0 page
+    faults per cascade-4k load in a loop of simulate, write and load, and
+    perfbench's cascade-4k ``curves_s`` read 1.17 against 1.03 times the
+    parent's (3 pairs)."""
+    names = sorted(_EVENT_DTYPES, key=lambda name: -np.dtype(_EVENT_DTYPES[name]).itemsize)
+    block = np.empty((), dtype=[(name, _EVENT_DTYPES[name], (capacity,))
+                                for name in names])
+    return {name: block[name] for name in _EVENT_DTYPES}
+
+
+def _canonical_trace(path) -> SimTrace | None:
+    """The trace in the file ``path`` if it is valid and in the canonical
+    form that :func:`write_trace` writes; else None.
+
+    The file is read in blocks (:func:`_line_slices`), and its event lines
+    are parsed and checked as arrays, one slice of ``_SLICE_EVENTS`` lines
+    at a time (:func:`_canonical_slice`), into columns allocated once for
+    as many events as the file could hold (:func:`_column_views`), of which
+    the trace keeps the events read; the first slice that fails ends the
+    load. Each slice is checked once, by its pieces: every line must be
+    joined from the writer's own piece texts (:func:`_head_text`,
+    :func:`_middle_text`, :func:`_tail_text`) and ids for its parsed
+    values. So a file is accepted only when ``write_trace`` would write
+    exactly those bytes, and as ``repr`` round-trips, ``json.loads`` reads
+    the same values from them: the result equals that of the per-line loop
+    in :func:`load_trace`.
     """
-    if not data.endswith(b"\n"):
-        return None
-    head_end = data.index(b"\n")
-    try:
-        header = json.loads(data[:head_end])
-    except ValueError:
-        return None
-    if not (isinstance(header, dict) and header.get("schema") == TRACE_SCHEMA
-            and json.dumps(header, separators=(",", ":")).encode()
-            == data[:head_end]):
-        return None
-    try:
-        n, z, params, summaries = _trace_header(path, header)
-    except ParseError:
-        return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    offsets = _line_offsets(raw, head_end + 1)
-    count = offsets.shape[0] - 1
-    columns = {name: np.empty(count, dtype=dtype)
-               for name, dtype in _EVENT_DTYPES.items()}
-    for start in range(0, count, _LOAD_LINES):
-        if not _canonical_slice(raw, offsets, columns, start,
-                                min(start + _LOAD_LINES, count),
-                                (n, z, params.rounds_K)):
+    with open(path, "rb") as stream:
+        size = os.fstat(stream.fileno()).st_size
+        slices = _line_slices(stream)
+        raw, offsets = next(slices, (None, None))
+        if raw is None:
             return None
-    return SimTrace(n, z, params, columns, summaries)
+        head = raw[offsets[0]:offsets[1]].tobytes()
+        try:
+            header = json.loads(head)
+        except ValueError:
+            return None
+        if not (isinstance(header, dict) and header.get("schema") == TRACE_SCHEMA
+                and json.dumps(header, separators=(",", ":")).encode() + b"\n"
+                == head):
+            return None
+        try:
+            n, z, params, summaries = _trace_header(path, header)
+        except ParseError:
+            return None
+        columns = _column_views((size - len(head)) // _SHORTEST_LINE)
+        capacity = columns["node"].shape[0]
+        count = 0
+        for raw, offsets in slices:
+            stop = count + offsets.shape[0] - 1
+            if stop > capacity or not _canonical_slice(
+                    raw, offsets, columns, count, stop, (n, z, params.rounds_K)):
+                return None
+            count = stop
+    return SimTrace(n, z, params, {name: values[:count]
+                                   for name, values in columns.items()},
+                    summaries)
 
 
 def load_trace(path) -> SimTrace:
@@ -1090,20 +1184,21 @@ def load_trace(path) -> SimTrace:
     ``[0, z)``, a round in ``[1, rounds_K]``, stance codes for ``old`` and
     ``new``, a probability in ``[0, 1]`` and a known channel; the first event
     that does not is reported as a :class:`ParseError` at its line, as is
-    the first event whose round is lower than the one before it. A header
-    without ``n``, ``z``, ``params`` or ``round_summaries``, or with one of
-    the wrong type, is a :class:`ParseError` at line 1.
+    the first event whose round is lower than the one before it. A boolean
+    is not a number here. A header without ``n``, ``z``, ``params`` or
+    ``round_summaries``, or with one of the wrong type, is a
+    :class:`ParseError` at line 1.
 
-    A file in the form :func:`write_trace` writes is read as arrays
-    (:func:`_canonical_trace`); any other file is read one JSON line at a
+    A file in the form :func:`write_trace` writes is read in blocks and
+    parsed as arrays (:func:`_canonical_trace`), holding one slice of it at
+    a time; any other file is read whole and parsed one JSON line at a
     time, with the same result for a valid trace.
     """
     path = Path(path)
-    data = path.read_bytes()
-    trace = _canonical_trace(path, data)
+    trace = _canonical_trace(path)
     if trace is not None:
         return trace
-    lines = _decode_text(path, data).splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(path, 1, 1, "empty trace file")
     try:
@@ -1135,14 +1230,14 @@ def load_trace(path) -> SimTrace:
             raise ParseError(path, line_no, 1,
                              "event is not an object with a string channel") from None
         line_nos.append(line_no)
-    # a value of the wrong type, or one its column cannot hold, becomes a
-    # value that every check of its kind rejects: -1 for the integer fields
-    # (all >= 0), NaN for the float ones
-    columns = {name: np.array([v if isinstance(v, int) and 0 <= v < 2**63
+    # a value of the wrong type (JSON true and false included), or one its
+    # column cannot hold, becomes a value that every check of its kind
+    # rejects: -1 for the integer fields (all >= 0), NaN for the float ones
+    columns = {name: np.array([v if type(v) is int and 0 <= v < 2**63
                                else -1 for v in values[name]], dtype=np.int64)
                for name in ("round", "topic", "node", "source")}
     for name in ("old", "new", "p"):
-        columns[name] = np.array([v if isinstance(v, (int, float))
+        columns[name] = np.array([v if type(v) in (int, float)
                                   and -1 <= v <= 1 else math.nan
                                   for v in values[name]], dtype=np.float64)
     columns["channel"] = np.array(channels, dtype=np.int8)

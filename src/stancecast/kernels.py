@@ -234,10 +234,16 @@ def adjacent_pass(indptr, indices, profiles, avals, counts, vadj_row, spreaders,
     fresh = ~vadj_row[recv]
     recv = recv[fresh]
     send = send[fresh]
-    order = np.argsort(recv, kind="mergesort")
-    first = np.ones(order.shape[0], dtype=np.bool_)
-    first[1:] = recv[order[1:]] != recv[order[:-1]]
-    msgs = np.sort(order[first])
+    # each receiver's first slot, from one sort of receiver * L + slot: the
+    # keys stay below n * L <= n * m, under 2**63 for n and m up to 3e9
+    # (a stable argsort of the receivers took 4-5 times as long at 10k and
+    # 50k random slots)
+    count = np.int64(recv.shape[0])
+    keys = np.sort(recv * count + np.arange(count))
+    receivers = keys // count
+    first = np.ones(keys.shape[0], dtype=np.bool_)
+    np.not_equal(receivers[1:], receivers[:-1], out=first[1:])
+    msgs = np.sort(keys[first] - receivers[first] * count)
     q = recv[msgs]
     v = send[msgs]
     n_ev = q.shape[0]

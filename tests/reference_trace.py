@@ -5,7 +5,9 @@ kept verbatim.
 ``stancecast.io_formats`` writes the same bytes as ``write_trace`` here, and
 that its array loader gives the same :class:`SimTrace` as the per-line loop
 of ``load_trace`` here, or raises the same error. Only the imports are
-adapted; the code is not to be edited.
+adapted, and JSON ``true`` and ``false`` in event fields are refused as in
+the header, as the loader now refuses them; the code is not otherwise to be
+edited.
 """
 
 from __future__ import annotations
@@ -123,6 +125,8 @@ def _number_column(values, dtype):
     ``dtype``, so range checks see the values as written."""
     if not values:
         return np.empty(0, dtype=dtype)
+    if any(type(v) is bool for v in values):
+        return None
     try:
         column = np.asarray(values)
     except ValueError:
@@ -148,14 +152,14 @@ def _event_problem(ev: dict, n: int, z: int, rounds_k: int) -> str | None:
     for key, low, high in (("round", 1, rounds_k), ("topic", 0, z - 1),
                            ("node", 0, n - 1), ("source", 0, n - 1)):
         value = ev[key]
-        if not (isinstance(value, int) and low <= value <= high):
+        if not (type(value) is int and low <= value <= high):
             return f"event {key} {value!r} outside the integers [{low}, {high}]"
     for key in ("old", "new"):
         value = ev[key]
-        if not (isinstance(value, (int, float)) and is_stance(value)):
+        if not (type(value) in (int, float) and is_stance(value)):
             return f"event {key} {value!r} not in {{-1, 0, 0.5, 1}}"
     value = ev["p"]
-    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+    if not (type(value) in (int, float) and 0.0 <= value <= 1.0):
         return f"event p {value!r} outside [0, 1]"
     if ev["channel"] not in _CHANNEL_CODES:
         return f"unknown event channel {ev['channel']!r}"

@@ -89,7 +89,7 @@ def test_writer_matches_reference_on_simulated_cases(tmp_path):
         assert_same_write(trace, tmp_path)
 
 
-@pytest.mark.parametrize("count", [0, 1, 500, 2 * io_formats._SLICE_EVENTS + 3])
+@pytest.mark.parametrize("count", [0, 1, 500, 8 * io_formats._SLICE_EVENTS + 3])
 def test_writer_matches_reference_on_hand_built_columns(tmp_path, count):
     data = assert_same_write(hand_built(count, seed=count), tmp_path)
     if count >= 500:
@@ -123,7 +123,7 @@ ODD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("count", [1, 500, io_formats._SLICE_EVENTS + 7])
+@pytest.mark.parametrize("count", [1, 500, 4 * io_formats._SLICE_EVENTS + 7])
 def test_writer_matches_reference_outside_the_engine_ranges(tmp_path, count):
     rng = np.random.default_rng(count)
     assert_same_bytes({name: rng.choice(values, count).astype(_EVENT_DTYPES[name])
@@ -282,7 +282,7 @@ def json_loads_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("count", [0, 500, 2 * io_formats._SLICE_EVENTS + 3])
+@pytest.mark.parametrize("count", [0, 500, 8 * io_formats._SLICE_EVENTS + 3])
 def test_written_traces_load_on_the_array_path(tmp_path, json_loads_calls,
                                                count):
     trace = hand_built(count, seed=count)
@@ -319,14 +319,14 @@ def test_a_bad_last_slice_checks_each_slice_once(tmp_path, checked_slices):
     """One space after ``"source":`` near the end leaves the line valid JSON
     but not canonical; each slice is checked once, so the earlier slices
     pass and the bad last one fails, once each, before the per-line loop."""
-    trace = hand_built(2 * io_formats._LOAD_LINES + 500, seed=2)
+    trace = hand_built(2 * io_formats._SLICE_EVENTS + 500, seed=2)
     path = tmp_path / "t.jsonl"
     io_formats.write_trace(trace, path)
     lines = path.read_bytes().split(b"\n")
     lines[-6] = lines[-6].replace(b'"source":', b'"source": ')  # fifth-last
     path.write_bytes(b"\n".join(lines))
     assert assert_same_load(path) == ("ok", exact(trace), [])
-    first, second = io_formats._LOAD_LINES, 2 * io_formats._LOAD_LINES
+    first, second = io_formats._SLICE_EVENTS, 2 * io_formats._SLICE_EVENTS
     assert checked_slices == [(0, first, True), (first, second, True),
                               (second, len(trace.ev_node), False)]
 
@@ -345,17 +345,129 @@ def file_reads(monkeypatch):
     return reads
 
 
+class CountedStream:
+    """A binary file whose ``readinto`` calls append their byte counts to
+    ``reads``."""
+
+    def __init__(self, path, reads):
+        self.stream, self.reads = open(path, "rb"), reads
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stream.close()
+
+    def fileno(self):
+        return self.stream.fileno()
+
+    def readinto(self, buffer):
+        self.reads.append(self.stream.readinto(buffer))
+        return self.reads[-1]
+
+
+@pytest.fixture
+def streamed_reads(monkeypatch):
+    """The byte count of every ``readinto`` of a canonical load."""
+    reads = []
+
+    def counting_open(path, mode="r", **kwargs):
+        if mode == "rb":
+            return CountedStream(path, reads)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(io_formats, "open", counting_open, raising=False)
+    return reads
+
+
 @pytest.mark.parametrize("mutation", ["none", "crlf", "blank", "redump",
                                       "non-utf8", "node range"])
-def test_load_trace_reads_the_file_once(tmp_path, file_reads, mutation):
-    # the per-line path decodes the bytes the array path already read
+def test_only_the_per_line_load_reads_the_whole_file(tmp_path, file_reads,
+                                                      streamed_reads, mutation):
+    """A canonical load streams each byte of the file once and never holds
+    it whole; a file that falls back to the per-line loop is then read
+    whole, once."""
     trace, lines = generated_trace_lines(tmp_path)
     path = tmp_path / "mutated.jsonl"
     path.write_bytes(mutate(trace, lines, mutation, np.random.default_rng(5)))
     file_reads.clear()
     result = outcome(io_formats, path)
     assert result[0] == ("ok" if MUTATIONS[mutation] else "error")
-    assert file_reads == [path]
+    assert file_reads == ([] if mutation == "none" else [path])
+    if mutation == "none":
+        assert sum(streamed_reads) == path.stat().st_size
+
+
+def streamed_load(trace, path, json_loads_calls):
+    """Write ``trace`` to ``path`` and load it: it must load on the array
+    path, as the per-line reference loads it."""
+    io_formats.write_trace(trace, path)
+    json_loads_calls.clear()
+    assert io_formats.load_trace(path) == trace
+    assert len(json_loads_calls) == 1  # the header
+    assert assert_same_load(path) == ("ok", exact(trace), [])
+
+
+@pytest.mark.parametrize("slices", [1, 2])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_slice_boundaries_load_as_reference(tmp_path, json_loads_calls,
+                                            slices, extra):
+    count = slices * io_formats._SLICE_EVENTS + extra
+    streamed_load(hand_built(count, seed=count), tmp_path / "t.jsonl",
+                  json_loads_calls)
+
+
+@pytest.mark.parametrize("read_bytes, count", [(1, 300), (97, 500),
+                                               (4093, 40000)])
+def test_lines_that_straddle_reads_load_as_reference(
+        tmp_path, monkeypatch, json_loads_calls, read_bytes, count):
+    """With reads shorter than a line, or ending at odd offsets, most lines
+    are split between reads and slices begin mid-read."""
+    monkeypatch.setattr(io_formats, "_READ_BYTES", read_bytes)
+    streamed_load(hand_built(count, seed=read_bytes), tmp_path / "t.jsonl",
+                  json_loads_calls)
+
+
+def test_a_header_longer_than_a_read_loads_as_reference(tmp_path,
+                                                        json_loads_calls):
+    trace = hand_built(io_formats._SLICE_EVENTS + 5, seed=11)
+    trace.round_summaries = [sc.RoundSummary(r, j, 50, 0, 0, 0, 0)
+                             for r in range(5000) for j in range(3)]
+    path = tmp_path / "t.jsonl"
+    streamed_load(trace, path, json_loads_calls)
+    with open(path, "rb") as stream:
+        assert len(stream.readline()) > io_formats._READ_BYTES
+
+
+# a change to the fifth-last line of a 3-slice trace, past many reads: two
+# that leave the trace valid but not canonical, and one that breaks it
+LATE_BYTES = {
+    "space": (b'"source":', b'"source": '),
+    "cr": (b"}", b"}\r"),
+    "0xff": (b'"old":', b'"old":\xff'),
+}
+
+
+@pytest.mark.parametrize("case", LATE_BYTES)
+def test_a_late_non_canonical_byte_loads_as_reference(tmp_path, case):
+    trace = hand_built(3 * io_formats._SLICE_EVENTS, seed=12)
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(trace, path)
+    lines = path.read_bytes().split(b"\n")
+    old, new = LATE_BYTES[case]
+    lines[-6] = lines[-6].replace(old, new, 1)
+    path.write_bytes(b"\n".join(lines))
+    result = assert_same_load(path)
+    assert (result[0] == "ok") == (case != "0xff")
+
+
+def test_no_final_newline_after_several_reads_loads_as_reference(tmp_path):
+    trace = hand_built(3 * io_formats._SLICE_EVENTS, seed=13)
+    path = tmp_path / "t.jsonl"
+    io_formats.write_trace(trace, path)
+    path.write_bytes(path.read_bytes()[:-1])
+    assert path.stat().st_size > 4 * io_formats._READ_BYTES
+    assert assert_same_load(path) == ("ok", exact(trace), [])
 
 
 # Values of the wrong type or beyond what a column holds: booleans, floats
@@ -387,7 +499,10 @@ def test_field_values_load_as_reference(tmp_path, field, text):
                 mutated[-1] = set_field(mutated[-1], "node", "-1")
             path = tmp_path / f"{i}-{later}.jsonl"
             path.write_text("\n".join(mutated) + "\n")
-            assert_same_load(path)
+            result = assert_same_load(path)
+            # a boolean is not a number, as in the header
+            if text in ("true", "false"):
+                assert result[:2] == ("error", ParseError)
 
 
 @pytest.mark.parametrize("field,bound", [("topic", "z"), ("round", "rounds_K")])
@@ -420,7 +535,7 @@ def load_memory(trace, tmp_path):
     io_formats.write_trace(trace, path)
     file_bytes = path.stat().st_size
     column_bytes = sum(getattr(trace, f"ev_{name}").nbytes for name in _EVENT_DTYPES)
-    slice_bytes = file_bytes / len(trace.ev_node) * io_formats._LOAD_LINES
+    slice_bytes = file_bytes / len(trace.ev_node) * io_formats._SLICE_EVENTS
     tracemalloc.start()
     try:
         assert io_formats.load_trace(path) == trace
@@ -436,19 +551,21 @@ def test_loader_memory_is_bounded_by_a_slice(tmp_path):
     table, after a translated copy of it, held about 3 times the file, the
     columns and a slice's bytes on this trace."""
     peak, file_bytes, column_bytes, slice_bytes = load_memory(
-        hand_built(2 * io_formats._LOAD_LINES + 3, seed=3), tmp_path)
+        hand_built(2 * io_formats._SLICE_EVENTS + 3, seed=3), tmp_path)
     bound = 2 * (file_bytes + column_bytes + slice_bytes)
     assert peak < bound, (peak, bound)
 
 
 def test_loader_memory_does_not_grow_with_slices(tmp_path):
-    """Past the file and its columns, a canonical load of 8 slices holds
-    about 3.5 slices' bytes: each slice's work is freed before the next.
-    Keeping every slice's piece tables until all slices are checked held
-    about 6.4."""
+    """Past its columns, a canonical load of 8 slices holds about 3.7
+    slices' bytes, and nothing of the file's size: the read buffer with one
+    slice, the slice's check, and the columns' room for the shortest
+    lines. Each slice's work is freed before the next. Keeping every
+    slice's piece tables until all slices were checked held about 6.4
+    slices past the whole file and the columns."""
     peak, file_bytes, column_bytes, slice_bytes = load_memory(
-        hand_built(8 * io_formats._LOAD_LINES, seed=6), tmp_path)
-    bound = file_bytes + column_bytes + 4.5 * slice_bytes
+        hand_built(8 * io_formats._SLICE_EVENTS, seed=6), tmp_path)
+    bound = column_bytes + 4.5 * slice_bytes
     assert peak <= bound, (peak, bound)
 
 
@@ -456,21 +573,21 @@ def test_load_stops_at_the_first_bad_slice(tmp_path, checked_slices):
     """One space after ``"source":`` in line 10 leaves the line valid JSON,
     but the first slice is not canonical: it is checked once, and no later
     slice is checked."""
-    trace = hand_built(2 * io_formats._LOAD_LINES + 3, seed=4)
+    trace = hand_built(2 * io_formats._SLICE_EVENTS + 3, seed=4)
     path = tmp_path / "t.jsonl"
     io_formats.write_trace(trace, path)
     lines = path.read_bytes().split(b"\n")
     lines[9] = lines[9].replace(b'"source":', b'"source": ')
     path.write_bytes(b"\n".join(lines))
     assert assert_same_load(path) == ("ok", exact(trace), [])
-    assert checked_slices == [(0, io_formats._LOAD_LINES, False)]
+    assert checked_slices == [(0, io_formats._SLICE_EVENTS, False)]
 
 
 def test_round_order_is_checked_across_load_slices(tmp_path):
     """The only round that falls is the first of the second slice: each
     slice is in order on its own, and the load fails at that line."""
-    trace = hand_built(2 * io_formats._LOAD_LINES + 3, seed=5)
-    first = io_formats._LOAD_LINES
+    trace = hand_built(2 * io_formats._SLICE_EVENTS + 3, seed=5)
+    first = io_formats._SLICE_EVENTS
     trace.ev_round[:first] = 4
     trace.ev_round[first:] = np.sort(trace.ev_round[first:])
     assert trace.ev_round[first] < 4
@@ -482,7 +599,7 @@ def test_round_order_is_checked_across_load_slices(tmp_path):
     assert result[2].startswith(f"{path}:{first + 2}:1: event round ")
 
 
-@pytest.mark.parametrize("count", [0, 500, 2 * io_formats._SLICE_EVENTS + 3])
+@pytest.mark.parametrize("count", [0, 500, 8 * io_formats._SLICE_EVENTS + 3])
 def test_colliding_piece_hashes_load_as_reference(tmp_path, monkeypatch, count):
     """With every piece hashed alike, a slice with more than one distinct
     head, middle or tail fails its check and the file loads line by line,
