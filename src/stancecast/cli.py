@@ -179,7 +179,8 @@ def _cmd_generate(args) -> int:
             args.nodes, args.edges, args.topics, mix, args.seed, args.out_dir
         )
     except RangeViolationError as exc:  # the counts are checked above
-        option = "--stance-mix" if exc.key == "stance_mix" else "--seed"
+        option = {"n": "--nodes", "stance_mix": "--stance-mix"}.get(exc.key,
+                                                                  "--seed")
         raise _option_error(option, exc) from None
     config_path = Path(args.out_dir) / "config.json"
     io_formats.write_config(config_path, params)

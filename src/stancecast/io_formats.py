@@ -41,8 +41,11 @@ points (:class:`_Spans`), the rows are checked as arrays, and a Python str
 is made only for each distinct id and stance token. A malformed line, an
 unknown id, a repeated row or a bad stance is reported at its
 ``file:line``, the first malformed line found by the masks that accept
-good lines. Writers go through a temp file and rename, so failures leave
-no partial output and no temp file, and an error names the path given.
+good lines. The edge and stance files are written as whole arrays of id,
+topic and stance texts, joined once (:func:`_text`); a stance that the
+file's loader would refuse raises before any file is written. Writers go
+through a temp file and rename, so failures leave no partial output and
+no temp file, and an error names the path given.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ from .errors import (
     StancecastError,
     _raise_first,
 )
-from .graph import (STANCE_UNKNOWN, SocialGraph, _is_stance_code, _repeats,
-                    _sorted_distinct, build_graph)
+from .graph import (STANCE_UNKNOWN, STANCE_VALUES, SocialGraph, _is_stance_code,
+                    _repeats, _sorted_distinct, build_graph)
 from .params import SimParams
 
 TRACE_SCHEMA = "tsa-trace/1"
@@ -589,26 +592,56 @@ def _profiles_table(path, rows: _Rows, node, topic, n: int, z: int) -> np.ndarra
 
 def write_graph(g: SocialGraph, symbols: SymbolTable,
                 edges_path, profiles_path) -> None:
-    """Write the edge and profiles files (every node-topic pair emitted)."""
-    lines = ["# source\ttarget"]
-    for u in range(g.n):
-        for v in g.out_neighbors(u):
-            lines.append(f"{symbols.node_ids[u]}\t{symbols.node_ids[int(v)]}")
-    _atomic_write(edges_path, "\n".join(lines) + "\n")
-    _write_stances(profiles_path, _PROFILE_HEADER, symbols,
-                   ((u, j, g.profiles[u, j])
-                    for u in range(g.n) for j in range(g.z)))
+    """Write the edge and profiles files (every node-topic pair emitted).
+    A profile that is not a stance code raises a
+    :class:`BadStanceValueError` before either file is written."""
+    node = np.repeat(np.arange(g.n), g.z)
+    profiles = _stance_text(_PROFILE_HEADER, symbols, node,
+                            np.tile(np.arange(g.z), g.n), g.profiles.ravel())
+    sources = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    _atomic_write(edges_path, "# source\ttarget\n" + _text(
+        _id_texts(symbols, "\t")[sources], _id_texts(symbols, "\n")[g.indices]))
+    _atomic_write(profiles_path, profiles)
 
 
-def _write_stances(path, header: str, symbols: SymbolTable, rows) -> None:
-    """Write a stance CSV: ``header``, then one line per (node, topic,
-    stance) row, ids as in ``symbols``."""
-    lines = [header]
-    for node, topic, stance in rows:
-        stance = float(stance)
-        lines.append(f"{symbols.node_ids[node]},{symbols.topic_ids[topic]},"
-                     f"{int(stance) if stance in (-1.0, 0.0, 1.0) else 0.5}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _id_texts(symbols: SymbolTable, end: str) -> np.ndarray:
+    """The text of each node id followed by ``end``, by dense id."""
+    return np.array([f"{v}{end}" for v in symbols.node_ids], dtype=object)
+
+
+def _text(*columns) -> str:
+    """The lines of a table whose j-th piece of line i is ``columns[j][i]``,
+    joined as one str: each column an object array of texts."""
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    return "".join(table.ravel().tolist())
+
+
+# The stance codes ascending, and the text that the stance files give each
+_CODES = np.array(STANCE_VALUES)
+_CODE_TEXTS = ("-1", "0", "0.5", "1")
+
+
+def _stance_text(header: str, symbols: SymbolTable, node, topic, stance,
+                 known: bool = False) -> str:
+    """The text of a stance CSV: ``header``, then one line per row (node,
+    topic, stance) of the arrays, ids as in ``symbols``. A stance that is
+    not a code, or the unknown code when ``known``, raises a
+    :class:`BadStanceValueError` naming the first such row's ids."""
+    # NaN sorts after every code; -0.0 finds and is written as 0.0
+    code = np.searchsorted(_CODES, stance).clip(max=len(_CODES) - 1)
+    bad = _CODES[code] != stance
+    if known:
+        bad |= code == 0
+    allowed = "{0, 0.5, 1}" if known else "{-1, 0, 0.5, 1}"
+    _raise_first([(bad, lambda i: BadStanceValueError(
+        f"stance {float(stance[i])!r} of node {symbols.node_ids[node[i]]!r}, "
+        f"topic {symbols.topic_ids[topic[i]]!r} not in {allowed}"))])
+    rests = np.array([f"{t},{c}\n" for t in symbols.topic_ids
+                      for c in _CODE_TEXTS], dtype=object)
+    return header + "\n" + _text(_id_texts(symbols, ",")[node],
+                                  rests[topic * len(_CODES) + code])
 
 
 def load_profiles(path) -> tuple[np.ndarray, SymbolTable]:
@@ -668,9 +701,18 @@ def load_seed_nodes(path, symbols: SymbolTable) -> list[int]:
 
 def write_seeds(path, seeds: dict[int, dict[int, float]],
                 symbols: SymbolTable) -> None:
-    _write_stances(path, _PROFILE_HEADER, symbols,
-                   ((node, topic, seeds[topic][node]) for topic in sorted(seeds)
-                    for node in sorted(seeds[topic])))
+    """Write seeds {topic: {node: stance}} as a seeds CSV, by topic and then
+    by node, ascending. A stance other than 0, 0.5 or 1 raises a
+    :class:`BadStanceValueError` before the file is written."""
+    topic = np.array([j for j, column in seeds.items() for _ in column],
+                     dtype=np.intp)
+    node = np.array([v for column in seeds.values() for v in column],
+                    dtype=np.intp)
+    stance = np.array([x for column in seeds.values() for x in column.values()],
+                      dtype=np.float64)
+    order = np.lexsort((node, topic))
+    _atomic_write(path, _stance_text(_PROFILE_HEADER, symbols, node[order],
+                                     topic[order], stance[order], known=True))
 
 
 def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float]:
@@ -693,9 +735,14 @@ def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float
 
 def write_ground_truth(path, truth: dict[tuple[int, int], float],
                        symbols: SymbolTable) -> None:
-    _write_stances(path, _TRUTH_HEADER, symbols,
-                   ((node, topic, truth[(node, topic)])
-                    for node, topic in sorted(truth)))
+    """Write truth {(node, topic): stance} as a truth CSV, by node and then
+    by topic, ascending. A stance that is not a stance code raises a
+    :class:`BadStanceValueError` before the file is written."""
+    pairs = np.array(list(truth), dtype=np.intp).reshape(-1, 2)
+    stance = np.fromiter(truth.values(), dtype=np.float64, count=len(truth))
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    _atomic_write(path, _stance_text(_TRUTH_HEADER, symbols, pairs[order, 0],
+                                     pairs[order, 1], stance[order]))
 
 
 def load_config(path) -> SimParams:
@@ -808,10 +855,7 @@ def _render_events(columns: dict, ids: tuple, start: int, stop: int) -> bytes:
         (texts, find(col["source"])),
         _pair_texts(col["p"], col["channel"], _tail_text),
     ]
-    lines = np.empty((len(col["node"]), 5), dtype=object)
-    for j, (piece_texts, index) in enumerate(pieces):
-        lines[:, j] = piece_texts[index]
-    return "".join(lines.ravel().tolist()).encode()
+    return _text(*(piece_texts[index] for piece_texts, index in pieces)).encode()
 
 
 # A round summary's fields in order, as a tuple (``astuple`` deep-copies
@@ -1254,6 +1298,91 @@ def load_trace(path) -> SimTrace:
     return SimTrace(n, z, params, columns, summaries)
 
 
+# numpy draws ``rng.integers(0, b)`` for 2 <= b <= 2**32 from the bit
+# generator's 32-bit stream by Lemire's method ("Fast Random Integer
+# Generation in an Interval", ACM TOMACS 2019): raw value x gives
+# x * b >> 32, unless the low 32 bits of x * b fall below 2**32 % b, when x
+# is rejected and the next raw value is tried. (With b = 2**32 every x is
+# accepted as itself.) b = 1 draws nothing. numpy does not promise this
+# stream across versions (NEP 19); the tests check the sampler against the
+# loop it replaces, and the bundles against pinned digests.
+_RAW = 1 << 32
+
+
+def _lemire(raw: np.ndarray, bound: int):
+    """(value, accepted) of each raw 32-bit value as a draw below ``bound``."""
+    scaled = raw * np.uint64(bound)
+    return (scaled >> np.uint64(32),
+            (scaled & np.uint64(_RAW - 1)) >= np.uint64(_RAW % bound))
+
+
+def _decoded(raw: np.ndarray, n: int):
+    """(u, v, ends) of the pairs that the raw 32-bit values ``raw`` give,
+    drawn as :func:`_edge_sample` says: pair k consumes the raw values up to
+    ``ends[k]``, exclusive. A raw value that a bound rejects is skipped and
+    the bound stays in turn. The turns are followed in Python only at the
+    raw values that one of the two bounds rejects: a share below
+    2n / 2**32 of them, as a bound b rejects fewer than b in 2**32."""
+    raw = raw.astype(np.uint64)
+    if n == 2:  # v is drawn below 1, from no raw value
+        u, _ = _lemire(raw, 2)
+        v, ends = np.zeros_like(u), np.arange(1, len(raw) + 1)
+    else:
+        (u, u_ok), (v, v_ok) = _lemire(raw, n), _lemire(raw, n - 1)
+        kept = u_ok & v_ok
+        turn, after = 0, 0
+        for i in np.flatnonzero(~kept).tolist():
+            turn ^= (i - after) & 1  # each raw value since ``after`` was kept
+            if (v_ok if turn else u_ok)[i]:
+                kept[i] = True
+                turn ^= 1
+            after = i + 1
+        kept = np.flatnonzero(kept)
+        kept = kept[:len(kept) // 2 * 2]
+        u, v, ends = u[kept[0::2]], v[kept[1::2]], kept[1::2] + 1
+    return u, v + (v >= u), ends
+
+
+def _edge_sample(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """The first ``m`` distinct pairs, as an (m, 2) array in the order drawn,
+    that this loop draws from ``rng``, leaving ``rng`` as the loop does::
+
+        while len(edges) < m:
+            u = int(rng.integers(0, n))
+            v = int(rng.integers(0, n - 1))
+            if v >= u:
+                v += 1
+            edges.add((u, v))
+
+    for 2 <= n <= 2**32 (or m = 0). Raw 32-bit values are drawn in chunks
+    sized to the pairs still missing and decoded as numpy decodes each draw
+    (:func:`_decoded`). Then the generator's saved state is restored and
+    exactly the raw values that the loop consumed are drawn again, so the
+    draws that follow see the state that the loop leaves, the generator's
+    buffered half of a 64-bit output included."""
+    if m == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    start = rng.bit_generator.state
+    per_pair = 1 if n == 2 else 2
+    total = n * (n - 1)
+    raw = np.empty(0, dtype=np.uint32)
+    have = 0
+    while have < m:
+        # a pair drawn is new with odds (total - have) / total: draw about
+        # the pairs that give the missing ones, and some more
+        missing = m - have
+        pairs = missing * total // (total - have) + missing // 8 + 64
+        raw = np.concatenate([raw, rng.integers(0, _RAW, size=pairs * per_pair,
+                                                dtype=np.uint32)])
+        u, v, ends = _decoded(raw, n)
+        first = np.sort(np.unique(u * np.uint64(n) + v, return_index=True)[1])
+        have = len(first)
+    first = first[:m]
+    rng.bit_generator.state = start
+    rng.integers(0, _RAW, size=int(ends[first[-1]]), dtype=np.uint32)
+    return np.stack([u[first], v[first]], axis=1).astype(np.int64)
+
+
 def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,
                        out_dir) -> DatasetBundle:
     """Write a uniform random simple directed graph with sampled profiles.
@@ -1263,12 +1392,15 @@ def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,
     topic. Nodes with a known sampled stance become the seed users.
     Byte-identical output for identical arguments. A bundle needs a topic
     (``z >= 1``): its profiles file holds one row per node and topic, so a
-    node without a row, and on no edge, would not be loaded.
+    node without a row, and on no edge, would not be loaded. At most 2**32
+    nodes are drawn (:func:`_edge_sample`).
     """
     if z < 1:
         raise RangeViolationError("z", z, "integers >= 1")
     if seed < 0:  # np.random.default_rng takes no negative seed
         raise RangeViolationError("seed", seed, "integers >= 0")
+    if n > _RAW:
+        raise RangeViolationError("n", n, f"integers <= {_RAW}")
     if n < 0 or m < 0:
         raise InfeasibleEdgeCountError("n and m must be non-negative")
     if m > n * (n - 1):
@@ -1291,13 +1423,7 @@ def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,
                                   "non-negative entries summing to 1")
 
     rng = np.random.default_rng(seed)
-    edges = set()
-    while len(edges) < m:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n - 1))
-        if v >= u:
-            v += 1
-        edges.add((u, v))
+    edges = _edge_sample(rng, n, m)
     width = max(1, len(str(max(n - 1, 0))))
     node_ids = tuple(f"n{i:0{width}d}" for i in range(n))
     topic_ids = tuple(f"t{j}" for j in range(z))
@@ -1308,7 +1434,7 @@ def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,
         profiles[:, j] = rng.choice(
             np.array([-1.0, 0.0, 0.5, 1.0]), size=n, p=mix[j]
         )
-    graph = build_graph(n, z, sorted(edges), profiles)
+    graph = build_graph(n, z, edges, profiles)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -1318,10 +1444,8 @@ def generate_synthetic(n: int, m: int, z: int, stance_mix, seed: int,
         seeds_path=out_dir / "seeds.csv",
     )
     write_graph(graph, symbols, bundle.edges_path, bundle.profiles_path)
-    seeds: dict[int, dict[int, float]] = {}
-    for j in range(z):
-        known = np.flatnonzero(profiles[:, j] != STANCE_UNKNOWN)
-        if known.size:
-            seeds[j] = {int(v): float(profiles[v, j]) for v in known}
-    write_seeds(bundle.seeds_path, seeds, symbols)
+    # the known stances, by topic and then by node, as write_seeds orders them
+    topic, node = np.nonzero(profiles.T != STANCE_UNKNOWN)
+    _atomic_write(bundle.seeds_path, _stance_text(
+        _PROFILE_HEADER, symbols, node, topic, profiles[node, topic], known=True))
     return bundle

@@ -11,7 +11,7 @@ import pytest
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 SRC = BENCHMARKS.parent / "src"
 SCRIPTS = ["nadj_churn.py", "trace_load.py", "ic_cascades.py", "loaders.py",
-           "batch.py"]
+           "batch.py", "pipeline.py"]
 _spec = importlib.util.spec_from_file_location("pairs", BENCHMARKS / "pairs.py")
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)

@@ -450,6 +450,17 @@ def test_generate_negative_count_exit_1(tmp_path, capsys, option):
     assert not (tmp_path / "x").exists()
 
 
+def test_generate_more_than_2_32_nodes_exit_1(tmp_path, capsys):
+    # numpy draws a bound above 2**32 from another stream, and no id of such
+    # a bundle could be written anyway
+    rc = main(["generate", "--nodes", str(2**32 + 1), "--edges", "0",
+               "--topics", "1", "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --nodes = {2**32 + 1} outside allowed integers <= {2**32}\n")
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
 def test_generate_seed_outside_config_range_exit_1(tmp_path, capsys, seed):
     # the seed becomes the bundle's config rng_seed, which simulate reads
