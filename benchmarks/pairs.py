@@ -46,9 +46,12 @@ def networks(seed: int, out_dir: Path) -> dict:
 
 
 def best(call, repeat: int):
-    """(best seconds of ``repeat`` calls of ``call``, its last result)."""
+    """(best seconds of ``repeat`` calls of ``call``, its last result). A
+    call's result is dropped before the next call, so that two are never
+    alive together."""
     seconds = []
     for _ in range(repeat):
+        result = None
         t0 = time.perf_counter()
         result = call()
         seconds.append(time.perf_counter() - t0)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the stages of the CLI pipeline of two source trees against each
-other. It has one stage so far: generate.
+other. It has two stages so far: generate and simulate.
 
 Run from the repository root, with the ``src`` directory of each side:
 
@@ -13,9 +13,16 @@ n = 36,000 with m = 4n: each with z = 3 topics, stance mix
 36,000-node bundle include a raw value that numpy's bounded draw rejects.
 
 ``benchmarks/pairs.py`` runs the pairs and reports. A process takes the best
-of ``--repeat`` timed ``generate_synthetic`` calls per config, the library
-call that ``generate`` makes; its digest is the sha256 over the three bundle
-files, so that both trees are checked to write the same bundles.
+of ``--repeat`` timed calls per config and stage:
+
+* generate: ``generate_synthetic``, the library call that ``generate``
+  makes; its digest is the sha256 over the three bundle files, so that both
+  trees are checked to write the same bundles.
+* simulate: ``run_simulation`` on the bundle, loaded untimed, with
+  ``rounds_K`` 20, ``rng_seed`` 7 (what ``generate`` writes into
+  ``config.json``) and run index 0; its digest is the sha256 over the event
+  columns' bytes in the order round, topic, node, old, new, source, p,
+  channel, so that both trees are checked to emit the same events.
 """
 
 from __future__ import annotations
@@ -27,13 +34,17 @@ CONFIGS = ((4005, 16_000), (12_000, 48_000), (24_000, 96_000),
 TOPICS = 3
 STANCE_MIX = [0.85, 0.07, 0.04, 0.04]
 SEED = 7
+ROUNDS = 20
+COLUMNS = ("round", "topic", "node", "old", "new", "source", "p", "channel")
 
 
 def worker(repeat: int, tmp) -> dict:
-    """{"n=<nodes> generate": [best seconds, bundle sha256]} of every config,
-    generated with the stancecast on ``sys.path``."""
-    from stancecast import io_formats
+    """{"n=<nodes> <stage>": [best seconds, digest]} of every config and
+    stage, run with the stancecast on ``sys.path``."""
+    from stancecast import engine, io_formats
+    from stancecast.params import SimParams
 
+    params = SimParams(rounds_K=ROUNDS, rng_seed=SEED)
     out = {}
     for n, m in CONFIGS:
         seconds, bundle = best(lambda: io_formats.generate_synthetic(
@@ -42,6 +53,14 @@ def worker(repeat: int, tmp) -> dict:
             path.read_bytes() for path in (bundle.edges_path,
                                            bundle.profiles_path,
                                            bundle.seeds_path)))]
+        g, symbols = io_formats.load_graph(bundle.edges_path,
+                                           bundle.profiles_path)
+        seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
+        seconds, (trace, _state) = best(
+            lambda: engine.run_simulation(g, params, seeds, 0), repeat)
+        out[f"n={n} simulate"] = [seconds, sha256(*(
+            getattr(trace, f"ev_{name}").tobytes() for name in COLUMNS))]
+        del trace
     return out
 
 

@@ -44,6 +44,15 @@ builds its pools only when it samples anyone):
 * The :class:`RoundSummary` rows come from one count over the finished
   event columns (:func:`_round_summaries`), the same function that replays
   a loaded trace's summaries.
+
+One sink holds a run's events: the eight event columns and the count of
+rows written. Before each kernel call the engine reserves the pass's rows:
+the swept spreaders' out-degree sum for the adjacent pass, and exactly
+|R|·|S| − |R∩S| for the non-adjacent pass (each receiver hears every sender
+but itself). Columns that lack room grow in place (``ndarray.resize``) by a
+quarter at least, so that a run holds little more than its final columns.
+The kernel writes its events in place, the engine tags them with their
+round, topic and channel, and the columns are cut to the count at the end.
 """
 
 from __future__ import annotations
@@ -130,31 +139,8 @@ class SimTrace:
                 f"rounds={self.params.rounds_K})")
 
 
-def _event_columns(passes: list) -> dict:
-    """The event columns of a run from its passes, each a ``(round, topic,
-    channel code, kernel events)`` tuple, in pass order."""
-    rounds, topics, codes, chunks = zip(*passes) if passes else ((),) * 4
-    sizes = [chunk[0].shape[0] for chunk in chunks]
-    columns = {name: np.repeat(np.array(tags, dtype=_EVENT_DTYPES[name]), sizes)
-               for name, tags in (("round", rounds), ("topic", topics),
-                                  ("channel", codes))}
-    for k, name in enumerate(("node", "source", "old", "new", "p")):
-        columns[name] = np.concatenate(
-            [chunk[k] for chunk in chunks] + [np.empty(0, _EVENT_DTYPES[name])])
-    return columns
-
-
 def _floor_count(fraction: float, size: int) -> int:
     return int(math.floor(fraction * size))
-
-
-def _kernel_events(kernel, cap: int, *args):
-    """Call ``kernel(*args, node, src, old, new, p)`` on event buffers of
-    ``cap`` rows; returns the filled prefix of each buffer as a copy."""
-    buffers = (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
-               np.empty(cap), np.empty(cap), np.empty(cap))
-    n_ev = kernel(*args, *buffers)
-    return tuple(buf[:n_ev].copy() for buf in buffers)
 
 
 def _nadj_receivers(state: SimState, j: int, rng: Rng):
@@ -184,10 +170,23 @@ def _nadj_receivers(state: SimState, j: int, rng: Rng):
     return picked
 
 
-def _activated(chunk) -> np.ndarray:
-    """The nodes of a chunk's events that turn a stance known."""
-    node, _src, old, new, _p = chunk
-    return node[(old == STANCE_UNKNOWN) & (new != STANCE_UNKNOWN)]
+def _write_pass(columns: dict, count: int, rows: int, tags: tuple, kernel,
+                *args) -> tuple[int, np.ndarray]:
+    """Reserve ``rows`` rows of the sink from ``count``, run ``kernel(*args,
+    node, source, old, new, p)`` on them and tag its events with ``tags``;
+    returns the new count and the nodes the pass activated. The views die
+    here, as ``ndarray.resize`` refuses to grow a column a view holds."""
+    size = columns["node"].shape[0]
+    if count + rows > size:
+        for name in _EVENT_DTYPES:
+            columns[name].resize(max(count + rows, size + size // 4))
+    end = count + kernel(*args, *(columns[name][count:count + rows]
+                                  for name in ("node", "source", "old", "new", "p")))
+    for name, tag in zip(("round", "topic", "channel"), tags):
+        columns[name][count:end] = tag
+    old, new = columns["old"][count:end], columns["new"][count:end]
+    return end, columns["node"][count:end][(old == STANCE_UNKNOWN)
+                                           & (new != STANCE_UNKNOWN)]
 
 
 def _round_summaries(initial: np.ndarray, rounds_K: int, ev_round, ev_topic,
@@ -223,7 +222,8 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
     state = SimState(g, params, seeds)
     initial = state.profiles.copy()
     rng = Rng(params.normalized_seed(), run_index)
-    passes = []
+    columns = {name: np.empty(0, dtype) for name, dtype in _EVENT_DTYPES.items()}
+    count = 0  # the sink's rows written (see the module docstring)
     # per topic: the sorted spreader set and the nodes activated since the
     # topic's last sweep (sorted; at first, the initial spreaders)
     spreaders = [np.empty(0, dtype=np.int64)] * g.z
@@ -240,32 +240,31 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
                 state.v_adj[j, :] = False
             # exact in persistent memory: see the module docstring
             swept = frontier[j] if persistent else spreaders[j]
-            chunk = _kernel_events(
-                kernels.adjacent_pass,
+            count, adjacent = _write_pass(
+                columns, count,
                 int((g.indptr[swept + 1] - g.indptr[swept]).sum()),
+                (rnd, j, _ADJACENT_CODE), kernels.adjacent_pass,
                 g.indptr, g.indices, state.profiles, state.avals,
                 state.counts, state.v_adj[j], swept, j,
                 params.delta_adjacent, params.lambda_, params.mu,
                 params.tie_epsilon,
             )
-            activated = [_activated(chunk)]
-            passes.append((rnd, j, _ADJACENT_CODE, chunk))
-
             senders = rng.sample(spreaders[j],
                                  _floor_count(params.r1, spreaders[j].shape[0]))
             receivers = _nadj_receivers(state, j, rng)
-            chunk = _kernel_events(
-                kernels.nadj_pass, receivers.shape[0] * senders.shape[0],
+            overlap = np.intersect1d(receivers, senders, assume_unique=True)
+            count, nonadjacent = _write_pass(
+                columns, count,
+                receivers.shape[0] * senders.shape[0] - overlap.shape[0],
+                (rnd, j, _NONADJACENT_CODE), kernels.nadj_pass,
                 g.in_indptr, g.in_indices, state.profiles, state.avals,
                 state.counts, receivers, senders, j,
                 params.delta_adjacent, params.delta_nonadjacent,
                 params.lambda_, params.mu, params.tie_epsilon,
             )
-            activated.append(_activated(chunk))
-            passes.append((rnd, j, _NONADJACENT_CODE, chunk))
-
-            frontier[j] = np.sort(np.concatenate(activated))
-    columns = _event_columns(passes)
+            frontier[j] = np.sort(np.concatenate([adjacent, nonadjacent]))
+    for name in _EVENT_DTYPES:
+        columns[name].resize(count)
     summaries = _round_summaries(initial, params.rounds_K, columns["round"],
                                  columns["topic"], columns["old"], columns["new"])
     return SimTrace(g.n, g.z, params, columns, summaries), state

@@ -69,6 +69,7 @@ from .errors import (
     BadStanceValueError,
     DuplicateEdgeError,
     EmptySeedsWarning,
+    IdOutOfRangeError,
     InconsistentIdsError,
     InfeasibleEdgeCountError,
     ParseError,
@@ -626,18 +627,28 @@ _CODE_TEXTS = ("-1", "0", "0.5", "1")
 def _stance_text(header: str, symbols: SymbolTable, node, topic, stance,
                  known: bool = False) -> str:
     """The text of a stance CSV: ``header``, then one line per row (node,
-    topic, stance) of the arrays, ids as in ``symbols``. A stance that is
-    not a code, or the unknown code when ``known``, raises a
-    :class:`BadStanceValueError` naming the first such row's ids."""
+    topic, stance) of the arrays, ids as in ``symbols``. The first row with
+    a node or topic id outside ``symbols`` raises an
+    :class:`IdOutOfRangeError`, or a stance that is not a code, or the
+    unknown code when ``known``, a :class:`BadStanceValueError` naming the
+    row's ids."""
     # NaN sorts after every code; -0.0 finds and is written as 0.0
     code = np.searchsorted(_CODES, stance).clip(max=len(_CODES) - 1)
     bad = _CODES[code] != stance
     if known:
         bad |= code == 0
     allowed = "{0, 0.5, 1}" if known else "{-1, 0, 0.5, 1}"
-    _raise_first([(bad, lambda i: BadStanceValueError(
-        f"stance {float(stance[i])!r} of node {symbols.node_ids[node[i]]!r}, "
-        f"topic {symbols.topic_ids[topic[i]]!r} not in {allowed}"))])
+    n, z = len(symbols.node_ids), len(symbols.topic_ids)
+    _raise_first([
+        ((node < 0) | (node >= n), lambda i: IdOutOfRangeError(
+            f"node id {int(node[i])} outside [0, {n})")),
+        ((topic < 0) | (topic >= z), lambda i: IdOutOfRangeError(
+            f"topic id {int(topic[i])} outside [0, {z})")),
+        (bad, lambda i: BadStanceValueError(
+            f"stance {float(stance[i])!r} of node "
+            f"{symbols.node_ids[node[i]]!r}, topic "
+            f"{symbols.topic_ids[topic[i]]!r} not in {allowed}")),
+    ])
     rests = np.array([f"{t},{c}\n" for t in symbols.topic_ids
                       for c in _CODE_TEXTS], dtype=object)
     return header + "\n" + _text(_id_texts(symbols, ",")[node],
@@ -702,8 +713,9 @@ def load_seed_nodes(path, symbols: SymbolTable) -> list[int]:
 def write_seeds(path, seeds: dict[int, dict[int, float]],
                 symbols: SymbolTable) -> None:
     """Write seeds {topic: {node: stance}} as a seeds CSV, by topic and then
-    by node, ascending. A stance other than 0, 0.5 or 1 raises a
-    :class:`BadStanceValueError` before the file is written."""
+    by node, ascending. A node or topic id outside ``symbols`` raises an
+    :class:`IdOutOfRangeError`, and a stance other than 0, 0.5 or 1 a
+    :class:`BadStanceValueError`, before the file is written."""
     topic = np.array([j for j, column in seeds.items() for _ in column],
                      dtype=np.intp)
     node = np.array([v for column in seeds.values() for v in column],
@@ -736,8 +748,9 @@ def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float
 def write_ground_truth(path, truth: dict[tuple[int, int], float],
                        symbols: SymbolTable) -> None:
     """Write truth {(node, topic): stance} as a truth CSV, by node and then
-    by topic, ascending. A stance that is not a stance code raises a
-    :class:`BadStanceValueError` before the file is written."""
+    by topic, ascending. A node or topic id outside ``symbols`` raises an
+    :class:`IdOutOfRangeError`, and a stance that is not a stance code a
+    :class:`BadStanceValueError`, before the file is written."""
     pairs = np.array(list(truth), dtype=np.intp).reshape(-1, 2)
     stance = np.fromiter(truth.values(), dtype=np.float64, count=len(truth))
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -364,3 +365,60 @@ def test_high_churn_trace_pinned(tmp_path, z):
 @pytest.mark.parametrize("z", sorted(HIGH_CHURN_CLAMP_SHA256))
 def test_high_churn_clamping_trace_pinned(tmp_path, z):
     assert churn_trace_sha256(tmp_path, z, 0.9) == HIGH_CHURN_CLAMP_SHA256[z]
+
+
+# -- scale ---------------------------------------------------------------------
+
+# (events, sha256 over the event columns' bytes in the order round, topic,
+# node, old, new, source, p, channel) of the baseline runs: a generated
+# bundle of n nodes and 4n edges, 3 topics, stance mix
+# [0.85, 0.07, 0.04, 0.04] and seed 7, run for 20 rounds at rng seed 7.
+# Their hold scans restart far more often than those of any smaller pinned
+# run.
+SCALE_EVENTS = {
+    12_000: (1_053_663,
+             "86734760ffea9ce59b202a37f26756c64d71f30740c3b0c588a083ac0df7b676"),
+    24_000: (4_255_611,
+             "70d78799316fa0a9be72c7edd95bf109fbf380820acf628347852183ee27364b"),
+}
+
+
+@pytest.fixture(scope="module")
+def scale_runs(tmp_path_factory):
+    """{n: (events, digest, tracemalloc peak of ``run_simulation`` over the
+    bytes of its event columns)} of the baseline runs."""
+    out = {}
+    for n in SCALE_EVENTS:
+        bundle = io_formats.generate_synthetic(
+            n, 4 * n, 3, [0.85, 0.07, 0.04, 0.04], 7,
+            tmp_path_factory.mktemp(f"n{n}"))
+        g, symbols = io_formats.load_graph(bundle.edges_path,
+                                           bundle.profiles_path)
+        seeds = io_formats.load_seeds(bundle.seeds_path, symbols)
+        tracemalloc.start()
+        try:
+            trace, _ = sc.run_simulation(
+                g, sc.SimParams(rounds_K=20, rng_seed=7), seeds, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = [getattr(trace, f"ev_{name}") for name in (
+            "round", "topic", "node", "old", "new", "source", "p", "channel")]
+        digest = hashlib.sha256()
+        for column in columns:
+            digest.update(column.tobytes())
+        out[n] = (trace.ev_node.shape[0], digest.hexdigest(),
+                  peak / sum(column.nbytes for column in columns))
+    return out
+
+
+@pytest.mark.parametrize("n", sorted(SCALE_EVENTS))
+def test_scale_events_pinned(scale_runs, n):
+    assert scale_runs[n][:2] == SCALE_EVENTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(SCALE_EVENTS))
+def test_run_holds_its_events_about_once(scale_runs, n):
+    # the sink grows by a quarter at a time, and the kernels' own arrays
+    # are small beside a run's events
+    assert scale_runs[n][2] <= 1.3

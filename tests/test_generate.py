@@ -10,7 +10,8 @@ import pytest
 import reference_generate as ref
 
 from stancecast import build_graph, io_formats
-from stancecast.errors import BadStanceValueError, RangeViolationError
+from stancecast.errors import (BadStanceValueError, IdOutOfRangeError,
+                               RangeViolationError)
 
 MIX = [0.85, 0.07, 0.04, 0.04]
 
@@ -139,6 +140,55 @@ def test_write_ground_truth_refuses_a_bad_stance(tmp_path, stance):
                                       SYMBOLS)
     assert str(err.value) == (
         f"stance {stance!r} of node 'b', topic 't0' not in {{-1, 0, 0.5, 1}}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def write_stances(path, writer, rows):
+    """Write ``rows`` of (node, topic, stance) with ``writer``, "seeds" or
+    "truth"."""
+    if writer == "seeds":
+        seeds = {}
+        for node, topic, stance in rows:
+            seeds.setdefault(topic, {})[node] = stance
+        io_formats.write_seeds(path, seeds, SYMBOLS)
+    else:
+        io_formats.write_ground_truth(
+            path, {(node, topic): stance for node, topic, stance in rows},
+            SYMBOLS)
+
+
+@pytest.mark.parametrize("writer", ["seeds", "truth"])
+@pytest.mark.parametrize("node, topic, message", [
+    # a negative id would index the id texts from their end, and one past
+    # the end would raise a bare IndexError
+    (-1, 0, "node id -1 outside [0, 3)"),
+    (-3, 1, "node id -3 outside [0, 3)"),
+    (3, 0, "node id 3 outside [0, 3)"),
+    (0, -1, "topic id -1 outside [0, 2)"),
+    (2, -2, "topic id -2 outside [0, 2)"),
+    (1, 2, "topic id 2 outside [0, 2)"),
+    (-1, 5, "node id -1 outside [0, 3)"),
+])
+def test_stance_writers_refuse_an_id_out_of_range(tmp_path, writer, node,
+                                                  topic, message):
+    path = tmp_path / "stances.csv"
+    with pytest.raises(IdOutOfRangeError) as err:
+        write_stances(path, writer, [(1, 1, 1.0), (node, topic, 0.5)])
+    assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("writer", ["seeds", "truth"])
+@pytest.mark.parametrize("rows, error", [
+    # seeds are written by topic and then node, truth by node and then
+    # topic: either way the row (0, 0) comes first
+    ([(3, 1, 1.0), (0, 0, 0.25)], BadStanceValueError),
+    ([(2, 1, 0.25), (0, -1, 1.0)], IdOutOfRangeError),
+])
+def test_stance_writers_report_the_first_bad_row_written(tmp_path, writer,
+                                                         rows, error):
+    with pytest.raises(error):
+        write_stances(tmp_path / "stances.csv", writer, rows)
     assert list(tmp_path.iterdir()) == []
 
 
