@@ -19,9 +19,10 @@ as uint32.
 Each config times three stages, each the best of ``REPEAT`` calls:
 ``setup`` is ``load_graph`` of the edges and profiles plus ``load_seeds``
 (what perfbench's ``setup_s`` times), ``profiles`` is ``load_profiles`` and
-``truth`` is ``load_ground_truth``. Each stage's digest is the sha256 over
-what it loaded: the graph's arrays, the symbol tables, the seeds and the
-truth, so that the loads are checked to agree in the same run.
+``truth`` is ``load_ground_truth``, the array-backed load, which builds no
+dict. Each stage's digest is the sha256 over what it loaded: the graph's
+arrays, the symbol tables, the seeds and the truth's items in file order,
+so that the loads are checked to agree in the same run.
 ``benchmarks/pairs.py`` runs the pairs and reports.
 """
 

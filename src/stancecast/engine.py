@@ -174,12 +174,18 @@ def _write_pass(columns: dict, count: int, rows: int, tags: tuple, kernel,
                 *args) -> tuple[int, np.ndarray]:
     """Reserve ``rows`` rows of the sink from ``count``, run ``kernel(*args,
     node, source, old, new, p)`` on them and tag its events with ``tags``;
-    returns the new count and the nodes the pass activated. The views die
-    here, as ``ndarray.resize`` refuses to grow a column a view holds."""
+    returns the new count and the nodes the pass activated.
+
+    The columns grow in place with ``refcheck=False``: its reference count
+    check also counts the references a tracer or profiler holds, and would
+    refuse the growth under one. No view can dangle, as every view of a
+    column is a kernel argument or a slice built here, all of them dropped
+    before this returns (the activated nodes are a copy)."""
     size = columns["node"].shape[0]
     if count + rows > size:
         for name in _EVENT_DTYPES:
-            columns[name].resize(max(count + rows, size + size // 4))
+            columns[name].resize(max(count + rows, size + size // 4),
+                                 refcheck=False)
     end = count + kernel(*args, *(columns[name][count:count + rows]
                                   for name in ("node", "source", "old", "new", "p")))
     for name, tag in zip(("round", "topic", "channel"), tags):
@@ -263,8 +269,8 @@ def run_simulation(g: SocialGraph, params: SimParams, seeds=None,
                 params.lambda_, params.mu, params.tie_epsilon,
             )
             frontier[j] = np.sort(np.concatenate([adjacent, nonadjacent]))
-    for name in _EVENT_DTYPES:
-        columns[name].resize(count)
+    for name in _EVENT_DTYPES:  # no view is alive: see _write_pass
+        columns[name].resize(count, refcheck=False)
     summaries = _round_summaries(initial, params.rounds_K, columns["round"],
                                  columns["topic"], columns["old"], columns["new"])
     return SimTrace(g.n, g.z, params, columns, summaries), state

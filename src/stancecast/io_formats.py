@@ -54,6 +54,7 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -727,8 +728,40 @@ def write_seeds(path, seeds: dict[int, dict[int, float]],
                                      topic[order], stance[order], known=True))
 
 
-def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float]:
-    """Load observed final stances keyed by (node, topic), in file order.
+class GroundTruth(Mapping):
+    """Observed final stances keyed by (node, topic), in file order: a
+    read-only mapping over three arrays of one row per pair, ``node``,
+    ``topic`` and ``stance``, none of them writeable. Scoring reads the
+    arrays; a key lookup or iteration goes through a dict built on first
+    use, so ``dict(truth)`` gives the plain dict of the file's rows."""
+
+    def __init__(self, node: np.ndarray, topic: np.ndarray,
+                 stance: np.ndarray) -> None:
+        for column in (node, topic, stance):
+            column.flags.writeable = False
+        self.node, self.topic, self.stance = node, topic, stance
+        self._dict = None
+
+    def _items(self) -> dict[tuple[int, int], float]:
+        if self._dict is None:
+            self._dict = dict(zip(zip(self.node.tolist(), self.topic.tolist()),
+                                  self.stance.tolist()))
+        return self._dict
+
+    def __getitem__(self, key) -> float:
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return self.stance.shape[0]
+
+
+def load_ground_truth(path, symbols: SymbolTable) -> GroundTruth:
+    """Load observed final stances keyed by (node, topic), in file order,
+    as a read-only :class:`GroundTruth` mapping over three arrays;
+    ``dict(truth)`` gives a plain dict.
 
     Each row is checked in turn: its fields, a known node, a known topic, a
     pair not seen before, and a stance code. The first row that fails is
@@ -742,10 +775,10 @@ def load_ground_truth(path, symbols: SymbolTable) -> dict[tuple[int, int], float
          lambda i: _repeat_error(path, rows, i, "truth row")),
         (bad, lambda i: _stance_error(path, rows, i)),
     ], rows.error)
-    return dict(zip(zip(node.tolist(), topic.tolist()), stances.tolist()))
+    return GroundTruth(node, topic, stances)
 
 
-def write_ground_truth(path, truth: dict[tuple[int, int], float],
+def write_ground_truth(path, truth: Mapping[tuple[int, int], float],
                        symbols: SymbolTable) -> None:
     """Write truth {(node, topic): stance} as a truth CSV, by node and then
     by topic, ascending. A node or topic id outside ``symbols`` raises an

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass
 from itertools import chain
 
@@ -11,7 +12,7 @@ from .engine import SimTrace, _round_summaries
 from .errors import (InconsistentIdsError, MissingTruthEntryError,
                      SummaryMismatchError, _raise_first)
 from .graph import STANCE_UNKNOWN, STANCE_VALUES
-from .io_formats import _atomic_write
+from .io_formats import GroundTruth, _atomic_write
 
 
 @dataclass(frozen=True)
@@ -99,23 +100,30 @@ def stance_distribution_curve(trace: SimTrace, initial_state) -> list[CurvePoint
     ]
 
 
-def _truth_table(truth: dict, n: int, z: int) -> np.ndarray:
+def _truth_table(truth: Mapping, n: int, z: int) -> np.ndarray:
     """The truth as an (n, z) array, ignoring keys outside the shape; the
-    first uncovered pair in row-major order is an error."""
-    keys = np.fromiter(chain.from_iterable(truth), dtype=np.int64,
-                       count=2 * len(truth)).reshape(-1, 2)
-    values = np.fromiter(truth.values(), dtype=np.float64, count=len(truth))
-    inside = ((keys >= 0) & (keys < (n, z))).all(axis=1)
+    first uncovered pair in row-major order is an error. A
+    :class:`GroundTruth` gives its arrays as they are; any other mapping is
+    read into the same arrays here."""
+    if isinstance(truth, GroundTruth):
+        node, topic, values = truth.node, truth.topic, truth.stance
+    else:
+        node, topic = np.fromiter(chain.from_iterable(truth), dtype=np.int64,
+                                  count=2 * len(truth)).reshape(-1, 2).T
+        values = np.fromiter(truth.values(), dtype=np.float64,
+                             count=len(truth))
+    inside = (node >= 0) & (node < n) & (topic >= 0) & (topic < z)
+    node, topic = node[inside], topic[inside]
     table = np.empty((n, z))
     covered = np.zeros((n, z), dtype=bool)
-    table[keys[inside, 0], keys[inside, 1]] = values[inside]
-    covered[keys[inside, 0], keys[inside, 1]] = True
+    table[node, topic] = values[inside]
+    covered[node, topic] = True
     _raise_first([(~covered.reshape(-1), lambda k: MissingTruthEntryError(
         "ground truth missing entry for node %d, topic %d" % divmod(k, z)))])
     return table
 
 
-def _topic_counts(final_state, truth: dict):
+def _topic_counts(final_state, truth: Mapping):
     """(n, status, scored, exact), per topic: pairs whose known/unknown
     status matches the truth, known-truth pairs, and their exact matches."""
     final = np.asarray(final_state, dtype=np.float64)
@@ -126,7 +134,7 @@ def _topic_counts(final_state, truth: dict):
     return (n, *(np.count_nonzero(mask, axis=0).tolist() for mask in masks))
 
 
-def activation_accuracy(final_state, truth: dict) -> float:
+def activation_accuracy(final_state, truth: Mapping) -> float:
     """Fraction of pairs whose known/unknown status matches the truth.
 
     Computed per topic and averaged over topics; truth must cover every
@@ -138,7 +146,7 @@ def activation_accuracy(final_state, truth: dict) -> float:
     return float(np.mean([matches / n for matches in status]))
 
 
-def stance_accuracy(final_state, truth: dict) -> float:
+def stance_accuracy(final_state, truth: Mapping) -> float:
     """Fraction of known-truth pairs whose exact stance matches the truth."""
     _, _, scored, exact = _topic_counts(final_state, truth)
     if sum(scored) == 0:
@@ -146,7 +154,7 @@ def stance_accuracy(final_state, truth: dict) -> float:
     return sum(exact) / sum(scored)
 
 
-def accuracy_report(final_state, truth: dict, topic_names=None) -> dict:
+def accuracy_report(final_state, truth: Mapping, topic_names=None) -> dict:
     """Per-topic accuracy mapping {topic: {activation, stance}}.
 
     A topic with no known-stance truth pairs reports ``None`` for its

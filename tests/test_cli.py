@@ -1,3 +1,4 @@
+import cProfile
 import hashlib
 import json
 import multiprocessing
@@ -43,6 +44,15 @@ def test_simulate_deterministic_and_prints_counts(bundle_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "topic t0:" in out and "unknown=" in out
     assert main(simulate_args(bundle_dir, tmp_path / "b.jsonl")) == 0
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+def test_simulate_under_a_profiler(bundle_dir, tmp_path):
+    # the profiler holds references that a reference-counting resize of the
+    # event columns would refuse
+    assert main(simulate_args(bundle_dir, tmp_path / "a.jsonl")) == 0
+    assert cProfile.Profile().runcall(
+        main, simulate_args(bundle_dir, tmp_path / "b.jsonl")) == 0
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 

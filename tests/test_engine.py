@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -327,6 +328,22 @@ def test_high_churn_run_matches_naive(tmp_path, a0):
     assert trace_event_tuples(trace) == ref.events
     assert state.profiles.tolist() == ref.final_profiles()
     assert summary_tuples(trace) == ref.summaries
+
+
+@pytest.mark.parametrize("hook", ["profile", "trace"])
+def test_run_under_a_tracer_emits_the_same_events(tmp_path, hook):
+    # a profiler or tracer holds references that a reference-counting resize
+    # of the event columns would refuse
+    get, set_hook = getattr(sys, f"get{hook}"), getattr(sys, f"set{hook}")
+    g, params, seeds = churn_run(tmp_path, 300, 900, 3, 3, 0.9)
+    plain, _ = run_quiet(g, params, seeds)
+    previous = get()
+    set_hook(lambda *args: None)
+    try:
+        traced, _ = run_quiet(g, params, seeds)
+    finally:
+        set_hook(previous)
+    assert traced == plain  # the event columns and the round summaries
 
 
 # trace-file sha256 of the high-churn runs, recorded before the per-receiver

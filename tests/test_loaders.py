@@ -17,6 +17,7 @@ on purpose:
 
 import re
 import warnings
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def call(module, loader, paths, node_ids, topic_ids):
 
 def exact(value):
     """A comparable form of a loader's result: arrays by dtype, shape and
-    bytes, symbol tables by their ids, dicts as ordered item lists."""
+    bytes, symbol tables by their ids, mappings as ordered item lists."""
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, sc.SocialGraph):
@@ -71,7 +72,7 @@ def exact(value):
             ("indptr", "indices", "in_indptr", "in_indices", "profiles"))
     if isinstance(value, (io_formats.SymbolTable, ref.SymbolTable)):
         return value.node_ids, value.topic_ids
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return [(k, exact(v)) for k, v in value.items()]
     if isinstance(value, tuple):
         return tuple(exact(v) for v in value)

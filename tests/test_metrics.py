@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import stancecast as sc
-from stancecast import metrics
+import reference_loaders as ref
+from stancecast import io_formats, metrics
 from stancecast.errors import InconsistentIdsError, MissingTruthEntryError
 from conftest import make_random_case
 
@@ -428,3 +429,60 @@ def test_missing_truth_message_matches_reference(seed):
     for fn in (metrics.accuracy_report, metrics.activation_accuracy,
                metrics.stance_accuracy):
         assert raised_message(fn, final, truth) == expected
+
+
+def scores(final, truth):
+    """Each scoring function's result on ``truth``: the report by its float
+    bits, the accuracies as hex, or the error class and message."""
+    out = []
+    for fn in (metrics.accuracy_report, metrics.activation_accuracy,
+               metrics.stance_accuracy):
+        try:
+            value = fn(final, truth)
+        except MissingTruthEntryError as exc:
+            out.append((MissingTruthEntryError, str(exc)))
+        else:
+            out.append(float_bits(value) if isinstance(value, dict)
+                       else float(value).hex())
+    return out
+
+
+@pytest.mark.parametrize("seed", range(1, 20))
+def test_loaded_truth_scores_as_its_dict(seed, tmp_path):
+    _, _, final = simulated_case(seed)
+    rng = np.random.default_rng(seed)
+    n, z = final.shape
+    symbols = io_formats.SymbolTable(tuple(f"v{v:04d}" for v in range(n)),
+                                     tuple(f"t{j}" for j in range(z)))
+    full, changed, _ = truth_variants(final, rng)
+    partial = dict(changed)
+    for key in rng.permutation(list(partial))[:int(rng.integers(1, 4))]:
+        del partial[tuple(int(x) for x in key)]
+    for truth in (full, changed, partial):
+        # the rows in a random order, which the loaded mapping keeps
+        rows = [tuple(key) for key in rng.permutation(list(truth)).tolist()]
+        path = tmp_path / "truth.csv"
+        path.write_text("node_id,topic_id,final_stance\n" + "".join(
+            f"{symbols.node_ids[v]},{symbols.topic_ids[j]},{truth[v, j]}\n"
+            for v, j in rows), encoding="utf-8")
+        loaded = io_formats.load_ground_truth(path, symbols)
+        expected = ref.load_ground_truth(
+            path, ref.SymbolTable(symbols.node_ids, symbols.topic_ids))
+        assert list(loaded.items()) == list(expected.items())
+        assert list(loaded) == rows and len(loaded) == len(rows)
+        assert loaded == truth and dict(loaded) == expected
+        for column in (loaded.node, loaded.topic, loaded.stance):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[:1] = 0
+        items = list(truth.items())
+        shuffled = dict(items[i] for i in rng.permutation(len(items)))
+        # a smaller shape leaves some keys outside it, which scoring ignores
+        for shape in ((n, z), (n - 1, z), (n, z - 1)):
+            part = final[:shape[0], :shape[1]]
+            want = scores(part, expected)
+            assert scores(part, loaded) == want
+            assert scores(part, dict(loaded)) == want
+            assert scores(part, shuffled) == want
+        if truth is partial:
+            assert scores(final, loaded)[0][0] is MissingTruthEntryError
